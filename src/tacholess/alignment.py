@@ -4,7 +4,9 @@ The pipeline per curve: map the native axis to RPM, robust-standardize the
 values (median/IQR), flip sign by polarity so low energy = plausible, weight
 points by exp(-beta * energy), and spread each weighted point onto the grid
 with a truncated Gaussian kernel. The aggregated mass is floored and
-log-normalized into a :class:`GridLogLikelihood`.
+log-normalized. The kernel spread depends only on the axis, so it is one
+sparse (n_axis x G) matrix K per estimator, and a (T, n_axis) block of
+frames aggregates as exp(-beta * E) @ K.
 
 No change-of-variables correction is applied when mapping reciprocal axes
 (lag/quefrency) to RPM; the kernel aggregation operates on mapped point
@@ -16,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy import sparse
 
 from .estimators import AxisType, EvidenceCurve, Polarity
-from .grid import GridLogLikelihood, RpmGrid
+from .grid import GridLogLikelihood, RpmGrid, logsumexp_rows
 
 # floor added to aggregated kernel mass so log-values stay finite everywhere;
 # far below any curve's evidence scale
@@ -58,17 +60,18 @@ def map_axis_to_rpm(z, axis_type: AxisType, sample_rate_hz: float):
 
 
 def robust_standardize(values: np.ndarray, eps: float = 1e-10) -> np.ndarray:
-    """(values - median) / (IQR + eps), quartiles by linear interpolation.
+    """(values - median) / (IQR + eps) along the last axis, quartiles by linear interpolation.
 
     Scale- and offset-robust: outliers move the quartiles little, and a
-    degenerate all-equal input comes back as zeros rather than NaN.
+    degenerate all-equal input comes back as zeros rather than NaN. A block
+    is standardized row by row.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot standardize an empty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot standardize non-finite values")
-    q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
+    q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0], axis=-1, keepdims=True)
     return (v - med) / ((q3 - q1) + eps)
 
 
@@ -77,44 +80,55 @@ def to_energy(standardized: np.ndarray, polarity: Polarity) -> np.ndarray:
     return -float(polarity.value) * np.asarray(standardized, dtype=np.float64)
 
 
-def curve_to_grid_loglik(curve: EvidenceCurve, grid: RpmGrid, cfg: CurveToGridConfig,
-                         sample_rate_hz: float) -> GridLogLikelihood:
-    """Aggregate one evidence curve into a normalized grid log-likelihood.
+def kernel_scatter(curve: EvidenceCurve, grid: RpmGrid, cfg: CurveToGridConfig,
+                   sample_rate_hz: float) -> sparse.csr_array:
+    """Sparse (n_axis x G) K: row m is a Gaussian (bandwidth in RPM, truncated
+    at cfg.kernel_truncation_sigmas) centered at point m's mapped RPM.
 
-    Each curve point m contributes exp(-beta * E[m]) times a Gaussian kernel
-    (bandwidth in RPM, truncated at cfg.kernel_truncation_sigmas) centered at
-    its mapped RPM. Points whose kernel window misses the grid entirely are
-    dropped; if that drops everything the curve is disjoint from the grid.
+    Points whose kernel window misses the grid entirely get empty rows; if
+    that is every point, the curve is disjoint from the grid.
     """
     rpm = map_axis_to_rpm(curve.axis, curve.axis_type, sample_rate_hz)
-    energy = to_energy(robust_standardize(curve.values, cfg.eps_norm), curve.polarity)
-    log_w = -cfg.beta * energy
-    log_w -= log_w.max()  # overall scale cancels in normalization; avoids exp overflow
-    weights = np.exp(log_w)
-
     h = cfg.kernel_bandwidth_rpm
     radius = cfg.kernel_truncation_sigmas * h
-    inside = (rpm >= grid.r_min - radius) & (rpm <= grid.r_max + radius)
-    if not np.any(inside):
+    inside = np.nonzero((rpm >= grid.r_min - radius) & (rpm <= grid.r_max + radius))[0]
+    if inside.size == 0:
         raise ValueError(
             f"curve '{curve.estimator_id}' disjoint from grid: all {len(rpm)} points map "
             f"outside [{grid.r_min}, {grid.r_max}] RPM (+/- {radius:.3g} kernel reach)"
         )
-    rpm = rpm[inside]
-    weights = weights[inside]
-
     dr = grid.step
     half = int(np.ceil(radius / dr))
-    centers = np.round((rpm - grid.r_min) / dr).astype(np.int64)
+    centers = np.round((rpm[inside] - grid.r_min) / dr).astype(np.int64)
     idx = centers[:, None] + np.arange(-half, half + 1)[None, :]
-    u = (grid.r_min + idx * dr - rpm[:, None]) / h
+    u = (grid.r_min + idx * dr - rpm[inside, None]) / h
     kern = np.where(np.abs(u) <= cfg.kernel_truncation_sigmas,
                     np.exp(-0.5 * u * u), 0.0)
     valid = (idx >= 0) & (idx < grid.n_points)
-    mass = np.bincount(idx[valid], weights=(weights[:, None] * kern)[valid],
-                       minlength=grid.n_points)
+    rows = np.broadcast_to(inside[:, None], idx.shape)[valid]
+    return sparse.csr_array((kern[valid], (rows, idx[valid])),
+                            shape=(len(rpm), grid.n_points))
 
+
+def aligned_loglik(curve: EvidenceCurve, scatter: sparse.csr_array,
+                   cfg: CurveToGridConfig) -> np.ndarray:
+    """Normalized grid log-likelihood, (G,) or (T, G), of each frame of ``curve``.
+
+    Point m contributes exp(-beta * E[m]) times row m of ``scatter``, the
+    :func:`kernel_scatter` of the same axis.
+    """
+    energy = to_energy(robust_standardize(curve.values, cfg.eps_norm), curve.polarity)
+    log_w = -cfg.beta * energy
+    # overall scale cancels in normalization; avoids exp overflow
+    log_w -= log_w.max(axis=-1, keepdims=True)
+    mass = np.exp(log_w) @ scatter
     log_values = np.log(mass + LIKELIHOOD_FLOOR)
-    log_values -= logsumexp(log_values)
-    return GridLogLikelihood(grid=grid, log_values=log_values,
+    return log_values - logsumexp_rows(log_values)
+
+
+def curve_to_grid_loglik(curve: EvidenceCurve, grid: RpmGrid, cfg: CurveToGridConfig,
+                         sample_rate_hz: float) -> GridLogLikelihood:
+    """Aggregate one frame's evidence curve into a normalized grid log-likelihood."""
+    scatter = kernel_scatter(curve, grid, cfg, sample_rate_hz)
+    return GridLogLikelihood(grid=grid, log_values=aligned_loglik(curve, scatter, cfg),
                              estimator_id=curve.estimator_id)

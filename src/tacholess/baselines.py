@@ -9,7 +9,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .alignment import map_axis_to_rpm
-from .estimators import EvidenceCurve, Polarity
+from .estimators import EvidenceCurve, Polarity, hann_window
 from .grid import GridLogLikelihood, RpmGrid
 from .ingest import Frame, FramingConfig, Signal, frame_signal
 
@@ -29,11 +29,12 @@ class BaselineTrajectory:
 
 
 def single_estimator_pick(curve: EvidenceCurve, r_min: float, r_max: float,
-                          sample_rate_hz: float) -> float:
+                          sample_rate_hz: float) -> float | np.ndarray:
     """Best native-axis candidate mapping inside [r_min, r_max], as RPM.
 
     Cost curves pick the minimum, score curves the maximum; ties go to the
-    lower native coordinate (first occurrence on the ascending axis).
+    lower native coordinate (first occurrence on the ascending axis). A
+    one-frame curve gives one RPM, a block of frames one RPM per row.
     """
     rpm = map_axis_to_rpm(curve.axis, curve.axis_type, sample_rate_hz)
     ok = (rpm >= r_min) & (rpm <= r_max)
@@ -41,14 +42,11 @@ def single_estimator_pick(curve: EvidenceCurve, r_min: float, r_max: float,
         raise ValueError(
             f"'{curve.estimator_id}': no candidate maps inside [{r_min}, {r_max}] RPM"
         )
-    vals = curve.values.copy()
     if curve.polarity is Polarity.COST:
-        vals[~ok] = np.inf
-        best = int(np.argmin(vals))
+        best = np.argmin(np.where(ok, curve.values, np.inf), axis=-1)
     else:
-        vals[~ok] = -np.inf
-        best = int(np.argmax(vals))
-    return float(rpm[best])
+        best = np.argmax(np.where(ok, curve.values, -np.inf), axis=-1)
+    return rpm[best]
 
 
 def framewise_trajectory(logliks: Sequence[GridLogLikelihood],
@@ -76,7 +74,7 @@ def _frame_peaks(frame: Frame, sample_rate_hz: float, f_lo: float, f_hi: float,
     """
     n = len(frame.data)
     nfft = next_fast_len(2 * n)
-    mag = np.abs(np.fft.rfft(frame.data * np.hanning(n), nfft))
+    mag = np.abs(np.fft.rfft(frame.data * hann_window(n), nfft))
     df = sample_rate_hz / nfft
     lo = max(1, int(np.ceil(f_lo / df)))
     hi = min(len(mag) - 2, int(np.floor(f_hi / df)))

@@ -6,14 +6,17 @@ Three frame-level estimators with deliberately different physics and axes:
 * ``cepstrum_curve`` real cepstrum over integer quefrencies (score),
 * ``comb_curve``     harmonic comb magnitude over candidate frequencies in Hz (score).
 
-Each returns an :class:`EvidenceCurve`; converting curves into grid
-log-likelihoods is the alignment module's job.
+Each ``*_block`` function evaluates a (T, N) block of frames with FFTs along
+the last axis and returns an :class:`EvidenceCurve` with one values row per
+frame; the ``*_curve`` form runs the same code on one frame. Converting
+curves into grid log-likelihoods is the alignment module's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -39,6 +42,9 @@ class Polarity(Enum):
 
 @dataclass(frozen=True)
 class EvidenceCurve:
+    """Evidence on a native axis: ``values`` is one frame (n,) or a block of
+    frames (T, n), one row per frame, all sharing ``axis``."""
+
     axis: np.ndarray
     values: np.ndarray
     axis_type: AxisType
@@ -48,10 +54,10 @@ class EvidenceCurve:
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
-        if axis.ndim != 1 or axis.shape != values.shape:
+        if axis.ndim != 1 or values.ndim not in (1, 2) or values.shape[-1:] != axis.shape:
             raise ValueError(
                 f"curve '{self.estimator_id}': axis {axis.shape} and values "
-                f"{values.shape} must be equal-length 1-D"
+                f"{values.shape} must be 1-D and match along the last axis"
             )
         if axis.size < 2:
             raise ValueError(f"curve '{self.estimator_id}' needs >= 2 points, got {axis.size}")
@@ -66,6 +72,14 @@ class EvidenceCurve:
 
     def __len__(self) -> int:
         return len(self.axis)
+
+
+@lru_cache(maxsize=4)
+def hann_window(n: int) -> np.ndarray:
+    """Read-only ``np.hanning(n)``, built once per length."""
+    w = np.hanning(n)
+    w.flags.writeable = False
+    return w
 
 
 def lag_bounds(sample_rate_hz: float, r_min: float, r_max: float,
@@ -94,73 +108,82 @@ def _check_lag_range(tau_min: int, tau_max: int, frame_len: int, name: str) -> N
 def difference_function(x: np.ndarray, tau_max: int) -> np.ndarray:
     """d(tau) = sum_{i=0..n-tau-1} (x[i] - x[i+tau])^2 for tau = 0..tau_max, via FFT.
 
-    Expanded into energy terms plus autocorrelation so the whole lag range
-    costs two FFTs instead of an O(n * tau_max) scan.
+    ``x`` is one frame or a block of frames along the last axis. Expanded
+    into energy terms plus autocorrelation so the whole lag range costs two
+    FFTs instead of an O(n * tau_max) scan.
     """
     x = np.asarray(x, dtype=np.float64)
     # differences cancel any constant offset, so centering changes nothing
     # mathematically but keeps FFT round-off from dominating a flat frame
-    x = x - x.mean()
-    n = len(x)
+    x = x - x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
     size = next_fast_len(n + tau_max)
-    spec = np.fft.rfft(x, size)
-    acf = np.fft.irfft(spec * np.conj(spec), size)[: tau_max + 1]
-    cums = np.concatenate(([0.0], np.cumsum(x * x)))
+    spec = np.fft.rfft(x, size, axis=-1)
+    acf = np.fft.irfft(spec * np.conj(spec), size, axis=-1)[..., : tau_max + 1]
+    cums = np.cumsum(x * x, axis=-1)
+    cums = np.concatenate((np.zeros_like(cums[..., :1]), cums), axis=-1)
     taus = np.arange(tau_max + 1)
-    d = cums[n - taus] + (cums[n] - cums[taus]) - 2.0 * acf
+    d = cums[..., n - taus] + (cums[..., n:] - cums[..., taus]) - 2.0 * acf
     # FFT round-off can leave tiny negatives at near-perfect lags
     return np.maximum(d, 0.0)
 
 
-def yin_curve(frame: Frame, sample_rate_hz: float, tau_min: int, tau_max: int) -> EvidenceCurve:
+def yin_block(frames: np.ndarray, sample_rate_hz: float, tau_min: int,
+              tau_max: int) -> EvidenceCurve:
     """Cumulative-mean-normalized difference d'(tau) over integer lags (cost curve).
 
     d'(tau) = d(tau) * tau / sum_{j<=tau} d(j), with d'(tau) = 1 where the
     running sum is zero (silent frame). Values are scale-invariant in the
     frame amplitude.
     """
-    _check_lag_range(tau_min, tau_max, len(frame.data), "yin lag range")
-    d = difference_function(frame.data, tau_max)
+    _check_lag_range(tau_min, tau_max, frames.shape[-1], "yin lag range")
+    d = difference_function(frames, tau_max)
     taus = np.arange(1, tau_max + 1, dtype=np.float64)
-    running = np.cumsum(d[1:])
-    dprime = np.ones(tau_max + 1)
-    np.divide(d[1:] * taus, running, out=dprime[1:], where=running > 0)
-    dprime[1:][running == 0] = 1.0
+    running = np.cumsum(d[..., 1:], axis=-1)
+    dprime = np.ones_like(d)
+    np.divide(d[..., 1:] * taus, running, out=dprime[..., 1:], where=running > 0)
     return EvidenceCurve(
         axis=np.arange(tau_min, tau_max + 1, dtype=np.float64),
-        values=dprime[tau_min : tau_max + 1],
+        values=dprime[..., tau_min : tau_max + 1],
         axis_type=AxisType.LAG,
         polarity=Polarity.COST,
         estimator_id="yin",
     )
 
 
-def cepstrum_curve(frame: Frame, sample_rate_hz: float, q_min: int, q_max: int) -> EvidenceCurve:
-    """Real cepstrum of the Hann-windowed frame over integer quefrencies (score curve).
+def cepstrum_block(frames: np.ndarray, sample_rate_hz: float, q_min: int,
+                   q_max: int) -> EvidenceCurve:
+    """Real cepstrum of each Hann-windowed frame over integer quefrencies (score curve).
 
     c = IDFT(log(|DFT(w * x)| + eps)); a periodic excitation shows up as a
     rahmonic peak at its period in samples.
     """
-    _check_lag_range(q_min, q_max, len(frame.data), "cepstrum quefrency range")
-    n = len(frame.data)
-    windowed = frame.data * np.hanning(n)
-    mag = np.abs(np.fft.rfft(windowed))
-    ceps = np.fft.irfft(np.log(mag + CEPSTRUM_LOG_EPS), n)
+    n = frames.shape[-1]
+    _check_lag_range(q_min, q_max, n, "cepstrum quefrency range")
+    mag = np.abs(np.fft.rfft(frames * hann_window(n), axis=-1))
+    ceps = np.fft.irfft(np.log(mag + CEPSTRUM_LOG_EPS), n, axis=-1)
     return EvidenceCurve(
         axis=np.arange(q_min, q_max + 1, dtype=np.float64),
-        values=ceps[q_min : q_max + 1],
+        values=ceps[..., q_min : q_max + 1],
         axis_type=AxisType.QUEFRENCY,
         polarity=Polarity.SCORE,
         estimator_id="cepstrum",
     )
 
 
-def comb_curve(frame: Frame, sample_rate_hz: float, f_min: float, f_max: float,
+def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp)`` for every row of ``fp``, for x within [xp[0], xp[-1]]."""
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
+    slope = (fp[..., j + 1] - fp[..., j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[..., j]
+
+
+def comb_block(frames: np.ndarray, sample_rate_hz: float, f_min: float, f_max: float,
                n_candidates: int = 2048, n_harmonics: int = 5,
                zero_pad_factor: int = 2) -> EvidenceCurve:
     """Harmonic comb score h(f) = mean_m |X(m f)| on a uniform candidate grid in Hz.
 
-    |X| is the magnitude spectrum of the Hann-windowed, zero-padded frame,
+    |X| is the magnitude spectrum of each Hann-windowed, zero-padded frame,
     read off harmonic positions by linear interpolation.
     """
     if not (0 < f_min < f_max):
@@ -176,19 +199,34 @@ def comb_curve(frame: Frame, sample_rate_hz: float, f_min: float, f_max: float,
             f"highest comb line {f_max * n_harmonics:.1f} Hz reaches Nyquist "
             f"({sample_rate_hz / 2:.1f} Hz); lower f_max or n_harmonics"
         )
-    n = len(frame.data)
+    n = frames.shape[-1]
     nfft = next_fast_len(zero_pad_factor * n)
-    mag = np.abs(np.fft.rfft(frame.data * np.hanning(n), nfft))
-    freqs = np.arange(len(mag)) * (sample_rate_hz / nfft)
+    mag = np.abs(np.fft.rfft(frames * hann_window(n), nfft, axis=-1))
+    freqs = np.arange(mag.shape[-1]) * (sample_rate_hz / nfft)
     cands = np.linspace(f_min, f_max, n_candidates)
-    score = np.zeros(n_candidates)
-    for m in range(1, n_harmonics + 1):
-        score += np.interp(m * cands, freqs, mag)
-    score /= n_harmonics
+    score = sum(_interp_rows(m * cands, freqs, mag) for m in range(1, n_harmonics + 1))
     return EvidenceCurve(
         axis=cands,
-        values=score,
+        values=score / n_harmonics,
         axis_type=AxisType.HZ,
         polarity=Polarity.SCORE,
         estimator_id="comb",
     )
+
+
+def yin_curve(frame: Frame, sample_rate_hz: float, tau_min: int, tau_max: int) -> EvidenceCurve:
+    """:func:`yin_block` of one frame."""
+    return yin_block(frame.data, sample_rate_hz, tau_min, tau_max)
+
+
+def cepstrum_curve(frame: Frame, sample_rate_hz: float, q_min: int, q_max: int) -> EvidenceCurve:
+    """:func:`cepstrum_block` of one frame."""
+    return cepstrum_block(frame.data, sample_rate_hz, q_min, q_max)
+
+
+def comb_curve(frame: Frame, sample_rate_hz: float, f_min: float, f_max: float,
+               n_candidates: int = 2048, n_harmonics: int = 5,
+               zero_pad_factor: int = 2) -> EvidenceCurve:
+    """:func:`comb_block` of one frame."""
+    return comb_block(frame.data, sample_rate_hz, f_min, f_max, n_candidates,
+                      n_harmonics, zero_pad_factor)

@@ -6,9 +6,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .grid import GridLogLikelihood, RpmGrid
+from .grid import GridLogLikelihood, RpmGrid, logsumexp_rows
 
 # probabilities are floored here before weighting so a zero bin cannot veto
 LOG_PROB_FLOOR = float(np.log(1e-300))
@@ -41,28 +40,32 @@ def _require_shared_grid(likelihoods: Sequence[GridLogLikelihood]) -> RpmGrid:
     return grid
 
 
+def pool_logliks(estimator_ids: Sequence[str], log_values: Sequence[np.ndarray],
+                 weights: FusionWeights) -> np.ndarray:
+    """log L(g) = sum_i w_i * log p_i(g), renormalized along the last axis.
+
+    ``log_values[i]`` holds estimator i's log-likelihoods for one frame (G,)
+    or a block of frames (T, G), pooled row by row. A weight of zero drops
+    that estimator exactly; at least one effective weight must be positive.
+    """
+    w = [weights.weight_for(eid) for eid in estimator_ids]
+    if not any(wi > 0 for wi in w):
+        raise ValueError("all fusion weights are zero for " + ", ".join(estimator_ids))
+    acc = np.zeros(np.shape(log_values[0]))
+    for wi, lv in zip(w, log_values):
+        if wi > 0:
+            acc += wi * np.maximum(lv, LOG_PROB_FLOOR)
+    return acc - logsumexp_rows(acc)
+
+
 def fuse_loglik(likelihoods: Sequence[GridLogLikelihood],
                 weights: FusionWeights | None = None) -> GridLogLikelihood:
-    """log L(g) = sum_i w_i * log p_i(g), renormalized over the grid.
-
-    A weight of zero drops that estimator exactly; at least one effective
-    weight must be positive.
-    """
+    """:func:`pool_logliks` of one frame's per-estimator likelihoods on a shared grid."""
     if not likelihoods:
         raise ValueError("fuse_loglik needs at least one likelihood")
-    weights = weights or FusionWeights()
     grid = _require_shared_grid(likelihoods)
-    w = np.array([weights.weight_for(lik.estimator_id) for lik in likelihoods])
-    if not np.any(w > 0):
-        raise ValueError(
-            "all fusion weights are zero for "
-            + ", ".join(lik.estimator_id for lik in likelihoods)
-        )
-    acc = np.zeros(grid.n_points)
-    for wi, lik in zip(w, likelihoods):
-        if wi > 0:
-            acc += wi * np.maximum(lik.log_values, LOG_PROB_FLOOR)
-    acc -= logsumexp(acc)
+    acc = pool_logliks([lik.estimator_id for lik in likelihoods],
+                       [lik.log_values for lik in likelihoods], weights or FusionWeights())
     return GridLogLikelihood(grid=grid, log_values=acc, estimator_id="fused")
 
 

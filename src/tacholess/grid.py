@@ -5,9 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 NORMALIZATION_TOL = 1e-9
+
+
+def logsumexp_rows(values: np.ndarray) -> np.ndarray:
+    """logsumexp along the last axis, kept as a length-1 axis that broadcasts."""
+    top = values.max(axis=-1, keepdims=True)
+    return top + np.log(np.exp(values - top).sum(axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ class GridLogLikelihood:
             )
         if not np.all(np.isfinite(lv)):
             raise ValueError(f"log-likelihood '{self.estimator_id}' has non-finite values")
-        norm = logsumexp(lv)
+        norm = float(logsumexp_rows(lv)[0])
         if abs(norm) > NORMALIZATION_TOL:
             raise ValueError(
                 f"log-likelihood '{self.estimator_id}' not normalized: logsumexp={norm:.3e}"

@@ -22,6 +22,9 @@ class Signal:
             raise ValueError(f"signal must be 1-D mono, got shape {x.shape}")
         if x.size == 0:
             raise ValueError("empty signal")
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValueError(f"non-finite sample {x[bad[0]]} at index {bad[0]}")
         if not np.isfinite(self.sample_rate_hz) or self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         x = x.copy()

@@ -1,9 +1,9 @@
 """End-to-end runs: config, orchestration, output files, benchmark, ablation.
 
-A run is: resolve input (scenario synthesis or file) -> frame -> per-frame
-evidence curves -> grid log-likelihoods -> fused likelihood -> tracked
-trajectory, plus any requested baselines, then metrics against the ground
-truth when one exists.
+A run is: resolve input (scenario synthesis or file) -> frame -> evidence
+curves -> grid log-likelihoods -> fused likelihood, chunk by chunk of frames
+-> tracked trajectory, plus any requested baselines, then metrics against
+the ground truth when one exists.
 """
 
 from __future__ import annotations
@@ -11,18 +11,17 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
-from .alignment import CurveToGridConfig, curve_to_grid_loglik
+from .alignment import CurveToGridConfig, aligned_loglik, kernel_scatter
 from .baselines import (BaselineTrajectory, framewise_trajectory,
                         single_estimator_pick, viterbi_stft)
-from .estimators import (EvidenceCurve, cepstrum_curve, comb_curve, lag_bounds,
-                         yin_curve)
-from .fusion import FusionWeights, fuse_loglik
+from .estimators import cepstrum_block, comb_block, lag_bounds, yin_block
+from .fusion import FusionWeights, pool_logliks
 from .grid import GridLogLikelihood, RpmGrid
 from .ingest import Frame, FramingConfig, Signal, frame_signal, load_signal
 from .metrics import compute_metrics, stability_metrics
@@ -33,6 +32,8 @@ from .tracker import PosteriorState, TrackerConfig, TrajectoryPoint, track
 ESTIMATOR_IDS = ("yin", "cepstrum", "comb")
 BASELINE_IDS = ("yin", "cepstrum", "comb", "framewise", "viterbi_stft")
 BENCHMARK_METHODS = ("yin", "cepstrum", "comb", "tracked")
+# frames per evidence/alignment/fusion step: working memory is O(CHUNK_FRAMES x G)
+CHUNK_FRAMES = 32
 
 
 @dataclass(frozen=True)
@@ -90,97 +91,35 @@ class RunConfig:
     def __post_init__(self):
         if (self.scenario is None) == (self.input is None):
             raise ValueError("config must set exactly one of 'scenario' or 'input'")
-        seen = []
         for name in self.baselines:
             if name not in BASELINE_IDS:
                 raise ValueError(
                     f"baselines: unknown method '{name}' "
                     f"(expected one of {', '.join(BASELINE_IDS)})"
                 )
-            if name not in seen:
-                seen.append(name)
-        object.__setattr__(self, "baselines", tuple(seen))
+        object.__setattr__(self, "baselines", tuple(dict.fromkeys(self.baselines)))
         FusionWeights(self.fusion_weights)  # validates values
 
     # -- JSON round trip ----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario.to_dict() if self.scenario else None,
-            "input": None if self.input is None else {
-                "path": self.input.path,
-                "format": self.input.format,
-                "sample_rate_hz": self.input.sample_rate_hz,
-            },
-            "framing": {"frame_len": self.framing.frame_len, "hop": self.framing.hop},
-            "grid": {"r_min": self.grid.r_min, "r_max": self.grid.r_max,
-                     "step_rpm": self.grid.step},
-            "alignment": {
-                "beta": self.alignment.beta,
-                "kernel_bandwidth_rpm": self.alignment.kernel_bandwidth_rpm,
-                "eps_norm": self.alignment.eps_norm,
-                "kernel_truncation_sigmas": self.alignment.kernel_truncation_sigmas,
-            },
-            "tracker": {
-                "sigma_min_rpm": self.tracker.sigma_min_rpm,
-                "sigma_max_rpm": self.tracker.sigma_max_rpm,
-                "eps_c": self.tracker.eps_c,
-                "eps_log": self.tracker.eps_log,
-                "presmooth_width": self.tracker.presmooth_width,
-                "kernel_truncation_sigmas": self.tracker.kernel_truncation_sigmas,
-            },
-            "estimators": {
-                "enabled": list(self.estimators.enabled),
-                "comb_candidates": self.estimators.comb_candidates,
-                "comb_harmonics": self.estimators.comb_harmonics,
-                "comb_zero_pad": self.estimators.comb_zero_pad,
-            },
-            "viterbi": {
-                "transition_penalty_per_rpm": self.viterbi.transition_penalty_per_rpm,
-                "n_candidates_per_frame": self.viterbi.n_candidates_per_frame,
-            },
-            "fusion_weights": dict(sorted(self.fusion_weights.items())),
-            "baselines": list(self.baselines),
-            "output": {"dump_posteriors": self.output.dump_posteriors,
-                       "plot": self.output.plot},
-        }
+        grid = {"r_min": self.grid.r_min, "r_max": self.grid.r_max, "step_rpm": self.grid.step}
+        return {**_plain(self), "grid": grid}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RunConfig":
-        known = {"scenario", "input", "framing", "grid", "alignment", "tracker",
-                 "estimators", "viterbi", "fusion_weights", "baselines", "output"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
-        kw: dict[str, Any] = {}
+        kw = {k: _SECTIONS[k](**v) if k in _SECTIONS and v is not None else v
+              for k, v in d.items() if k != "scenario"}
         if d.get("scenario") is not None:
             kw["scenario"] = ScenarioSpec.from_dict(d["scenario"])
-        elif "input" in d and d["input"] is not None:
+        elif d.get("input") is not None:
             kw["scenario"] = None
-        if d.get("input") is not None:
-            kw["input"] = InputConfig(**d["input"])
-        if "framing" in d:
-            kw["framing"] = FramingConfig(**d["framing"])
         if "grid" in d:
             g = d["grid"]
             kw["grid"] = RpmGrid.from_step(g["r_min"], g["r_max"], g.get("step_rpm", 1.0))
-        if "alignment" in d:
-            kw["alignment"] = CurveToGridConfig(**d["alignment"])
-        if "tracker" in d:
-            kw["tracker"] = TrackerConfig(**d["tracker"])
-        if "estimators" in d:
-            e = dict(d["estimators"])
-            if "enabled" in e:
-                e["enabled"] = tuple(e["enabled"])
-            kw["estimators"] = EstimatorSetConfig(**e)
-        if "viterbi" in d:
-            kw["viterbi"] = ViterbiConfig(**d["viterbi"])
-        if "fusion_weights" in d:
-            kw["fusion_weights"] = dict(d["fusion_weights"])
-        if "baselines" in d:
-            kw["baselines"] = tuple(d["baselines"])
-        if "output" in d:
-            kw["output"] = OutputConfig(**d["output"])
         return cls(**kw)
 
     def to_json(self) -> str:
@@ -191,49 +130,62 @@ class RunConfig:
         return cls.from_dict(json.loads(text))
 
 
+# sections of RunConfig that are flat dataclasses, built from their JSON objects
+_SECTIONS = {"input": InputConfig, "framing": FramingConfig, "alignment": CurveToGridConfig,
+             "tracker": TrackerConfig, "estimators": EstimatorSetConfig,
+             "viterbi": ViterbiConfig, "output": OutputConfig}
+
+
+def _plain(value: Any) -> Any:
+    """A config value as JSON data: dataclasses as dicts, tuples as lists, dicts sorted."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(sorted(value.items()))
+    return value
+
+
 # -- evidence computation ---------------------------------------------------
 
 
-def compute_curves(frames: Sequence[Frame], sample_rate_hz: float, grid: RpmGrid,
-                   est_cfg: EstimatorSetConfig,
-                   estimator_ids: Sequence[str]) -> dict[str, list[EvidenceCurve]]:
-    """Per-frame native-axis curves for each requested estimator."""
+def fused_evidence(frames: Sequence[Frame], sample_rate_hz: float,
+                   cfg: RunConfig) -> tuple[list[GridLogLikelihood], dict[str, np.ndarray]]:
+    """Fused grid log-likelihood per frame, and the RPM per frame of each pick
+    baseline in ``cfg.baselines``, computed CHUNK_FRAMES frames at a time.
+
+    Each estimator's scatter matrix is built once; only the fused rows outlive
+    their chunk.
+    """
     if not frames:
         raise ValueError("no frames to analyze")
-    frame_len = len(frames[0].data)
-    tau_min, tau_max = lag_bounds(sample_rate_hz, grid.r_min, grid.r_max, frame_len)
-    f_min, f_max = grid.r_min / 60.0, grid.r_max / 60.0
-    out: dict[str, list[EvidenceCurve]] = {eid: [] for eid in estimator_ids}
-    for frame in frames:
-        if "yin" in out:
-            out["yin"].append(yin_curve(frame, sample_rate_hz, tau_min, tau_max))
-        if "cepstrum" in out:
-            out["cepstrum"].append(cepstrum_curve(frame, sample_rate_hz, tau_min, tau_max))
-        if "comb" in out:
-            out["comb"].append(comb_curve(
-                frame, sample_rate_hz, f_min, f_max,
-                n_candidates=est_cfg.comb_candidates,
-                n_harmonics=est_cfg.comb_harmonics,
-                zero_pad_factor=est_cfg.comb_zero_pad,
-            ))
-    return out
-
-
-def fuse_frames(curves: dict[str, list[EvidenceCurve]], grid: RpmGrid,
-                align_cfg: CurveToGridConfig, sample_rate_hz: float,
-                enabled: Sequence[str],
-                weights: dict[str, float]) -> list[GridLogLikelihood]:
-    """Align the enabled estimators' curves and pool them per frame."""
-    n = len(next(iter(curves.values())))
-    fw = FusionWeights(weights)
-    fused = []
-    for t in range(n):
-        per_frame = [
-            curve_to_grid_loglik(curves[eid][t], grid, align_cfg, sample_rate_hz)
-            for eid in enabled
-        ]
-        fused.append(fuse_loglik(per_frame, fw))
-    return fused
+    grid, fs, est = cfg.grid, sample_rate_hz, cfg.estimators
+    tau_min, tau_max = lag_bounds(fs, grid.r_min, grid.r_max, len(frames[0].data))
+    evaluate = {
+        "yin": lambda x: yin_block(x, fs, tau_min, tau_max),
+        "cepstrum": lambda x: cepstrum_block(x, fs, tau_min, tau_max),
+        "comb": lambda x: comb_block(x, fs, grid.r_min / 60.0, grid.r_max / 60.0,
+                                     est.comb_candidates, est.comb_harmonics,
+                                     est.comb_zero_pad),
+    }
+    weights = FusionWeights(cfg.fusion_weights)
+    picks = {name: [] for name in cfg.baselines if name in ESTIMATOR_IDS}
+    scatter = {}
+    fused: list[GridLogLikelihood] = []
+    for start in range(0, len(frames), CHUNK_FRAMES):
+        block = np.stack([f.data for f in frames[start:start + CHUNK_FRAMES]])
+        curves = {eid: evaluate[eid](block) for eid in dict.fromkeys([*est.enabled, *picks])}
+        for name, rpm in picks.items():
+            rpm.append(single_estimator_pick(curves[name], grid.r_min, grid.r_max, fs))
+        if not scatter:
+            scatter = {eid: kernel_scatter(curves[eid], grid, cfg.alignment, fs)
+                       for eid in est.enabled}
+        logliks = [aligned_loglik(curves[eid], scatter[eid], cfg.alignment) for eid in est.enabled]
+        rows = pool_logliks(est.enabled, logliks, weights)
+        fused.extend(GridLogLikelihood(grid=grid, log_values=row, estimator_id="fused")
+                     for row in rows)
+    return fused, {name: np.concatenate(rpm) for name, rpm in picks.items()}
 
 
 # -- analysis ---------------------------------------------------------------
@@ -265,13 +217,7 @@ def analyze(cfg: RunConfig) -> AnalysisResult:
     signal, truth = _resolve_input(cfg)
     frames = frame_signal(signal, cfg.framing)
     times = np.array([f.time_s for f in frames])
-    fs = signal.sample_rate_hz
-
-    pick_baselines = [b for b in cfg.baselines if b in ESTIMATOR_IDS]
-    needed = list(dict.fromkeys([*cfg.estimators.enabled, *pick_baselines]))
-    curves = compute_curves(frames, fs, cfg.grid, cfg.estimators, needed)
-    fused = fuse_frames(curves, cfg.grid, cfg.alignment, fs,
-                        cfg.estimators.enabled, cfg.fusion_weights)
+    fused, picks = fused_evidence(frames, signal.sample_rate_hz, cfg)
 
     if cfg.output.dump_posteriors:
         tracked, posteriors = track(fused, cfg.grid, cfg.tracker, times,
@@ -282,14 +228,10 @@ def analyze(cfg: RunConfig) -> AnalysisResult:
 
     baselines: dict[str, BaselineTrajectory] = {}
     for name in cfg.baselines:
-        if name in ESTIMATOR_IDS:
-            rpm = np.array([
-                single_estimator_pick(c, cfg.grid.r_min, cfg.grid.r_max, fs)
-                for c in curves[name]
-            ])
+        if name in picks:
             baselines[name] = BaselineTrajectory(
                 method=name, frame_index=np.arange(1, len(frames) + 1),
-                time_s=times.copy(), rpm=rpm)
+                time_s=times.copy(), rpm=picks[name])
         elif name == "framewise":
             baselines[name] = framewise_trajectory(fused, times)
         elif name == "viterbi_stft":

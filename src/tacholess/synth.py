@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .ingest import FramingConfig, Signal
+from .ingest import FramingConfig, Signal, n_frames
 
 SCENARIOS = ("S0", "S1", "S2", "S3", "S4", "S5")
 
@@ -128,10 +128,9 @@ class GroundTruth:
 
     def frame_references(self, framing: FramingConfig) -> np.ndarray:
         """Reference speed at each frame center."""
-        total = len(self.rpm_samples)
-        if total < framing.frame_len:
+        nfr = n_frames(len(self.rpm_samples), framing)
+        if nfr == 0:
             raise ValueError("trajectory shorter than one frame")
-        nfr = (total - framing.frame_len) // framing.hop + 1
         centers = np.arange(nfr) * framing.hop + framing.frame_len // 2
         return self.rpm_samples[centers].copy()
 

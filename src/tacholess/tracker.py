@@ -26,7 +26,6 @@ class TrackerConfig:
     sigma_max_rpm: float = 150.0
     eps_c: float = 1e-12
     eps_log: float = 1e-300
-    presmooth_width: int = 3
     kernel_truncation_sigmas: float = 6.0
 
     def __post_init__(self):
@@ -37,8 +36,6 @@ class TrackerConfig:
             )
         if self.eps_c <= 0 or self.eps_log <= 0:
             raise ValueError("eps_c and eps_log must be positive")
-        if self.presmooth_width != 3:
-            raise ValueError("only the 3-point log-posterior pre-smoother is supported")
         if self.kernel_truncation_sigmas <= 0:
             raise ValueError("kernel_truncation_sigmas must be positive")
 

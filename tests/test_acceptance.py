@@ -217,17 +217,14 @@ def test_c07_step_change_stability():
 
 def test_c08_corrupted_burst_recovery():
     from tacholess.ingest import frame_signal
-    from tacholess.pipeline import compute_curves, fuse_frames
+    from tacholess.pipeline import fused_evidence
     from tacholess import synthesize
 
-    cfg = RunConfig(scenario=ScenarioSpec(scenario="S0", seed=3))
+    cfg = RunConfig(scenario=ScenarioSpec(scenario="S0", seed=3), grid=GRID)
     signal, _ = synthesize(cfg.scenario, rpm_bounds=(GRID.r_min, GRID.r_max))
     frames = frame_signal(signal, cfg.framing)
     times = np.array([f.time_s for f in frames])
-    curves = compute_curves(frames, signal.sample_rate_hz, GRID, cfg.estimators,
-                            cfg.estimators.enabled)
-    fused = fuse_frames(curves, GRID, cfg.alignment, signal.sample_rate_hz,
-                        cfg.estimators.enabled, cfg.fusion_weights)
+    fused, _ = fused_evidence(frames, signal.sample_rate_hz, cfg)
 
     # three consecutive frames replaced by confident nonsense at 3000 RPM
     bogus = 0.5 * discrete_gaussian_mass(GRID, 3000.0, 50.0) \

@@ -15,6 +15,7 @@ from tacholess import (
     robust_standardize,
     to_energy,
 )
+from tacholess.alignment import aligned_loglik, kernel_scatter
 from oracles import naive_curve_to_grid
 from props import check_curve_to_grid, check_standardize
 
@@ -113,6 +114,41 @@ def test_curve_to_grid_matches_double_loop_oracle():
             assert np.allclose(lik.log_values, ref, rtol=0.0, atol=1e-9)
 
 
+def test_batched_alignment_matches_double_loop_oracle():
+    # a block of frames through one precomputed scatter matrix, row by row
+    # against the per-point double loop; the axis holds interior points, the
+    # grid edges, points just inside and just beyond kernel reach, and far misses
+    cfg = CurveToGridConfig()
+    rng = np.random.default_rng(25)
+    fs = 12800.0
+    grid = RpmGrid(r_min=600.0, r_max=900.0, n_points=121)
+    reach = cfg.kernel_truncation_sigmas * cfg.kernel_bandwidth_rpm
+    edges = [grid.r_min, grid.r_max, grid.r_min - reach + 0.2, grid.r_max + reach - 0.2,
+             grid.r_min - reach - 0.2, grid.r_max + reach + 0.2, 450.0, 1300.0]
+    for axis_type in AxisType:
+        rpm_targets = np.unique(np.concatenate([rng.uniform(600.0, 900.0, 14), edges]))
+        if axis_type in (AxisType.LAG, AxisType.QUEFRENCY):
+            axis = np.sort(60.0 * fs / rpm_targets)
+        elif axis_type is AxisType.HZ:
+            axis = rpm_targets / 60.0
+        else:
+            axis = rpm_targets
+        polarity = Polarity.COST if axis_type is AxisType.LAG else Polarity.SCORE
+        values = rng.normal(0.0, 1.5, (6, len(axis)))
+        values[2] = 0.0  # a flat frame standardizes to zeros
+        block = EvidenceCurve(estimator_id="t", axis=axis, values=values,
+                              axis_type=axis_type, polarity=polarity)
+        got = aligned_loglik(block, kernel_scatter(block, grid, cfg, fs), cfg)
+        assert got.shape == (6, grid.n_points)
+        for t in range(6):
+            row = EvidenceCurve(estimator_id="t", axis=axis, values=values[t],
+                                axis_type=axis_type, polarity=polarity)
+            ref = naive_curve_to_grid(row, grid, cfg, fs)
+            assert np.allclose(got[t], ref, rtol=0.0, atol=1e-9)
+            one = curve_to_grid_loglik(row, grid, cfg, fs).log_values
+            assert np.allclose(one, got[t], rtol=0.0, atol=1e-12)
+
+
 def test_normalization_property():
     check_curve_to_grid(40)
 
@@ -200,3 +236,6 @@ def test_disjoint_curve_raises():
     curve = rpm_curve([200.0, 250.0, 4500.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="disjoint"):
         curve_to_grid_loglik(curve, grid, cfg, 12800.0)
+    block = rpm_curve([200.0, 250.0, 4500.0], np.ones((4, 3)))
+    with pytest.raises(ValueError, match="curve 't' disjoint from grid"):
+        kernel_scatter(block, grid, cfg, 12800.0)

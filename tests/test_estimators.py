@@ -3,10 +3,13 @@ import pytest
 
 from tacholess import AxisType, EvidenceCurve, Polarity
 from tacholess.estimators import (
+    cepstrum_block,
     cepstrum_curve,
+    comb_block,
     comb_curve,
     difference_function,
     lag_bounds,
+    yin_block,
     yin_curve,
 )
 from oracles import make_frame, naive_cmndf, naive_difference
@@ -174,3 +177,31 @@ def test_comb_nyquist_guard():
         comb_curve(frame, 8000.0, 450.0, 50.0)
     with pytest.raises(ValueError):
         comb_curve(frame, 8000.0, 50.0, 450.0, n_candidates=1)
+
+
+def test_block_rows_equal_one_frame_curves():
+    rng = np.random.default_rng(14)
+    fs = 8000.0
+    block = rng.normal(0.0, 1.0, (5, 1024))
+    block[1] = harmonic_frame(n=1024).data
+    block[3] = 0.0  # silent frame
+    cases = [
+        (lambda x: yin_block(x, fs, 20, 400), lambda f: yin_curve(f, fs, 20, 400)),
+        (lambda x: cepstrum_block(x, fs, 20, 400), lambda f: cepstrum_curve(f, fs, 20, 400)),
+        (lambda x: comb_block(x, fs, 50.0, 450.0, n_candidates=301),
+         lambda f: comb_curve(f, fs, 50.0, 450.0, n_candidates=301)),
+    ]
+    for of_block, of_frame in cases:
+        curves = of_block(block)
+        assert curves.values.shape == (5, len(curves.axis))
+        for t in range(5):
+            one = of_frame(make_frame(block[t], fs))
+            assert np.array_equal(one.axis, curves.axis)
+            assert np.allclose(one.values, curves.values[t], rtol=1e-12, atol=1e-12)
+
+
+def test_block_with_a_non_finite_frame_names_the_estimator():
+    block = np.zeros((3, 256))
+    block[1, 7] = np.nan
+    with pytest.raises(ValueError, match="curve 'cepstrum' contains non-finite"):
+        cepstrum_block(block, 8000.0, 4, 64)

@@ -22,6 +22,29 @@ def test_signal_validation():
         sig.samples[0] = 9.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_signal_rejects_non_finite_samples(bad):
+    x = np.zeros(10)
+    x[6] = bad
+    x[8] = np.nan
+    with pytest.raises(ValueError, match="non-finite sample .* at index 6"):
+        Signal(samples=x, sample_rate_hz=100.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fmt", ["csv", "wav"])
+def test_file_with_non_finite_sample_is_rejected(tmp_path, fmt, bad):
+    path = tmp_path / f"bad.{fmt}"
+    samples = np.array([0.5, 0.25, bad, 1.0])
+    if fmt == "csv":
+        path.write_text("# comment\n" + "".join(f"{v}\n" for v in samples))
+    else:
+        from scipy.io import wavfile
+        wavfile.write(str(path), 100, samples.astype(np.float32))
+    with pytest.raises(ValueError, match="at index 2"):
+        load_signal(path, sample_rate_hz=100.0)
+
+
 def test_default_framing_yields_437_frames_on_5s_run():
     framing = FramingConfig()
     assert framing.frame_len == 8192 and framing.hop == 128

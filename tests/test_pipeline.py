@@ -1,5 +1,8 @@
+import ast
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from tacholess import (
     run_benchmark,
     run_pipeline,
 )
+from tacholess import pipeline
 from tacholess.cli import _parse_grid, _parse_seeds, main
 
 
@@ -40,6 +44,18 @@ def test_config_json_round_trip_is_a_fixed_point():
     assert again.to_json() == text
     default_text = RunConfig().to_json()
     assert RunConfig.from_json(default_text).to_json() == default_text
+
+
+def test_config_from_partial_dicts():
+    assert RunConfig.from_dict({}) == RunConfig()
+    only_input = RunConfig.from_dict({"input": {"path": "a.csv", "sample_rate_hz": 10.0}})
+    assert only_input.scenario is None and only_input.input.path == "a.csv"
+    cfg = RunConfig.from_dict({"grid": {"r_min": 1200.0, "r_max": 1800.0, "step_rpm": 0.5},
+                               "estimators": {"enabled": ["yin"]}, "baselines": ["comb"]})
+    assert cfg.grid.n_points == 1201
+    assert cfg.estimators.enabled == ("yin",) and cfg.baselines == ("comb",)
+    assert set(RunConfig().to_dict()["tracker"]) == {
+        "sigma_min_rpm", "sigma_max_rpm", "eps_c", "eps_log", "kernel_truncation_sigmas"}
 
 
 def test_config_validation_messages():
@@ -82,6 +98,46 @@ def test_analyze_is_deterministic():
     assert payload["has_reference"] is True
     assert payload["n_frames"] == 17
     assert "tracked" in payload["methods"]
+
+
+def test_chunk_size_does_not_change_results(monkeypatch):
+    # 57 frames: one frame per chunk, the default chunking, and one chunk
+    cfg = short_cfg(scenario=ScenarioSpec(scenario="S3", duration_s=1.2, seed=2),
+                    baselines=pipeline.BASELINE_IDS)
+    assert pipeline.CHUNK_FRAMES < 57
+    default = analyze(cfg)
+    assert len(default.tracked) == 57
+    for chunk in (1, 1000):
+        monkeypatch.setattr(pipeline, "CHUNK_FRAMES", chunk)
+        other = analyze(cfg)
+        for attr in ("map_rpm", "mmse_rpm", "sigma_rpm"):
+            a = np.array([getattr(p, attr) for p in default.tracked])
+            b = np.array([getattr(p, attr) for p in other.tracked])
+            assert np.max(np.abs(a - b)) <= 1e-9, (chunk, attr)
+        assert set(other.baselines) == set(pipeline.BASELINE_IDS)
+        for name, traj in default.baselines.items():
+            assert np.max(np.abs(traj.rpm - other.baselines[name].rpm)) <= 1e-9, (chunk, name)
+
+
+def test_analyze_on_a_grid_the_curves_cannot_reach_raises():
+    # at 1 kHz the lag lattice steps from 3000 RPM (lag 20) to 2857 RPM (lag
+    # 21), so no lag maps into a 2900-2950 RPM grid
+    cfg = RunConfig(scenario=ScenarioSpec(scenario="S0", duration_s=1.0, sample_rate_hz=1000.0,
+                                          base_rpm=2925.0, seed=1),
+                    framing=FramingConfig(frame_len=256, hop=128),
+                    grid=RpmGrid.from_step(2900.0, 2950.0, 1.0))
+    with pytest.raises(ValueError, match="curve 'yin' disjoint from grid"):
+        analyze(cfg)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert set(ast.literal_eval(printed[0])) == {"rmse", "p95", "jitter", "max_jump"}
+    assert 1400.0 < float(printed[1]) < 1600.0
 
 
 def test_run_pipeline_writes_expected_files(tmp_path):

@@ -35,9 +35,6 @@ def test_config_defaults_and_validation():
     assert cfg.sigma_max_rpm == 150.0
     assert cfg.eps_c == 1e-12
     assert cfg.eps_log == 1e-300
-    assert cfg.presmooth_width == 3
-    with pytest.raises(ValueError, match="3-point"):
-        TrackerConfig(presmooth_width=5)
     with pytest.raises(ValueError):
         TrackerConfig(sigma_min_rpm=200.0, sigma_max_rpm=150.0)
 
