@@ -13,8 +13,8 @@ from .estimators import (AxisType, EvidenceCurve, Polarity, cepstrum_curve,
                          comb_curve, difference_function, lag_bounds, yin_curve)
 from .fusion import FusionWeights, fuse_loglik, mass_entropy, posterior_entropy
 from .grid import GridLogLikelihood, RpmGrid
-from .ingest import (Frame, FramingConfig, Signal, frame_signal, load_signal,
-                     n_frames, save_signal)
+from .ingest import (FramingConfig, Signal, frame_signal, frame_times,
+                     load_signal, n_frames, save_signal)
 from .metrics import compute_metrics, stability_metrics
 from .pipeline import (AnalysisResult, EstimatorSetConfig, InputConfig,
                        OutputConfig, RunConfig, ViterbiConfig, analyze,
@@ -28,17 +28,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisResult", "AxisType", "BaselineTrajectory", "CurveToGridConfig",
-    "EstimatorSetConfig", "EvidenceCurve", "Frame", "FramingConfig",
+    "EstimatorSetConfig", "EvidenceCurve", "FramingConfig",
     "FusionWeights", "GridLogLikelihood", "GroundTruth", "InputConfig",
     "OutputConfig", "Polarity", "PosteriorState", "RpmGrid", "RunConfig",
     "SCENARIOS", "ScenarioSpec", "Signal", "TrackerConfig", "TrajectoryPoint",
     "ViterbiConfig", "analyze", "cepstrum_curve", "comb_curve",
     "compute_metrics", "curvature_sigma", "curve_to_grid_loglik",
-    "difference_function", "estimate", "frame_signal", "framewise_trajectory",
-    "fuse_loglik", "init_posterior", "lag_bounds", "load_signal",
-    "map_axis_to_rpm", "mass_entropy", "metrics_json", "n_frames",
-    "posterior_entropy",
-    "predict", "robust_standardize", "run_ablation", "run_benchmark",
+    "difference_function", "estimate", "frame_signal", "frame_times",
+    "framewise_trajectory", "fuse_loglik", "init_posterior", "lag_bounds",
+    "load_signal", "map_axis_to_rpm", "mass_entropy", "metrics_json", "n_frames",
+    "posterior_entropy", "predict", "robust_standardize", "run_ablation", "run_benchmark",
     "run_pipeline", "save_signal", "single_estimator_pick", "stability_metrics",
     "synthesize", "to_energy", "track", "update", "viterbi_path",
     "viterbi_stft", "yin_curve",

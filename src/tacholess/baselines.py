@@ -10,8 +10,8 @@ from scipy.fft import next_fast_len
 
 from .alignment import map_axis_to_rpm
 from .estimators import EvidenceCurve, Polarity, hann_window
-from .grid import GridLogLikelihood, RpmGrid
-from .ingest import Frame, FramingConfig, Signal, frame_signal
+from .grid import RpmGrid
+from .ingest import FramingConfig, Signal, frame_signal, frame_times
 
 PEAK_LOG_FLOOR = 1e-300
 
@@ -49,32 +49,33 @@ def single_estimator_pick(curve: EvidenceCurve, r_min: float, r_max: float,
     return rpm[best]
 
 
-def framewise_trajectory(logliks: Sequence[GridLogLikelihood],
+def framewise_trajectory(loglik: np.ndarray, grid: RpmGrid,
                          times_s: Sequence[float]) -> BaselineTrajectory:
-    """Per-frame MMSE of the fused likelihood, no recursion (ablation baseline)."""
-    if len(logliks) != len(times_s):
-        raise ValueError(f"{len(times_s)} times for {len(logliks)} frames")
-    if not logliks:
+    """Per-frame MMSE of the fused (T, G) log-likelihood, no recursion (ablation baseline)."""
+    if len(loglik) != len(times_s):
+        raise ValueError(f"{len(times_s)} times for {len(loglik)} frames")
+    if len(loglik) == 0:
         raise ValueError("framewise baseline needs at least one frame")
-    rpm = np.array([lik.probabilities() @ lik.grid.values for lik in logliks])
+    rpm = np.array([np.exp(row) @ grid.values for row in loglik])
     return BaselineTrajectory(
         method="framewise",
-        frame_index=np.arange(1, len(logliks) + 1),
+        frame_index=np.arange(1, len(loglik) + 1),
         time_s=np.asarray(times_s, dtype=np.float64),
         rpm=rpm,
     )
 
 
-def _frame_peaks(frame: Frame, sample_rate_hz: float, f_lo: float, f_hi: float,
-                 top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k local spectral maxima in [f_lo, f_hi]: (freqs_hz, magnitudes).
+def _frame_peaks(frame: np.ndarray, index: int, sample_rate_hz: float, f_lo: float,
+                 f_hi: float, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k local spectral maxima of frame ``index`` (1-based) in [f_lo, f_hi]:
+    (freqs_hz, magnitudes).
 
     Peak frequencies are refined by 3-point parabolic interpolation of the
     log-magnitude, then clamped to the band.
     """
-    n = len(frame.data)
+    n = len(frame)
     nfft = next_fast_len(2 * n)
-    mag = np.abs(np.fft.rfft(frame.data * hann_window(n), nfft))
+    mag = np.abs(np.fft.rfft(frame * hann_window(n), nfft))
     df = sample_rate_hz / nfft
     lo = max(1, int(np.ceil(f_lo / df)))
     hi = min(len(mag) - 2, int(np.floor(f_hi / df)))
@@ -86,7 +87,7 @@ def _frame_peaks(frame: Frame, sample_rate_hz: float, f_lo: float, f_hi: float,
     if peak_idx.size == 0:
         raise ValueError(
             f"no spectral peaks found in band [{f_lo:.3g}, {f_hi:.3g}] Hz "
-            f"at frame {frame.index}"
+            f"at frame {index}"
         )
     order = np.argsort(mag[peak_idx])[::-1][:top_k]
     peak_idx = peak_idx[order]
@@ -136,18 +137,17 @@ def viterbi_stft(signal: Signal, framing: FramingConfig, grid: RpmGrid,
         raise ValueError(f"need >= 1 candidate per frame, got {n_candidates_per_frame}")
     frames = frame_signal(signal, framing)
     f_lo, f_hi = grid.r_min / 60.0, grid.r_max / 60.0
-    all_scores, all_rpms, times = [], [], []
-    for frame in frames:
-        freqs, mags = _frame_peaks(frame, signal.sample_rate_hz, f_lo, f_hi,
+    all_scores, all_rpms = [], []
+    for index, frame in enumerate(frames, start=1):
+        freqs, mags = _frame_peaks(frame, index, signal.sample_rate_hz, f_lo, f_hi,
                                    n_candidates_per_frame)
         all_scores.append(np.log(mags + PEAK_LOG_FLOOR))
         all_rpms.append(60.0 * freqs)
-        times.append(frame.time_s)
     path = viterbi_path(all_scores, all_rpms, transition_penalty_per_rpm)
     rpm = np.array([all_rpms[t][c] for t, c in enumerate(path)])
     return BaselineTrajectory(
         method="viterbi_stft",
         frame_index=np.arange(1, len(frames) + 1),
-        time_s=np.asarray(times, dtype=np.float64),
+        time_s=frame_times(signal, framing),
         rpm=rpm,
     )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import pipeline
 from .grid import RpmGrid
-from .ingest import FramingConfig, frame_signal
+from .ingest import FramingConfig, frame_times
 from .pipeline import InputConfig, OutputConfig, RunConfig
 from .synth import SCENARIOS, ScenarioSpec, synthesize
 from .ingest import save_signal
@@ -102,13 +102,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     sig_path = out / f"signal_{spec.scenario}_seed{spec.seed}.{args.format}"
     save_signal(signal, sig_path, args.format)
     refs = truth.frame_references(cfg.framing)
-    frames = frame_signal(signal, cfg.framing)
+    times = frame_times(signal, cfg.framing)
     truth_path = out / f"ground_truth_{spec.scenario}_seed{spec.seed}.csv"
     with open(truth_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["frame_index", "time_s", "rpm_ref"])
-        for frame, rpm in zip(frames, refs):
-            w.writerow([frame.index, f"{frame.time_s:.9g}", f"{rpm:.9g}"])
+        for i, (t, rpm) in enumerate(zip(times, refs), start=1):
+            w.writerow([i, f"{t:.9g}", f"{rpm:.9g}"])
     spec_path = out / f"scenario_{spec.scenario}_seed{spec.seed}.json"
     spec_path.write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {sig_path}, {truth_path}, {spec_path}")

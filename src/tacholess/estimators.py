@@ -6,10 +6,10 @@ Three frame-level estimators with deliberately different physics and axes:
 * ``cepstrum_curve`` real cepstrum over integer quefrencies (score),
 * ``comb_curve``     harmonic comb magnitude over candidate frequencies in Hz (score).
 
-Each ``*_block`` function evaluates a (T, N) block of frames with FFTs along
-the last axis and returns an :class:`EvidenceCurve` with one values row per
-frame; the ``*_curve`` form runs the same code on one frame. Converting
-curves into grid log-likelihoods is the alignment module's job.
+Each takes one frame (N,) or a block of frames (T, N), runs its FFTs along
+the last axis, and returns an :class:`EvidenceCurve` with one values row per
+frame. Converting curves into grid log-likelihoods is the alignment module's
+job.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import next_fast_len
-
-from .ingest import Frame
 
 CEPSTRUM_LOG_EPS = 1e-12
 
@@ -128,7 +126,7 @@ def difference_function(x: np.ndarray, tau_max: int) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def yin_block(frames: np.ndarray, sample_rate_hz: float, tau_min: int,
+def yin_curve(frames: np.ndarray, sample_rate_hz: float, tau_min: int,
               tau_max: int) -> EvidenceCurve:
     """Cumulative-mean-normalized difference d'(tau) over integer lags (cost curve).
 
@@ -151,7 +149,7 @@ def yin_block(frames: np.ndarray, sample_rate_hz: float, tau_min: int,
     )
 
 
-def cepstrum_block(frames: np.ndarray, sample_rate_hz: float, q_min: int,
+def cepstrum_curve(frames: np.ndarray, sample_rate_hz: float, q_min: int,
                    q_max: int) -> EvidenceCurve:
     """Real cepstrum of each Hann-windowed frame over integer quefrencies (score curve).
 
@@ -178,7 +176,7 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return slope * (x - xp[j]) + fp[..., j]
 
 
-def comb_block(frames: np.ndarray, sample_rate_hz: float, f_min: float, f_max: float,
+def comb_curve(frames: np.ndarray, sample_rate_hz: float, f_min: float, f_max: float,
                n_candidates: int = 2048, n_harmonics: int = 5,
                zero_pad_factor: int = 2) -> EvidenceCurve:
     """Harmonic comb score h(f) = mean_m |X(m f)| on a uniform candidate grid in Hz.
@@ -212,21 +210,3 @@ def comb_block(frames: np.ndarray, sample_rate_hz: float, f_min: float, f_max: f
         polarity=Polarity.SCORE,
         estimator_id="comb",
     )
-
-
-def yin_curve(frame: Frame, sample_rate_hz: float, tau_min: int, tau_max: int) -> EvidenceCurve:
-    """:func:`yin_block` of one frame."""
-    return yin_block(frame.data, sample_rate_hz, tau_min, tau_max)
-
-
-def cepstrum_curve(frame: Frame, sample_rate_hz: float, q_min: int, q_max: int) -> EvidenceCurve:
-    """:func:`cepstrum_block` of one frame."""
-    return cepstrum_block(frame.data, sample_rate_hz, q_min, q_max)
-
-
-def comb_curve(frame: Frame, sample_rate_hz: float, f_min: float, f_max: float,
-               n_candidates: int = 2048, n_harmonics: int = 5,
-               zero_pad_factor: int = 2) -> EvidenceCurve:
-    """:func:`comb_block` of one frame."""
-    return comb_block(frame.data, sample_rate_hz, f_min, f_max, n_candidates,
-                      n_harmonics, zero_pad_factor)

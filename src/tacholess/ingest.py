@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
 
@@ -53,16 +54,6 @@ class FramingConfig:
             )
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One analysis window. ``index`` is 1-based; ``time_s`` is the window center."""
-
-    index: int
-    start_sample: int
-    data: np.ndarray
-    time_s: float
-
-
 def n_frames(signal_len: int, framing: FramingConfig) -> int:
     """Number of full frames: floor((len - frame_len) / hop) + 1."""
     if signal_len < framing.frame_len:
@@ -70,26 +61,20 @@ def n_frames(signal_len: int, framing: FramingConfig) -> int:
     return (signal_len - framing.frame_len) // framing.hop + 1
 
 
-def frame_signal(signal: Signal, framing: FramingConfig) -> list[Frame]:
-    """Slice into overlapped frames (views into the signal; no copies)."""
-    total = n_frames(len(signal), framing)
-    if total == 0:
+def frame_signal(signal: Signal, framing: FramingConfig) -> np.ndarray:
+    """Overlapped frames as a read-only (T, frame_len) view of the samples:
+    row k is ``samples[k*hop : k*hop + frame_len]``, nothing is copied."""
+    if n_frames(len(signal), framing) == 0:
         raise ValueError(
             f"signal of {len(signal)} samples is shorter than one frame ({framing.frame_len})"
         )
-    frames = []
-    half = framing.frame_len / 2.0
-    for t in range(total):
-        start = t * framing.hop
-        frames.append(
-            Frame(
-                index=t + 1,
-                start_sample=start,
-                data=signal.samples[start : start + framing.frame_len],
-                time_s=(start + half) / signal.sample_rate_hz,
-            )
-        )
-    return frames
+    return sliding_window_view(signal.samples, framing.frame_len)[:: framing.hop]
+
+
+def frame_times(signal: Signal, framing: FramingConfig) -> np.ndarray:
+    """Centre time in seconds of each frame of :func:`frame_signal`."""
+    starts = np.arange(n_frames(len(signal), framing)) * framing.hop
+    return (starts + framing.frame_len / 2.0) / signal.sample_rate_hz
 
 
 def _load_wav(path: Path) -> Signal:

@@ -20,10 +20,10 @@ import numpy as np
 from .alignment import CurveToGridConfig, aligned_loglik, kernel_scatter
 from .baselines import (BaselineTrajectory, framewise_trajectory,
                         single_estimator_pick, viterbi_stft)
-from .estimators import cepstrum_block, comb_block, lag_bounds, yin_block
+from .estimators import cepstrum_curve, comb_curve, lag_bounds, yin_curve
 from .fusion import FusionWeights, pool_logliks
-from .grid import GridLogLikelihood, RpmGrid
-from .ingest import Frame, FramingConfig, Signal, frame_signal, load_signal
+from .grid import RpmGrid
+from .ingest import FramingConfig, Signal, frame_signal, frame_times, load_signal
 from .metrics import compute_metrics, stability_metrics
 from .plotting import write_trajectory_svg
 from .synth import GroundTruth, ScenarioSpec, synthesize
@@ -150,31 +150,32 @@ def _plain(value: Any) -> Any:
 # -- evidence computation ---------------------------------------------------
 
 
-def fused_evidence(frames: Sequence[Frame], sample_rate_hz: float,
-                   cfg: RunConfig) -> tuple[list[GridLogLikelihood], dict[str, np.ndarray]]:
-    """Fused grid log-likelihood per frame, and the RPM per frame of each pick
-    baseline in ``cfg.baselines``, computed CHUNK_FRAMES frames at a time.
+def fused_evidence(frames: np.ndarray, sample_rate_hz: float,
+                   cfg: RunConfig) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Fused (T, G) grid log-likelihood of a (T, N) block of frames, and the
+    RPM per frame of each pick baseline in ``cfg.baselines``, computed
+    CHUNK_FRAMES frames at a time.
 
     Each estimator's scatter matrix is built once; only the fused rows outlive
     their chunk.
     """
-    if not frames:
+    if len(frames) == 0:
         raise ValueError("no frames to analyze")
     grid, fs, est = cfg.grid, sample_rate_hz, cfg.estimators
-    tau_min, tau_max = lag_bounds(fs, grid.r_min, grid.r_max, len(frames[0].data))
+    tau_min, tau_max = lag_bounds(fs, grid.r_min, grid.r_max, frames.shape[1])
     evaluate = {
-        "yin": lambda x: yin_block(x, fs, tau_min, tau_max),
-        "cepstrum": lambda x: cepstrum_block(x, fs, tau_min, tau_max),
-        "comb": lambda x: comb_block(x, fs, grid.r_min / 60.0, grid.r_max / 60.0,
+        "yin": lambda x: yin_curve(x, fs, tau_min, tau_max),
+        "cepstrum": lambda x: cepstrum_curve(x, fs, tau_min, tau_max),
+        "comb": lambda x: comb_curve(x, fs, grid.r_min / 60.0, grid.r_max / 60.0,
                                      est.comb_candidates, est.comb_harmonics,
                                      est.comb_zero_pad),
     }
     weights = FusionWeights(cfg.fusion_weights)
     picks = {name: [] for name in cfg.baselines if name in ESTIMATOR_IDS}
     scatter = {}
-    fused: list[GridLogLikelihood] = []
+    fused = np.empty((len(frames), grid.n_points))
     for start in range(0, len(frames), CHUNK_FRAMES):
-        block = np.stack([f.data for f in frames[start:start + CHUNK_FRAMES]])
+        block = frames[start:start + CHUNK_FRAMES]
         curves = {eid: evaluate[eid](block) for eid in dict.fromkeys([*est.enabled, *picks])}
         for name, rpm in picks.items():
             rpm.append(single_estimator_pick(curves[name], grid.r_min, grid.r_max, fs))
@@ -182,9 +183,7 @@ def fused_evidence(frames: Sequence[Frame], sample_rate_hz: float,
             scatter = {eid: kernel_scatter(curves[eid], grid, cfg.alignment, fs)
                        for eid in est.enabled}
         logliks = [aligned_loglik(curves[eid], scatter[eid], cfg.alignment) for eid in est.enabled]
-        rows = pool_logliks(est.enabled, logliks, weights)
-        fused.extend(GridLogLikelihood(grid=grid, log_values=row, estimator_id="fused")
-                     for row in rows)
+        fused[start:start + len(block)] = pool_logliks(est.enabled, logliks, weights)
     return fused, {name: np.concatenate(rpm) for name, rpm in picks.items()}
 
 
@@ -216,7 +215,7 @@ def analyze(cfg: RunConfig) -> AnalysisResult:
     """Run the full pipeline in memory (no files written)."""
     signal, truth = _resolve_input(cfg)
     frames = frame_signal(signal, cfg.framing)
-    times = np.array([f.time_s for f in frames])
+    times = frame_times(signal, cfg.framing)
     fused, picks = fused_evidence(frames, signal.sample_rate_hz, cfg)
 
     if cfg.output.dump_posteriors:
@@ -233,7 +232,7 @@ def analyze(cfg: RunConfig) -> AnalysisResult:
                 method=name, frame_index=np.arange(1, len(frames) + 1),
                 time_s=times.copy(), rpm=picks[name])
         elif name == "framewise":
-            baselines[name] = framewise_trajectory(fused, times)
+            baselines[name] = framewise_trajectory(fused, cfg.grid, times)
         elif name == "viterbi_stft":
             baselines[name] = viterbi_stft(
                 signal, cfg.framing, cfg.grid,

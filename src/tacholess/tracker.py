@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .fusion import mass_entropy
-from .grid import GridLogLikelihood, RpmGrid
+from .grid import RpmGrid
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,9 @@ def predict(state: PosteriorState, sigmas: np.ndarray,
 
     Column j spreads mass[j] as a Gaussian of scale sigmas[j] truncated at
     ``truncation_sigmas``, renormalized over the bounded grid so no mass
-    leaks off the ends. Columns sharing a sigma are batched through one
-    convolution; rare singleton sigmas fall back to windowed adds.
+    leaks off the ends. The columns sharing a sigma are one convolution of
+    their scaled masses over the span they cover, so a lone column costs one
+    kernel-wide add.
     """
     grid = state.grid
     g = grid.n_points
@@ -132,32 +132,29 @@ def predict(state: PosteriorState, sigmas: np.ndarray,
         lo = np.maximum(-cols, -half)
         hi = np.minimum(g - 1 - cols, half)
         norm = csum[hi + half + 1] - csum[lo + half]
-        scaled = mass[cols] / norm
-        if cols.size > max(64, g // 8):
-            col_mass = np.zeros(g)
-            col_mass[cols] = scaled
-            out += np.convolve(col_mass, kern)[half : half + g]
-        else:
-            for j, mj in zip(cols, scaled):
-                a = max(0, j - half)
-                b = min(g, j + half + 1)
-                out[a:b] += mj * kern[a - j + half : b - j + half]
+        first = cols[0]
+        span = np.zeros(cols[-1] - first + 1)
+        span[cols - first] = mass[cols] / norm
+        # spread[k] lands on bin first - half + k; keep the part on the grid
+        spread = np.convolve(span, kern)
+        a = max(0, first - half)
+        b = min(g, cols[-1] + half + 1)
+        out[a:b] += spread[a - first + half : b - first + half]
     return out
 
 
-def update(predicted_mass: np.ndarray, loglik: GridLogLikelihood,
+def update(predicted_mass: np.ndarray, loglik: np.ndarray, grid: RpmGrid,
            cfg: TrackerConfig, frame_index: int) -> PosteriorState:
-    """Bayes product in the log domain, softmax-normalized back to mass."""
-    grid = loglik.grid
+    """Bayes product of predicted mass and one frame's (G,) log-likelihood,
+    in the log domain, max-shifted and normalized back to mass."""
     predicted_mass = np.asarray(predicted_mass, dtype=np.float64)
-    if predicted_mass.shape != (grid.n_points,):
-        raise ValueError(
-            f"predicted mass shape {predicted_mass.shape} does not match grid "
-            f"({grid.n_points},)"
-        )
-    log_post = np.log(predicted_mass + cfg.eps_log) + loglik.log_values
-    log_post -= logsumexp(log_post)
-    mass = np.exp(log_post)
+    for name, v in (("predicted mass", predicted_mass), ("log-likelihood", loglik)):
+        if np.shape(v) != (grid.n_points,):
+            raise ValueError(
+                f"{name} shape {np.shape(v)} does not match grid ({grid.n_points},)"
+            )
+    log_post = np.log(predicted_mass + cfg.eps_log) + loglik
+    mass = np.exp(log_post - log_post.max())
     mass /= mass.sum()
     return PosteriorState(grid, mass, frame_index)
 
@@ -178,25 +175,31 @@ def estimate(state: PosteriorState, time_s: float = float("nan")) -> TrajectoryP
     )
 
 
-def track(logliks: Sequence[GridLogLikelihood], grid: RpmGrid, cfg: TrackerConfig,
+def track(loglik: np.ndarray, grid: RpmGrid, cfg: TrackerConfig,
           times_s: Sequence[float] | None = None, return_posteriors: bool = False):
-    """Run the filter over a frame sequence of fused log-likelihoods.
+    """Run the filter over a (T, G) block of per-frame fused log-likelihoods.
 
     Returns the trajectory points, plus the per-frame posterior states when
     ``return_posteriors`` is set.
     """
-    if times_s is not None and len(times_s) != len(logliks):
-        raise ValueError(f"{len(times_s)} times for {len(logliks)} frames")
+    loglik = np.asarray(loglik, dtype=np.float64)
+    if loglik.ndim != 2 or loglik.shape[1] != grid.n_points:
+        raise ValueError(
+            f"log-likelihood block {loglik.shape} does not match the tracking grid "
+            f"(T, {grid.n_points})"
+        )
+    bad = np.flatnonzero(~np.isfinite(loglik).all(axis=1))
+    if bad.size:
+        raise ValueError(f"frame {bad[0] + 1} log-likelihood has non-finite values")
+    if times_s is not None and len(times_s) != len(loglik):
+        raise ValueError(f"{len(times_s)} times for {len(loglik)} frames")
     state = init_posterior(grid)
     points: list[TrajectoryPoint] = []
     posteriors: list[PosteriorState] = []
-    for t, lik in enumerate(logliks, start=1):
-        g = lik.grid
-        if (g.r_min, g.r_max, g.n_points) != (grid.r_min, grid.r_max, grid.n_points):
-            raise ValueError(f"frame {t} likelihood grid differs from tracking grid")
+    for t, row in enumerate(loglik, start=1):
         sig = curvature_sigma(state, cfg)
         prior = predict(state, sig, cfg.kernel_truncation_sigmas)
-        state = update(prior, lik, cfg, frame_index=t)
+        state = update(prior, row, grid, cfg, frame_index=t)
         when = float(times_s[t - 1]) if times_s is not None else float("nan")
         points.append(estimate(state, when))
         if return_posteriors:

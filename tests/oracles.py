@@ -9,13 +9,6 @@ from scipy.special import logsumexp
 
 from tacholess import AxisType, EvidenceCurve, RpmGrid
 from tacholess.alignment import LIKELIHOOD_FLOOR
-from tacholess.ingest import Frame
-
-
-def make_frame(data: np.ndarray, sample_rate_hz: float = 8000.0, index: int = 1) -> Frame:
-    data = np.asarray(data, dtype=np.float64)
-    return Frame(index=index, start_sample=0, data=data,
-                 time_s=len(data) / 2.0 / sample_rate_hz)
 
 
 def naive_difference(x: np.ndarray, tau_max: int) -> np.ndarray:

@@ -52,11 +52,15 @@ def _random_curve(rng: np.random.Generator, grid: RpmGrid) -> EvidenceCurve:
                          axis_type=AxisType.RPM, polarity=polarity)
 
 
+def _random_log_values(rng: np.random.Generator, grid: RpmGrid) -> np.ndarray:
+    raw = rng.normal(0.0, 2.0, grid.n_points)
+    return raw - logsumexp(raw)
+
+
 def _random_loglik(rng: np.random.Generator, grid: RpmGrid,
                    estimator_id: str = "prop") -> GridLogLikelihood:
-    raw = rng.normal(0.0, 2.0, grid.n_points)
-    raw -= logsumexp(raw)
-    return GridLogLikelihood(estimator_id=estimator_id, grid=grid, log_values=raw)
+    return GridLogLikelihood(estimator_id=estimator_id, grid=grid,
+                             log_values=_random_log_values(rng, grid))
 
 
 def _random_state(rng: np.random.Generator, grid: RpmGrid) -> PosteriorState:
@@ -152,8 +156,8 @@ def check_update(n_cases: int, seed: int = 707) -> None:
     for _ in range(n_cases):
         grid = _random_grid(rng)
         predicted = rng.dirichlet(np.full(grid.n_points, 0.8))
-        lik = _random_loglik(rng, grid)
-        state = update(predicted, lik, cfg, frame_index=1)
+        lik = _random_log_values(rng, grid)
+        state = update(predicted, lik, grid, cfg, frame_index=1)
         assert np.all(state.mass >= 0.0)
         assert abs(float(state.mass.sum()) - 1.0) < 1e-9
 
@@ -164,7 +168,7 @@ def check_track_causal(n_cases: int, seed: int = 808) -> None:
     for _ in range(n_cases):
         grid = _random_grid(rng)
         t = int(rng.integers(2, 7))
-        liks = [_random_loglik(rng, grid) for _ in range(t)]
+        liks = np.array([_random_log_values(rng, grid) for _ in range(t)])
         times = [0.01 * k for k in range(t)]
         full = track(liks, grid, cfg, times_s=times)
         cut = int(rng.integers(1, t))
@@ -202,13 +206,11 @@ def check_framing(n_cases: int, seed: int = 111) -> None:
         framing = FramingConfig(frame_len=frame_len, hop=hop)
         frames = frame_signal(signal, framing)
         assert len(frames) == n_frames(total, framing) == (total - frame_len) // hop + 1
+        assert frames.shape[1] == frame_len
+        assert np.shares_memory(frames, signal.samples) and not frames.flags.writeable
         for k, frame in enumerate(frames):
-            assert frame.index == k + 1
-            assert frame.start_sample == k * hop
-            assert len(frame.data) == frame_len
-            assert frame.start_sample + frame_len <= total
-        last = frames[-1]
-        assert last.start_sample + hop + frame_len > total  # no frame dropped
+            assert np.array_equal(frame, signal.samples[k * hop : k * hop + frame_len])
+        assert len(frames) * hop + frame_len > total  # no frame dropped
 
 
 PROPERTY_CHECKS = (

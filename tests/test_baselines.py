@@ -6,7 +6,6 @@ from tacholess import (
     AxisType,
     EvidenceCurve,
     FramingConfig,
-    GridLogLikelihood,
     Polarity,
     RpmGrid,
     ScenarioSpec,
@@ -56,20 +55,18 @@ def test_pick_tie_goes_to_lower_native_coordinate():
 
 def test_framewise_is_per_frame_mmse():
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
-    liks = []
+    rows = []
     for mu in (1050.0, 1100.0, 1150.0):
-        p = discrete_gaussian_mass(grid, mu, 10.0)
-        lv = np.log(p + 1e-300)
-        liks.append(GridLogLikelihood(grid=grid, log_values=lv - logsumexp(lv),
-                                      estimator_id="fused"))
-    traj = framewise_trajectory(liks, [0.1, 0.2, 0.3])
+        lv = np.log(discrete_gaussian_mass(grid, mu, 10.0) + 1e-300)
+        rows.append(lv - logsumexp(lv))
+    traj = framewise_trajectory(np.array(rows), grid, [0.1, 0.2, 0.3])
     assert traj.method == "framewise"
     assert np.array_equal(traj.frame_index, [1, 2, 3])
     assert np.allclose(traj.rpm, [1050.0, 1100.0, 1150.0], atol=0.5)
     with pytest.raises(ValueError):
-        framewise_trajectory(liks, [0.1, 0.2])
+        framewise_trajectory(np.array(rows), grid, [0.1, 0.2])
     with pytest.raises(ValueError):
-        framewise_trajectory([], [])
+        framewise_trajectory(np.empty((0, 200)), grid, [])
 
 
 def test_viterbi_zero_penalty_is_framewise_argmax():

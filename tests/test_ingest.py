@@ -4,7 +4,8 @@ import wave
 import numpy as np
 import pytest
 
-from tacholess import FramingConfig, Signal, frame_signal, load_signal, n_frames, save_signal
+from tacholess import (FramingConfig, Signal, frame_signal, frame_times, load_signal,
+                       n_frames, save_signal)
 from props import check_framing
 
 
@@ -55,20 +56,22 @@ def test_default_framing_yields_437_frames_on_5s_run():
 
 def test_frame_indexing_and_times():
     sig = Signal(samples=np.arange(20, dtype=float), sample_rate_hz=10.0)
-    frames = frame_signal(sig, FramingConfig(frame_len=8, hop=4))
-    assert [f.index for f in frames] == [1, 2, 3, 4]
-    assert [f.start_sample for f in frames] == [0, 4, 8, 12]
-    assert frames[0].time_s == pytest.approx(0.4)   # (0 + 8/2) / 10
-    assert frames[1].time_s == pytest.approx(0.8)
-    assert np.array_equal(frames[2].data, np.arange(8, 16, dtype=float))
+    framing = FramingConfig(frame_len=8, hop=4)
+    frames = frame_signal(sig, framing)
+    assert frames.shape == (4, 8)
+    for k in range(4):
+        assert np.array_equal(frames[k], sig.samples[4 * k : 4 * k + 8])
+    # centre times: (k * hop + frame_len / 2) / fs
+    assert np.array_equal(frame_times(sig, framing), [0.4, 0.8, 1.2, 1.6])
 
 
 def test_frames_are_views_and_read_only():
     sig = Signal(samples=np.arange(16, dtype=float), sample_rate_hz=8.0)
     frames = frame_signal(sig, FramingConfig(frame_len=8, hop=8))
-    assert frames[0].data.base is sig.samples
+    assert np.shares_memory(frames, sig.samples)
+    assert not frames.flags.writeable
     with pytest.raises(ValueError):
-        frames[0].data[0] = -1.0
+        frames[0, 0] = -1.0
 
 
 def test_short_signal_raises():

@@ -3,7 +3,6 @@ import pytest
 from scipy.special import logsumexp
 
 from tacholess import (
-    GridLogLikelihood,
     PosteriorState,
     RpmGrid,
     TrackerConfig,
@@ -23,10 +22,9 @@ from props import (
 )
 
 
-def loglik_from_mass(grid, mass, estimator_id="t"):
+def loglik_from_mass(mass):
     lv = np.log(mass + 1e-300)
-    return GridLogLikelihood(grid=grid, log_values=lv - logsumexp(lv),
-                             estimator_id=estimator_id)
+    return lv - logsumexp(lv)
 
 
 def test_config_defaults_and_validation():
@@ -144,18 +142,28 @@ def test_predict_keeps_uniform_interior_exactly_uniform():
 
 def test_predict_matches_column_oracle():
     rng = np.random.default_rng(31)
+    cases = []
     for G in (50, 120, 200):
         grid = RpmGrid(r_min=900.0, r_max=900.0 + (G - 1) * 1.5, n_points=G)
-        mass = rng.dirichlet(np.full(G, 0.7))
+        cases.append((grid, rng.dirichlet(np.full(G, 0.7)), rng.uniform(40.0, 150.0, G)))
+    # the sigma layout of real runs on the default grid: the two clip values
+    # over interleaved, non-contiguous column sets, plus singleton values at
+    # both ends and mid-grid. Bins beyond the peak's reach hold mass hundreds
+    # of decades below it, and are held to the same relative tolerance.
+    grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
+    g = grid.n_points
+    sig = np.where(rng.random(g) < 0.5, 40.0, 150.0)
+    sig[0], sig[g // 2], sig[-1] = 61.3, 97.0, 122.5
+    cases.append((grid, discrete_gaussian_mass(grid, 640.0, 30.0) + 1e-250, sig))
+    for grid, mass, sig in cases:
         state = PosteriorState(grid=grid, mass=mass / mass.sum(), frame_index=1)
-        sig = rng.uniform(40.0, 150.0, G)
         out = predict(state, sig, truncation_sigmas=6.0)
         ref = naive_predict(state.mass, sig, grid, 6.0)
         assert np.allclose(out, ref, rtol=1e-9, atol=1e-300)
 
 
 def test_predict_grouped_convolution_path_matches_oracle():
-    # one shared sigma across a large grid forces the FFT-free convolve branch
+    # one sigma shared by every column of a larger grid
     rng = np.random.default_rng(32)
     grid = RpmGrid.from_step(300.0, 700.0, 1.0)
     mass = rng.dirichlet(np.full(grid.n_points, 0.5))
@@ -175,8 +183,8 @@ def test_update_with_flat_likelihood_is_identity():
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
     rng = np.random.default_rng(33)
     predicted = rng.dirichlet(np.full(200, 0.9))
-    flat = loglik_from_mass(grid, np.full(200, 1.0 / 200))
-    state = update(predicted, flat, cfg, frame_index=4)
+    flat = loglik_from_mass(np.full(200, 1.0 / 200))
+    state = update(predicted, flat, grid, cfg, frame_index=4)
     assert state.frame_index == 4
     assert np.allclose(state.mass, predicted / predicted.sum(), rtol=1e-9)
 
@@ -189,8 +197,8 @@ def test_update_gaussian_conjugacy():
     prior_mu, prior_s = 1500.0, 60.0
     lik_mu, lik_s = 1580.0, 80.0
     prior = discrete_gaussian_mass(grid, prior_mu, prior_s)
-    lik = loglik_from_mass(grid, discrete_gaussian_mass(grid, lik_mu, lik_s))
-    state = update(prior, lik, cfg, frame_index=1)
+    lik = loglik_from_mass(discrete_gaussian_mass(grid, lik_mu, lik_s))
+    state = update(prior, lik, grid, cfg, frame_index=1)
     pt = estimate(state)
     w = (1.0 / prior_s**2) / (1.0 / prior_s**2 + 1.0 / lik_s**2)
     expect_mu = w * prior_mu + (1.0 - w) * lik_mu
@@ -206,9 +214,9 @@ def test_update_normalization_property():
 def test_update_shape_mismatch():
     cfg = TrackerConfig()
     grid = RpmGrid(r_min=300.0, r_max=399.0, n_points=100)
-    flat = loglik_from_mass(grid, np.full(100, 0.01))
+    flat = loglik_from_mass(np.full(100, 0.01))
     with pytest.raises(ValueError, match="shape"):
-        update(np.full(99, 1.0 / 99), flat, cfg, frame_index=1)
+        update(np.full(99, 1.0 / 99), flat, grid, cfg, frame_index=1)
 
 
 def test_track_is_online():
@@ -218,20 +226,20 @@ def test_track_is_online():
 def test_track_single_frame_equals_manual_steps():
     cfg = TrackerConfig()
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
-    lik = loglik_from_mass(grid, discrete_gaussian_mass(grid, 1100.0, 12.0))
-    points = track([lik], grid, cfg, times_s=[0.25])
+    lik = loglik_from_mass(discrete_gaussian_mass(grid, 1100.0, 12.0))
+    points = track(lik[None], grid, cfg, times_s=[0.25])
     prior = init_posterior(grid)
     sig = curvature_sigma(prior, cfg)
     manual = estimate(update(predict(prior, sig, cfg.kernel_truncation_sigmas),
-                             lik, cfg, frame_index=1), 0.25)
+                             lik, grid, cfg, frame_index=1), 0.25)
     assert points[0] == manual
 
 
 def test_track_locks_onto_static_target():
     cfg = TrackerConfig()
     grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
-    lik = loglik_from_mass(grid, discrete_gaussian_mass(grid, 1700.0, 25.0))
-    points = track([lik] * 12, grid, cfg)
+    lik = loglik_from_mass(discrete_gaussian_mass(grid, 1700.0, 25.0))
+    points = track(np.tile(lik, (12, 1)), grid, cfg)
     assert abs(points[-1].mmse_rpm - 1700.0) < 1.0
     # repeated agreeing evidence shrinks uncertainty monotonically at first
     assert points[1].sigma_rpm < points[0].sigma_rpm
@@ -241,20 +249,30 @@ def test_track_locks_onto_static_target():
 def test_track_grid_mismatch():
     cfg = TrackerConfig()
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
-    other = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=100)
-    lik = loglik_from_mass(other, np.full(100, 0.01))
     with pytest.raises(ValueError, match="grid"):
-        track([lik], grid, cfg)
+        track(np.full((3, 100), -np.log(100.0)), grid, cfg)
+    good = np.full((1, 200), -np.log(200.0))
     with pytest.raises(ValueError, match="times"):
-        good = loglik_from_mass(grid, np.full(200, 1.0 / 200))
-        track([good], grid, cfg, times_s=[0.1, 0.2])
+        track(good, grid, cfg, times_s=[0.1, 0.2])
+
+
+def test_track_rejects_a_non_finite_frame():
+    cfg = TrackerConfig()
+    grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
+    block = np.full((4, 200), -np.log(200.0))
+    block[2, 17] = np.nan
+    with pytest.raises(ValueError, match="frame 3 .*non-finite"):
+        track(block, grid, cfg)
+    block[2, 17] = -np.inf
+    with pytest.raises(ValueError, match="frame 3 .*non-finite"):
+        track(block, grid, cfg)
 
 
 def test_track_returns_posteriors_on_request():
     cfg = TrackerConfig()
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
-    lik = loglik_from_mass(grid, discrete_gaussian_mass(grid, 1100.0, 12.0))
-    points, states = track([lik, lik], grid, cfg, return_posteriors=True)
+    lik = loglik_from_mass(discrete_gaussian_mass(grid, 1100.0, 12.0))
+    points, states = track(np.stack([lik, lik]), grid, cfg, return_posteriors=True)
     assert len(points) == len(states) == 2
     assert states[0].frame_index == 1
     assert states[1].frame_index == 2
