@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .estimators import AxisType, EvidenceCurve, Polarity
-from .grid import GridLogLikelihood, RpmGrid, logsumexp_rows
+from .grid import RpmGrid, logsumexp_rows
 
 # floor added to aggregated kernel mass so log-values stay finite everywhere;
 # far below any curve's evidence scale
@@ -124,11 +124,3 @@ def aligned_loglik(curve: EvidenceCurve, scatter: sparse.csr_array,
     mass = np.exp(log_w) @ scatter
     log_values = np.log(mass + LIKELIHOOD_FLOOR)
     return log_values - logsumexp_rows(log_values)
-
-
-def curve_to_grid_loglik(curve: EvidenceCurve, grid: RpmGrid, cfg: CurveToGridConfig,
-                         sample_rate_hz: float) -> GridLogLikelihood:
-    """Aggregate one frame's evidence curve into a normalized grid log-likelihood."""
-    scatter = kernel_scatter(curve, grid, cfg, sample_rate_hz)
-    return GridLogLikelihood(grid=grid, log_values=aligned_loglik(curve, scatter, cfg),
-                             estimator_id=curve.estimator_id)

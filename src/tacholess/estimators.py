@@ -68,9 +68,6 @@ class EvidenceCurve:
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return len(self.axis)
-
 
 @lru_cache(maxsize=4)
 def hann_window(n: int) -> np.ndarray:

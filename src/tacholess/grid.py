@@ -1,12 +1,15 @@
-"""Shared RPM hypothesis grid and grid-aligned log-likelihoods."""
+"""Shared RPM hypothesis grid.
+
+A grid log-likelihood is a plain array whose last axis runs over the grid
+points: one (G,) row per frame, or a (T, G) block of frames, normalized row
+by row with :func:`logsumexp_rows`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-NORMALIZATION_TOL = 1e-9
 
 
 def logsumexp_rows(values: np.ndarray) -> np.ndarray:
@@ -60,31 +63,3 @@ class RpmGrid:
 
     def __len__(self) -> int:
         return self.n_points
-
-
-@dataclass(frozen=True)
-class GridLogLikelihood:
-    """Normalized log-likelihood over an RpmGrid: logsumexp(log_values) == 0."""
-
-    grid: RpmGrid
-    log_values: np.ndarray
-    estimator_id: str
-
-    def __post_init__(self):
-        lv = np.asarray(self.log_values, dtype=np.float64)
-        if lv.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"log_values shape {lv.shape} does not match grid ({self.grid.n_points},)"
-            )
-        if not np.all(np.isfinite(lv)):
-            raise ValueError(f"log-likelihood '{self.estimator_id}' has non-finite values")
-        norm = float(logsumexp_rows(lv)[0])
-        if abs(norm) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"log-likelihood '{self.estimator_id}' not normalized: logsumexp={norm:.3e}"
-            )
-        lv.flags.writeable = False
-        object.__setattr__(self, "log_values", lv)
-
-    def probabilities(self) -> np.ndarray:
-        return np.exp(self.log_values)

@@ -13,7 +13,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +36,13 @@ BENCHMARK_METHODS = ("yin", "cepstrum", "comb", "tracked")
 CHUNK_FRAMES = 32
 
 
+def _require_known(section: str, kind: str, names: Iterable[str], known: Sequence[str]) -> None:
+    for name in names:
+        if name not in known:
+            raise ValueError(f"{section}: unknown {kind} '{name}' "
+                             f"(expected one of {', '.join(known)})")
+
+
 @dataclass(frozen=True)
 class InputConfig:
     path: str
@@ -53,12 +60,7 @@ class EstimatorSetConfig:
     def __post_init__(self):
         if not self.enabled:
             raise ValueError("estimators.enabled: at least one estimator is required")
-        for name in self.enabled:
-            if name not in ESTIMATOR_IDS:
-                raise ValueError(
-                    f"estimators.enabled: unknown estimator '{name}' "
-                    f"(expected one of {', '.join(ESTIMATOR_IDS)})"
-                )
+        _require_known("estimators.enabled", "estimator", self.enabled, ESTIMATOR_IDS)
         object.__setattr__(self, "enabled", tuple(self.enabled))
 
 
@@ -91,13 +93,9 @@ class RunConfig:
     def __post_init__(self):
         if (self.scenario is None) == (self.input is None):
             raise ValueError("config must set exactly one of 'scenario' or 'input'")
-        for name in self.baselines:
-            if name not in BASELINE_IDS:
-                raise ValueError(
-                    f"baselines: unknown method '{name}' "
-                    f"(expected one of {', '.join(BASELINE_IDS)})"
-                )
+        _require_known("baselines", "method", self.baselines, BASELINE_IDS)
         object.__setattr__(self, "baselines", tuple(dict.fromkeys(self.baselines)))
+        _require_known("fusion_weights", "estimator", self.fusion_weights, ESTIMATOR_IDS)
         FusionWeights(self.fusion_weights)  # validates values
 
     # -- JSON round trip ----------------------------------------------------
@@ -162,7 +160,17 @@ def fused_evidence(frames: np.ndarray, sample_rate_hz: float,
     if len(frames) == 0:
         raise ValueError("no frames to analyze")
     grid, fs, est = cfg.grid, sample_rate_hz, cfg.estimators
-    tau_min, tau_max = lag_bounds(fs, grid.r_min, grid.r_max, frames.shape[1])
+    frame_len = frames.shape[1]
+    lagged = [eid for eid in ("yin", "cepstrum") if eid in (*est.enabled, *cfg.baselines)]
+    need = int(np.ceil(60.0 * fs / grid.r_min))
+    if lagged and need > frame_len // 2:
+        raise ValueError(
+            f"lag estimators {', '.join(lagged)} cannot cover grid r_min {grid.r_min} RPM "
+            f"(lag {need} at fs={fs} Hz) with frame_len {frame_len}, which reaches lag "
+            f"{frame_len // 2}; use frame_len >= {2 * need} or grid r_min >= "
+            f"{int(np.ceil(60.0 * fs / (frame_len // 2)))}"
+        )
+    tau_min, tau_max = lag_bounds(fs, grid.r_min, grid.r_max, frame_len)
     evaluate = {
         "yin": lambda x: yin_curve(x, fs, tau_min, tau_max),
         "cepstrum": lambda x: cepstrum_curve(x, fs, tau_min, tau_max),

@@ -12,19 +12,18 @@ from tacholess import (
     EvidenceCurve,
     FramingConfig,
     FusionWeights,
-    GridLogLikelihood,
     Polarity,
     PosteriorState,
     RpmGrid,
     ScenarioSpec,
     TrackerConfig,
-    curve_to_grid_loglik,
+    aligned_loglik,
     curvature_sigma,
     frame_signal,
-    fuse_loglik,
+    kernel_scatter,
     mass_entropy,
     n_frames,
-    posterior_entropy,
+    pool_logliks,
     predict,
     robust_standardize,
     synthesize,
@@ -57,12 +56,6 @@ def _random_log_values(rng: np.random.Generator, grid: RpmGrid) -> np.ndarray:
     return raw - logsumexp(raw)
 
 
-def _random_loglik(rng: np.random.Generator, grid: RpmGrid,
-                   estimator_id: str = "prop") -> GridLogLikelihood:
-    return GridLogLikelihood(estimator_id=estimator_id, grid=grid,
-                             log_values=_random_log_values(rng, grid))
-
-
 def _random_state(rng: np.random.Generator, grid: RpmGrid) -> PosteriorState:
     mass = rng.dirichlet(np.full(grid.n_points, 0.6))
     mass = mass / mass.sum()
@@ -89,11 +82,12 @@ def check_curve_to_grid(n_cases: int, seed: int = 202) -> None:
     for _ in range(n_cases):
         grid = _random_grid(rng)
         curve = _random_curve(rng, grid)
-        lik = curve_to_grid_loglik(curve, grid, cfg, sample_rate_hz=12800.0)
-        assert np.all(np.isfinite(lik.log_values))
-        assert abs(float(logsumexp(lik.log_values))) < 1e-9
-        again = curve_to_grid_loglik(curve, grid, cfg, sample_rate_hz=12800.0)
-        assert np.array_equal(lik.log_values, again.log_values)
+        lik = aligned_loglik(curve, kernel_scatter(curve, grid, cfg, 12800.0), cfg)
+        assert lik.shape == (grid.n_points,)
+        assert np.all(np.isfinite(lik))
+        assert abs(float(logsumexp(lik))) < 1e-9
+        again = aligned_loglik(curve, kernel_scatter(curve, grid, cfg, 12800.0), cfg)
+        assert np.array_equal(lik, again)
 
 
 def check_fusion(n_cases: int, seed: int = 303) -> None:
@@ -101,16 +95,15 @@ def check_fusion(n_cases: int, seed: int = 303) -> None:
     for _ in range(n_cases):
         grid = _random_grid(rng)
         k = int(rng.integers(1, 5))
-        liks = [_random_loglik(rng, grid, f"e{i}") for i in range(k)]
-        w = {f"e{i}": float(rng.uniform(0.0, 3.0)) for i in range(k)}
+        rows = {f"e{i}": _random_log_values(rng, grid) for i in range(k)}
+        w = {eid: float(rng.uniform(0.0, 3.0)) for eid in rows}
         w["e0"] = max(w["e0"], 0.5)  # keep at least one positive weight
-        fused = fuse_loglik(liks, FusionWeights(w))
-        assert abs(float(logsumexp(fused.log_values))) < 1e-9
-        assert np.all(np.isfinite(fused.log_values))
-        dropped = [lik for lik in liks if w[lik.estimator_id] > 0.0]
-        positive = FusionWeights({k_: v for k_, v in w.items() if v > 0.0})
-        assert np.array_equal(fuse_loglik(dropped, positive).log_values,
-                              fused.log_values)
+        fused = pool_logliks(list(rows), list(rows.values()), FusionWeights(w))
+        assert abs(float(logsumexp(fused))) < 1e-9
+        assert np.all(np.isfinite(fused))
+        kept = {eid: lv for eid, lv in rows.items() if w[eid] > 0.0}
+        positive = FusionWeights({eid: w[eid] for eid in kept})
+        assert np.array_equal(pool_logliks(list(kept), list(kept.values()), positive), fused)
 
 
 def check_entropy(n_cases: int, seed: int = 404) -> None:
@@ -120,11 +113,6 @@ def check_entropy(n_cases: int, seed: int = 404) -> None:
         p = rng.dirichlet(np.full(g, float(rng.uniform(0.2, 5.0))))
         h = mass_entropy(p)
         assert -1e-12 <= h <= np.log(g) + 1e-12
-        grid = RpmGrid(r_min=300.0, r_max=300.0 + g, n_points=g)
-        raw = rng.normal(0.0, 1.0, g)
-        lik = GridLogLikelihood(estimator_id="prop", grid=grid,
-                                log_values=raw - logsumexp(raw))
-        assert -1e-12 <= posterior_entropy(lik) <= np.log(g) + 1e-12
 
 
 def check_sigma_bounds(n_cases: int, seed: int = 505) -> None:

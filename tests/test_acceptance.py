@@ -20,12 +20,13 @@ from tacholess import (
     RunConfig,
     ScenarioSpec,
     TrackerConfig,
+    aligned_loglik,
     analyze,
     compute_metrics,
     curvature_sigma,
-    curve_to_grid_loglik,
     estimate,
     framewise_trajectory,
+    kernel_scatter,
     predict,
     run_benchmark,
     track,
@@ -94,9 +95,9 @@ def test_c02_oracle_equivalence():
             estimator_id="t", axis=axis, values=rng.normal(0.0, 1.5, k),
             axis_type=axis_type,
             polarity=Polarity.COST if rng.integers(2) else Polarity.SCORE)
-        lik = curve_to_grid_loglik(curve, grid, cfg, fs)
+        lik = aligned_loglik(curve, kernel_scatter(curve, grid, cfg, fs), cfg)
         ref = naive_curve_to_grid(curve, grid, cfg, fs)
-        worst_align = max(worst_align, float(np.max(np.abs(lik.log_values - ref))))
+        worst_align = max(worst_align, float(np.max(np.abs(lik - ref))))
 
     worst_pred = 0.0
     for _ in range(100):

@@ -10,14 +10,19 @@ from tacholess import (
     EvidenceCurve,
     Polarity,
     RpmGrid,
-    curve_to_grid_loglik,
+    aligned_loglik,
+    kernel_scatter,
     map_axis_to_rpm,
     robust_standardize,
     to_energy,
 )
-from tacholess.alignment import aligned_loglik, kernel_scatter
 from oracles import naive_curve_to_grid
 from props import check_curve_to_grid, check_standardize
+
+
+def one_frame(curve, grid, cfg, fs):
+    """Normalized (G,) grid log-likelihood of an (N,) curve."""
+    return aligned_loglik(curve, kernel_scatter(curve, grid, cfg, fs), cfg)
 
 
 def rpm_curve(axis, values, polarity=Polarity.SCORE):
@@ -109,9 +114,9 @@ def test_curve_to_grid_matches_double_loop_oracle():
                 estimator_id="t", axis=axis, values=rng.normal(0.0, 1.5, k),
                 axis_type=axis_type,
                 polarity=Polarity.COST if rng.integers(2) else Polarity.SCORE)
-            lik = curve_to_grid_loglik(curve, grid, cfg, fs)
+            lik = one_frame(curve, grid, cfg, fs)
             ref = naive_curve_to_grid(curve, grid, cfg, fs)
-            assert np.allclose(lik.log_values, ref, rtol=0.0, atol=1e-9)
+            assert np.allclose(lik, ref, rtol=0.0, atol=1e-9)
 
 
 def test_batched_alignment_matches_double_loop_oracle():
@@ -145,7 +150,7 @@ def test_batched_alignment_matches_double_loop_oracle():
                                 axis_type=axis_type, polarity=polarity)
             ref = naive_curve_to_grid(row, grid, cfg, fs)
             assert np.allclose(got[t], ref, rtol=0.0, atol=1e-9)
-            one = curve_to_grid_loglik(row, grid, cfg, fs).log_values
+            one = one_frame(row, grid, cfg, fs)
             assert np.allclose(one, got[t], rtol=0.0, atol=1e-12)
 
 
@@ -163,9 +168,9 @@ def test_offset_invariance_of_grid_likelihood():
     rng = np.random.default_rng(22)
     axis = np.sort(rng.uniform(1000.0, 1100.0, 15))
     vals = rng.normal(0.0, 1.0, 15)
-    a = curve_to_grid_loglik(rpm_curve(axis, vals), grid, cfg, 12800.0)
-    b = curve_to_grid_loglik(rpm_curve(axis, vals + 37.5), grid, cfg, 12800.0)
-    assert np.allclose(a.log_values, b.log_values, atol=1e-9)
+    a = one_frame(rpm_curve(axis, vals), grid, cfg, 12800.0)
+    b = one_frame(rpm_curve(axis, vals + 37.5), grid, cfg, 12800.0)
+    assert np.allclose(a, b, atol=1e-9)
 
 
 def test_polarity_symmetry():
@@ -175,9 +180,9 @@ def test_polarity_symmetry():
     rng = np.random.default_rng(23)
     axis = np.sort(rng.uniform(1000.0, 1100.0, 17))
     vals = rng.normal(0.0, 1.0, 17)
-    a = curve_to_grid_loglik(rpm_curve(axis, vals, Polarity.SCORE), grid, cfg, 12800.0)
-    b = curve_to_grid_loglik(rpm_curve(axis, -vals, Polarity.COST), grid, cfg, 12800.0)
-    assert np.allclose(a.log_values, b.log_values, atol=1e-12, rtol=0.0)
+    a = one_frame(rpm_curve(axis, vals, Polarity.SCORE), grid, cfg, 12800.0)
+    b = one_frame(rpm_curve(axis, -vals, Polarity.COST), grid, cfg, 12800.0)
+    assert np.allclose(a, b, atol=1e-12, rtol=0.0)
 
 
 def test_uniform_rpm_curve_gives_flat_interior():
@@ -185,20 +190,20 @@ def test_uniform_rpm_curve_gives_flat_interior():
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
     axis = np.linspace(1000.0, 1199.0, 400)
     curve = rpm_curve(axis, np.ones(400))
-    lik = curve_to_grid_loglik(curve, grid, cfg, 12800.0)
-    p = lik.probabilities()
+    lik = one_frame(curve, grid, cfg, 12800.0)
+    p = np.exp(lik)
     margin = int(np.ceil(2 * cfg.kernel_truncation_sigmas * cfg.kernel_bandwidth_rpm))
     interior = p[margin:-margin]
     assert interior.max() / interior.min() < 1.05
     ref = naive_curve_to_grid(curve, grid, cfg, 12800.0)
-    assert np.allclose(lik.log_values, ref, atol=1e-9)
+    assert np.allclose(lik, ref, atol=1e-9)
 
 
 def test_equal_evidence_at_two_bins_is_symmetric():
     cfg = CurveToGridConfig()
     grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
     curve = rpm_curve([1000.0, 2000.0], [1.0, 1.0])
-    p = curve_to_grid_loglik(curve, grid, cfg, 12800.0).probabilities()
+    p = np.exp(one_frame(curve, grid, cfg, 12800.0))
     w = int(np.ceil(cfg.kernel_truncation_sigmas * cfg.kernel_bandwidth_rpm)) + 1
     i, j = 700, 1700  # bins of 1000 and 2000 RPM
     lhs = p[i - w:i + w + 1].sum()
@@ -213,7 +218,7 @@ def test_kernel_truncation_error_is_negligible():
     rng = np.random.default_rng(24)
     axis = np.sort(rng.uniform(610.0, 830.0, 15))
     curve = rpm_curve(axis, rng.normal(0.0, 1.0, 15))
-    p_trunc = np.exp(curve_to_grid_loglik(curve, grid, cfg, 12800.0).log_values)
+    p_trunc = np.exp(one_frame(curve, grid, cfg, 12800.0))
     p_full = np.exp(naive_curve_to_grid(curve, grid, cfg, 12800.0, truncate=False))
     assert np.max(np.abs(p_trunc - p_full)) <= 1e-6 * p_full.max()
 
@@ -226,7 +231,7 @@ def test_reciprocal_axis_density_is_kept():
     taus = np.arange(192, 2561, dtype=np.float64)
     curve = EvidenceCurve(estimator_id="t", axis=taus, values=np.ones(len(taus)),
                           axis_type=AxisType.LAG, polarity=Polarity.COST)
-    p = curve_to_grid_loglik(curve, grid, cfg, fs).probabilities()
+    p = np.exp(one_frame(curve, grid, cfg, fs))
     assert p[:100].sum() > 10.0 * p[-100:].sum()
 
 
@@ -235,7 +240,7 @@ def test_disjoint_curve_raises():
     grid = RpmGrid(r_min=1000.0, r_max=1100.0, n_points=101)
     curve = rpm_curve([200.0, 250.0, 4500.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="disjoint"):
-        curve_to_grid_loglik(curve, grid, cfg, 12800.0)
+        one_frame(curve, grid, cfg, 12800.0)
     block = rpm_curve([200.0, 250.0, 4500.0], np.ones((4, 3)))
     with pytest.raises(ValueError, match="curve 't' disjoint from grid"):
         kernel_scatter(block, grid, cfg, 12800.0)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
-from tacholess import GridLogLikelihood, RpmGrid
+from tacholess import RpmGrid
 
 
 def test_default_working_grid():
@@ -51,32 +50,3 @@ def test_grid_equality_by_parameters():
     assert a == b
     assert a != c
 
-
-def test_loglik_requires_normalization():
-    grid = RpmGrid(r_min=300.0, r_max=400.0, n_points=50)
-    raw = np.random.default_rng(0).normal(0.0, 1.0, 50)
-    with pytest.raises(ValueError, match="not normalized"):
-        GridLogLikelihood(grid=grid, log_values=raw, estimator_id="x")
-    ok = GridLogLikelihood(grid=grid, log_values=raw - logsumexp(raw),
-                           estimator_id="x")
-    p = ok.probabilities()
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(p >= 0)
-
-
-def test_loglik_rejects_bad_shapes_and_values():
-    grid = RpmGrid(r_min=300.0, r_max=400.0, n_points=50)
-    with pytest.raises(ValueError, match="shape"):
-        GridLogLikelihood(grid=grid, log_values=np.zeros(49), estimator_id="x")
-    bad = np.full(50, -np.log(50.0))
-    bad[3] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        GridLogLikelihood(grid=grid, log_values=bad, estimator_id="x")
-
-
-def test_loglik_values_read_only():
-    grid = RpmGrid(r_min=300.0, r_max=400.0, n_points=4)
-    lik = GridLogLikelihood(grid=grid, log_values=np.full(4, -np.log(4.0)),
-                            estimator_id="x")
-    with pytest.raises(ValueError):
-        lik.log_values[0] = 0.0

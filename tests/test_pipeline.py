@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from tacholess import (
     run_benchmark,
     run_pipeline,
 )
+import tacholess
 from tacholess import pipeline
 from tacholess.cli import _parse_grid, _parse_seeds, main
 
@@ -72,6 +74,27 @@ def test_config_validation_messages():
     with pytest.raises(ValueError, match="unknown keys"):
         RunConfig.from_json('{"bogus": 1}')
     assert RunConfig(baselines=("framewise", "framewise")).baselines == ("framewise",)
+
+
+def test_config_rejects_unknown_fusion_weight_ids():
+    # a misspelt id would otherwise leave the estimator it meant at weight 1.0
+    with pytest.raises(ValueError, match="fusion_weights: unknown estimator 'yinn'"):
+        RunConfig(fusion_weights={"yinn": 0.0, "comb": 5.0})
+    assert RunConfig(fusion_weights={"yin": 0.0}).fusion_weights == {"yin": 0.0}
+
+
+def test_lag_estimators_need_a_frame_that_covers_r_min():
+    # 2048 samples at 12.8 kHz reach lag 1024, i.e. 750 RPM, above the 300 RPM
+    # grid edge; lag 2560 is needed
+    scenario = ScenarioSpec(scenario="S0", duration_s=0.5, base_rpm=600.0, seed=1)
+    framing = FramingConfig(frame_len=2048, hop=128)
+    cfg = RunConfig(scenario=scenario, framing=framing, baselines=())
+    with pytest.raises(ValueError, match="frame_len >= 5120 or grid r_min >= 750"):
+        analyze(cfg)
+    comb_only = replace(cfg, estimators=EstimatorSetConfig(enabled=("comb",)))
+    assert len(analyze(comb_only).tracked) == 35
+    with pytest.raises(ValueError, match="lag estimators cepstrum cannot cover"):
+        analyze(replace(comb_only, baselines=("cepstrum",)))
 
 
 def test_analyze_produces_aligned_series_and_metrics():
@@ -138,6 +161,17 @@ def test_readme_library_example_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert set(ast.literal_eval(printed[0])) == {"rmse", "p95", "jitter", "max_jump"}
     assert 1400.0 < float(printed[1]) < 1600.0
+
+
+def test_readme_lower_level_names_are_exported():
+    assert [n for n in tacholess.__all__ if not hasattr(tacholess, n)] == []
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^Lower-level pieces.*?\n\n", readme, flags=re.S | re.M).group(0)
+    names = set()
+    for span in re.findall(r"`([^`]+)`", paragraph):
+        names.update([span] if span.isidentifier() else re.findall(r"(\w+)\(", span))
+    assert {"kernel_scatter", "aligned_loglik", "pool_logliks", "track"} <= names
+    assert names - set(tacholess.__all__) == set()
 
 
 def test_run_pipeline_writes_expected_files(tmp_path):
