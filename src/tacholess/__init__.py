@@ -18,7 +18,8 @@ from .ingest import (FramingConfig, Signal, frame_signal, frame_times,
 from .metrics import compute_metrics, stability_metrics
 from .pipeline import (AnalysisResult, EstimatorSetConfig, InputConfig,
                        OutputConfig, RunConfig, ViterbiConfig, analyze,
-                       metrics_json, run_ablation, run_benchmark, run_pipeline)
+                       evidence_chunks, metrics_json, run_ablation,
+                       run_benchmark, run_pipeline)
 from .synth import SCENARIOS, GroundTruth, ScenarioSpec, synthesize
 from .tracker import (PosteriorState, TrackerConfig, TrajectoryPoint,
                       curvature_sigma, estimate, init_posterior, predict,
@@ -34,7 +35,7 @@ __all__ = [
     "SCENARIOS", "ScenarioSpec", "Signal", "TrackerConfig", "TrajectoryPoint",
     "ViterbiConfig", "aligned_loglik", "analyze", "cepstrum_curve", "comb_curve",
     "compute_metrics", "curvature_sigma",
-    "difference_function", "estimate", "frame_signal", "frame_times",
+    "difference_function", "estimate", "evidence_chunks", "frame_signal", "frame_times",
     "framewise_trajectory", "init_posterior", "kernel_scatter", "lag_bounds",
     "load_signal", "map_axis_to_rpm", "mass_entropy", "metrics_json", "n_frames",
     "pool_logliks", "predict", "robust_standardize", "run_ablation", "run_benchmark",

@@ -5,13 +5,14 @@ local log-posterior curvature to set a per-bin diffusion scale (sharp peak ->
 narrow transitions, flat posterior -> wide), diffuses with per-column
 renormalized truncated Gaussians (mass stays on the bounded grid), then
 multiplies in the fused frame likelihood. Strictly online: outputs for frame t
-depend only on frames 1..t.
+depend only on frames 1..t, so `track` takes the fused rows either as one
+(T, G) array or as an iterator of (n, G) blocks filtered as they arrive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,15 +29,16 @@ class TrackerConfig:
     kernel_truncation_sigmas: float = 6.0
 
     def __post_init__(self):
-        if not 0 < self.sigma_min_rpm <= self.sigma_max_rpm:
+        for name in ("sigma_min_rpm", "sigma_max_rpm", "eps_c", "eps_log",
+                     "kernel_truncation_sigmas"):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v <= 0:
+                raise ValueError(f"tracker.{name} must be positive and finite, got {v}")
+        if self.sigma_min_rpm > self.sigma_max_rpm:
             raise ValueError(
                 f"need 0 < sigma_min <= sigma_max, got "
                 f"[{self.sigma_min_rpm}, {self.sigma_max_rpm}]"
             )
-        if self.eps_c <= 0 or self.eps_log <= 0:
-            raise ValueError("eps_c and eps_log must be positive")
-        if self.kernel_truncation_sigmas <= 0:
-            raise ValueError("kernel_truncation_sigmas must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,10 @@ def predict(state: PosteriorState, sigmas: np.ndarray,
     sigmas = np.asarray(sigmas, dtype=np.float64)
     if sigmas.shape != (g,):
         raise ValueError(f"sigmas shape {sigmas.shape} does not match grid ({g},)")
+    bad = np.flatnonzero(~(np.isfinite(sigmas) & (sigmas > 0)))
+    if bad.size:
+        raise ValueError(f"sigma at bin {bad[0]} is {sigmas[bad[0]]}, "
+                         f"must be positive and finite")
     out = np.zeros(g)
     for s in np.unique(sigmas):
         cols = np.nonzero(sigmas == s)[0]
@@ -175,35 +181,56 @@ def estimate(state: PosteriorState, time_s: float = float("nan")) -> TrajectoryP
     )
 
 
-def track(loglik: np.ndarray, grid: RpmGrid, cfg: TrackerConfig,
+def _checked_blocks(blocks: Iterable, grid: RpmGrid,
+                    n_times: int | None) -> Iterator[tuple[int, np.ndarray]]:
+    """(frames before it, float64 block) for each (n, G) block, checked as it
+    arrives; errors name the frame's 1-based index in the whole recording."""
+    start = 0
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[1] != grid.n_points:
+            raise ValueError(
+                f"log-likelihood block {block.shape} at frame {start + 1} does not match "
+                f"the tracking grid (n, {grid.n_points})"
+            )
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+        if bad.size:
+            raise ValueError(f"frame {start + bad[0] + 1} log-likelihood has non-finite values")
+        if n_times is not None and start + len(block) > n_times:
+            raise ValueError(f"{n_times} times for at least {start + len(block)} frames")
+        yield start, block
+        start += len(block)
+    if n_times is not None and start != n_times:
+        raise ValueError(f"{n_times} times for {start} frames")
+
+
+def track(loglik: np.ndarray | Iterator[np.ndarray], grid: RpmGrid, cfg: TrackerConfig,
           times_s: Sequence[float] | None = None, return_posteriors: bool = False):
-    """Run the filter over a (T, G) block of per-frame fused log-likelihoods.
+    """Run the filter over per-frame fused log-likelihoods: a (T, G) array
+    (or anything ``np.asarray`` makes one of), checked whole before any
+    filtering, or an iterator of (n, G) blocks in frame order, each checked
+    and filtered as it arrives.
 
     Returns the trajectory points, plus the per-frame posterior states when
     ``return_posteriors`` is set.
     """
-    loglik = np.asarray(loglik, dtype=np.float64)
-    if loglik.ndim != 2 or loglik.shape[1] != grid.n_points:
-        raise ValueError(
-            f"log-likelihood block {loglik.shape} does not match the tracking grid "
-            f"(T, {grid.n_points})"
-        )
-    bad = np.flatnonzero(~np.isfinite(loglik).all(axis=1))
-    if bad.size:
-        raise ValueError(f"frame {bad[0] + 1} log-likelihood has non-finite values")
-    if times_s is not None and len(times_s) != len(loglik):
-        raise ValueError(f"{len(times_s)} times for {len(loglik)} frames")
+    n_times = None if times_s is None else len(times_s)
+    if isinstance(loglik, Iterator):
+        blocks = _checked_blocks(loglik, grid, n_times)
+    else:
+        blocks = list(_checked_blocks([loglik], grid, n_times))
     state = init_posterior(grid)
     points: list[TrajectoryPoint] = []
     posteriors: list[PosteriorState] = []
-    for t, row in enumerate(loglik, start=1):
-        sig = curvature_sigma(state, cfg)
-        prior = predict(state, sig, cfg.kernel_truncation_sigmas)
-        state = update(prior, row, grid, cfg, frame_index=t)
-        when = float(times_s[t - 1]) if times_s is not None else float("nan")
-        points.append(estimate(state, when))
-        if return_posteriors:
-            posteriors.append(state)
+    for start, block in blocks:
+        for t, row in enumerate(block, start=start + 1):
+            sig = curvature_sigma(state, cfg)
+            prior = predict(state, sig, cfg.kernel_truncation_sigmas)
+            state = update(prior, row, grid, cfg, frame_index=t)
+            when = float(times_s[t - 1]) if times_s is not None else float("nan")
+            points.append(estimate(state, when))
+            if return_posteriors:
+                posteriors.append(state)
     if return_posteriors:
         return points, posteriors
     return points

@@ -163,6 +163,10 @@ def check_track_causal(n_cases: int, seed: int = 808) -> None:
         prefix = track(liks[:cut], grid, cfg, times_s=times[:cut])
         for a, b in zip(prefix, full[:cut]):
             assert a == b  # bit-identical: later frames cannot touch earlier output
+        # the same frames streamed as row blocks split at random boundaries
+        bounds = np.sort(rng.choice(np.arange(1, t), size=int(rng.integers(0, t)), replace=False))
+        streamed = track(iter(np.split(liks, bounds)), grid, cfg, times_s=times)
+        assert streamed == full
 
 
 def check_synth_determinism(n_cases: int, seed: int = 909) -> None:

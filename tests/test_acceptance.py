@@ -216,14 +216,15 @@ def test_c07_step_change_stability():
 
 def test_c08_corrupted_burst_recovery():
     from tacholess.ingest import frame_signal, frame_times
-    from tacholess.pipeline import fused_evidence
+    from tacholess.pipeline import evidence_chunks
     from tacholess import synthesize
 
     cfg = RunConfig(scenario=ScenarioSpec(scenario="S0", seed=3), grid=GRID)
     signal, _ = synthesize(cfg.scenario, rpm_bounds=(GRID.r_min, GRID.r_max))
     frames = frame_signal(signal, cfg.framing)
     times = frame_times(signal, cfg.framing)
-    fused, _ = fused_evidence(frames, signal.sample_rate_hz, cfg)
+    fused = np.concatenate([rows for rows, _ in
+                            evidence_chunks(frames, signal.sample_rate_hz, cfg)])
 
     # three consecutive frames replaced by confident nonsense at 3000 RPM
     bogus = 0.5 * discrete_gaussian_mass(GRID, 3000.0, 50.0) \

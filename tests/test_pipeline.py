@@ -2,6 +2,9 @@ import ast
 import csv
 import json
 import re
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from tacholess import (
     EstimatorSetConfig,
     FramingConfig,
     InputConfig,
+    OutputConfig,
     RpmGrid,
     RunConfig,
     ScenarioSpec,
@@ -153,6 +157,105 @@ def test_analyze_on_a_grid_the_curves_cannot_reach_raises():
         analyze(cfg)
 
 
+@pytest.mark.parametrize("overlap", [True, False])
+def test_streamed_analyze_equals_the_whole_array_path(overlap):
+    # 87 frames: two full chunks and a partial one. The reference filters the
+    # whole (T, G) array on this thread; analyze switches between its two
+    # threads as often as the interpreter allows, to expose any shared state
+    cfg = short_cfg(scenario=ScenarioSpec(scenario="S3", duration_s=1.5, seed=2),
+                    baselines=pipeline.BASELINE_IDS, output=OutputConfig(dump_posteriors=True))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        streamed = pipeline._analyze(cfg, overlap)
+    finally:
+        sys.setswitchinterval(interval)
+
+    signal, _ = tacholess.synthesize(cfg.scenario, rpm_bounds=(cfg.grid.r_min, cfg.grid.r_max))
+    frames = tacholess.frame_signal(signal, cfg.framing)
+    times = tacholess.frame_times(signal, cfg.framing)
+    chunks = list(pipeline.evidence_chunks(frames, signal.sample_rate_hz, cfg))
+    fused = np.concatenate([rows for rows, _ in chunks])
+    tracked, posteriors = tacholess.track(fused, cfg.grid, cfg.tracker, times,
+                                          return_posteriors=True)
+    rpm = {name: np.concatenate([picks[name] for _, picks in chunks])
+           for name in pipeline.ESTIMATOR_IDS}
+    rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid, times).rpm
+
+    assert len(streamed.tracked) == 87 and streamed.tracked == tracked
+    assert np.array_equal(streamed.times_s, times)
+    assert set(streamed.baselines) == set(pipeline.BASELINE_IDS)
+    for name, values in rpm.items():
+        traj = streamed.baselines[name]
+        assert np.array_equal(traj.rpm, values), name
+        assert np.array_equal(traj.time_s, times) and list(traj.frame_index) == list(range(1, 88))
+    assert [s.frame_index for s in streamed.posteriors] == list(range(1, 88))
+    for a, b in zip(streamed.posteriors, posteriors, strict=True):
+        assert np.array_equal(a.mass, b.mass)
+
+
+@pytest.mark.parametrize("overlap", [True, False])
+def test_errors_on_either_side_surface_from_analyze(monkeypatch, overlap):
+    threads = threading.active_count()
+    # evidence side: no lag maps into the grid (see the test above)
+    cfg = RunConfig(scenario=ScenarioSpec(scenario="S0", duration_s=1.0, sample_rate_hz=1000.0,
+                                          base_rpm=2925.0, seed=1),
+                    framing=FramingConfig(frame_len=256, hop=128),
+                    grid=RpmGrid.from_step(2900.0, 2950.0, 1.0))
+    with pytest.raises(ValueError, match="curve 'yin' disjoint from grid"):
+        pipeline._analyze(cfg, overlap)
+    assert threading.active_count() == threads
+
+    # chunk 3 (frames 65..96) fails on the evidence side, then arrives at the
+    # tracker with a NaN in its first row
+    tracked_on = []
+    real_pool, real_track = pipeline.pool_logliks, pipeline.track
+
+    def recorded_track(*args, **kwargs):
+        tracked_on.append(threading.get_ident())
+        return real_track(*args, **kwargs)
+
+    def third_chunk(change):
+        calls = []
+
+        def pool(*args):
+            calls.append(args)
+            rows = real_pool(*args)
+            return change(rows) if len(calls) == 3 else rows
+        return pool
+
+    def fail(rows):
+        raise ValueError("evidence failed in chunk 3")
+
+    def spoil(rows):
+        rows[0, 5] = np.nan
+        return rows
+
+    monkeypatch.setattr(pipeline, "track", recorded_track)
+    short = short_cfg(scenario=ScenarioSpec(scenario="S0", duration_s=1.5, seed=1))
+    for change, message in ((fail, "evidence failed in chunk 3"),
+                            (spoil, "frame 65 log-likelihood has non-finite values")):
+        monkeypatch.setattr(pipeline, "pool_logliks", third_chunk(change))
+        with pytest.raises(ValueError, match=message):
+            pipeline._analyze(short, overlap)
+        assert threading.active_count() == threads
+    assert len(tracked_on) == 2
+    assert (threading.get_ident() in tracked_on) == (not overlap)
+
+
+def test_analyze_holds_no_recording_sized_array():
+    cfg = RunConfig(scenario=ScenarioSpec(scenario="S1", duration_s=20.0, seed=1))
+    tracemalloc.start()
+    try:
+        result = analyze(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fused_bytes = len(result.tracked) * cfg.grid.n_points * 8
+    assert len(result.tracked) == 1937
+    assert peak < 0.5 * fused_bytes, (peak, fused_bytes)
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
@@ -224,8 +327,8 @@ def test_benchmark_table_layout(tmp_path):
 
 def test_benchmark_is_deterministic(tmp_path):
     cfg = short_cfg(scenario=ScenarioSpec(scenario="S1", duration_s=1.0, seed=1))
-    run_benchmark(cfg, ["S1"], [1], tmp_path / "a")
-    run_benchmark(cfg, ["S1"], [1], tmp_path / "b")
+    run_benchmark(cfg, ["S1"], [1, 2], tmp_path / "a")
+    run_benchmark(cfg, ["S1"], [1, 2], tmp_path / "b", jobs=2)  # pool workers filter inline
     for name in ("benchmark.csv", "benchmark_runs.csv", "benchmark.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

@@ -37,6 +37,25 @@ def test_config_defaults_and_validation():
         TrackerConfig(sigma_min_rpm=200.0, sigma_max_rpm=150.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("kernel_truncation_sigmas", np.inf), ("sigma_max_rpm", np.inf),
+    ("sigma_min_rpm", np.nan), ("eps_c", np.inf), ("eps_log", 0.0),
+    ("kernel_truncation_sigmas", -1.0),
+])
+def test_config_rejects_non_finite_and_non_positive_values(name, value):
+    with pytest.raises(ValueError, match=f"tracker.{name} must be positive and finite"):
+        TrackerConfig(**{name: value})
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -5.0, np.inf])
+def test_predict_rejects_a_bad_sigma_naming_its_bin(bad):
+    grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
+    sigmas = np.full(200, 40.0)
+    sigmas[[57, 120]] = bad
+    with pytest.raises(ValueError, match="sigma at bin 57 .*positive and finite"):
+        predict(init_posterior(grid), sigmas)
+
+
 def test_posterior_state_validation():
     grid = RpmGrid(r_min=300.0, r_max=400.0, n_points=11)
     with pytest.raises(ValueError, match="sums to"):
@@ -252,6 +271,11 @@ def test_track_grid_mismatch():
     with pytest.raises(ValueError, match="grid"):
         track(np.full((3, 100), -np.log(100.0)), grid, cfg)
     good = np.full((1, 200), -np.log(200.0))
+    # a list of (G,) rows is one (T, G) array, not a sequence of blocks
+    rows = [good[0], good[0] - 1.0]
+    assert track(rows, grid, cfg, [0.1, 0.2]) == track(np.array(rows), grid, cfg, [0.1, 0.2])
+    with pytest.raises(ValueError, match="grid"):
+        track([good[0, :100], good[0, :100]], grid, cfg)
     with pytest.raises(ValueError, match="times"):
         track(good, grid, cfg, times_s=[0.1, 0.2])
 
@@ -266,6 +290,22 @@ def test_track_rejects_a_non_finite_frame():
     block[2, 17] = -np.inf
     with pytest.raises(ValueError, match="frame 3 .*non-finite"):
         track(block, grid, cfg)
+
+
+def test_track_names_the_global_frame_of_a_bad_streamed_block():
+    cfg = TrackerConfig()
+    grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
+    flat = np.full((5, 200), -np.log(200.0))
+    bad = flat.copy()
+    bad[3, 17] = np.nan
+    with pytest.raises(ValueError, match="frame 12 .*non-finite"):
+        track(iter([flat, flat[:3], bad]), grid, cfg)
+    with pytest.raises(ValueError, match="block \\(5, 100\\) at frame 9 "):
+        track(iter([flat, flat[:3], flat[:, :100]]), grid, cfg)
+    with pytest.raises(ValueError, match="3 times for at least 5 frames"):
+        track(iter([flat[:2], flat[:3]]), grid, cfg, times_s=[0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="3 times for 2 frames"):
+        track(iter([flat[:2]]), grid, cfg, times_s=[0.1, 0.2, 0.3])
 
 
 def test_track_returns_posteriors_on_request():
