@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -101,14 +100,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sig_path = out / f"signal_{spec.scenario}_seed{spec.seed}.{args.format}"
     save_signal(signal, sig_path, args.format)
-    refs = truth.frame_references(cfg.framing)
-    times = frame_times(signal, cfg.framing)
-    truth_path = out / f"ground_truth_{spec.scenario}_seed{spec.seed}.csv"
-    with open(truth_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame_index", "time_s", "rpm_ref"])
-        for i, (t, rpm) in enumerate(zip(times, refs), start=1):
-            w.writerow([i, f"{t:.9g}", f"{rpm:.9g}"])
+    truth_path = pipeline.write_ground_truth(
+        out / f"ground_truth_{spec.scenario}_seed{spec.seed}.csv",
+        frame_times(signal, cfg.framing), truth.frame_references(cfg.framing))
     spec_path = out / f"scenario_{spec.scenario}_seed{spec.seed}.json"
     spec_path.write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {sig_path}, {truth_path}, {spec_path}")

@@ -159,7 +159,7 @@ def cepstrum_curve(frames: np.ndarray, sample_rate_hz: float, q_min: int,
     ceps = np.fft.irfft(np.log(mag + CEPSTRUM_LOG_EPS), n, axis=-1)
     return EvidenceCurve(
         axis=np.arange(q_min, q_max + 1, dtype=np.float64),
-        values=ceps[..., q_min : q_max + 1],
+        values=ceps[..., q_min : q_max + 1].copy(),  # a view would keep all of ceps alive
         axis_type=AxisType.QUEFRENCY,
         polarity=Polarity.SCORE,
         estimator_id="cepstrum",

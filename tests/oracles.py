@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
+from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
@@ -129,3 +131,44 @@ def exhaustive_best_score(scores, rpms, penalty: float) -> float:
 def discrete_gaussian_mass(grid: RpmGrid, mu: float, s: float) -> np.ndarray:
     m = np.exp(-0.5 * ((grid.values - mu) / s) ** 2)
     return m / m.sum()
+
+
+def csv_writer_table(path: Path, header, rows) -> None:
+    """A table the way ``csv.writer`` writes it, numbers formatted by f-strings:
+    ints as ``str``, floats as ``f"{x:.9g}"``, strings as they are."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in row])
+
+
+def naive_write_tables(result, out_dir: Path) -> None:
+    """The CSV files of ``write_outputs``, one f-string per number."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "trajectory.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["frame_index", "time_s", "map_rpm", "mmse_rpm",
+                    "sigma_rpm", "entropy_nats"])
+        for pt in result.tracked:
+            w.writerow([pt.frame_index, f"{pt.time_s:.9g}", f"{pt.map_rpm:.9g}",
+                        f"{pt.mmse_rpm:.9g}", f"{pt.sigma_rpm:.9g}",
+                        f"{pt.entropy_nats:.9g}"])
+    for name, traj in result.baselines.items():
+        with open(out / f"baseline_{name}.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["frame_index", "time_s", "rpm"])
+            for i, t, r in zip(traj.frame_index, traj.time_s, traj.rpm):
+                w.writerow([int(i), f"{t:.9g}", f"{r:.9g}"])
+    if result.reference is not None:
+        with open(out / "ground_truth.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["frame_index", "time_s", "rpm_ref"])
+            for i, (t, r) in enumerate(zip(result.times_s, result.reference), start=1):
+                w.writerow([i, f"{t:.9g}", f"{r:.9g}"])
+    if result.posteriors is not None:
+        with open(out / "posteriors.csv", "w", newline="") as fh:
+            fh.write(",".join(f"{v:.9g}" for v in result.config.grid.values) + "\n")
+            for state in result.posteriors:
+                fh.write(",".join(f"{m:.9g}" for m in state.mass) + "\n")

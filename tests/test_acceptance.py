@@ -8,6 +8,7 @@ The heavyweight sweeps sit at the end of the file.
 import time
 
 import numpy as np
+import pytest
 from scipy.special import logsumexp
 
 from tacholess import (
@@ -264,6 +265,7 @@ def test_c09_viterbi_equals_exhaustive():
             f"200 instances up to 6 frames x 8 candidates, max score gap {worst:.2e}")
 
 
+@pytest.mark.slow  # about 150 s: 80 analyze calls
 def test_c10_benchmark_sweep(tmp_path):
     t0 = time.perf_counter()
     cfg = RunConfig()

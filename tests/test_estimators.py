@@ -124,6 +124,14 @@ def test_cepstrum_peaks_at_period_in_samples():
     assert abs(best - 40.0) <= 1.0
 
 
+def test_cepstrum_curve_owns_its_values():
+    # a view into the (T, n) cepstrum would keep every quefrency alive with the curve
+    frames = np.stack([harmonic_frame(), harmonic_frame(f0=250.0)])
+    curve = cepstrum_curve(frames, 8000.0, 20, 100)
+    assert curve.values.base is None and curve.values.shape == (2, 81)
+    assert np.array_equal(curve.values[1], cepstrum_curve(frames[1], 8000.0, 20, 100).values)
+
+
 def test_cepstrum_finite_on_silence():
     curve = cepstrum_curve(np.zeros(256), 8000.0, 4, 64)
     assert np.all(np.isfinite(curve.values))

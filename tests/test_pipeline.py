@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tacholess import (
     EstimatorSetConfig,
@@ -28,6 +29,7 @@ from tacholess import (
 import tacholess
 from tacholess import pipeline
 from tacholess.cli import _parse_grid, _parse_seeds, main
+from oracles import csv_writer_table, naive_write_tables
 
 
 def short_cfg(**kw):
@@ -144,6 +146,25 @@ def test_chunk_size_does_not_change_results(monkeypatch):
         assert set(other.baselines) == set(pipeline.BASELINE_IDS)
         for name, traj in default.baselines.items():
             assert np.max(np.abs(traj.rpm - other.baselines[name].rpm)) <= 1e-9, (chunk, name)
+
+
+@pytest.mark.parametrize("n_samples, n_frames", [(8191, 0), (8192, 1), (8319, 1)])
+def test_analyze_rejects_a_recording_of_fewer_than_two_frames(n_samples, n_frames):
+    cfg = short_cfg(scenario=ScenarioSpec(scenario="S0", duration_s=n_samples / 12800.0, seed=1))
+    message = (f"{n_samples} samples give {n_frames} frame(s) at frame_len 8192, hop 128; "
+               "need >= 2 frames, i.e. >= 8320 samples")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        analyze(cfg)
+
+
+def test_analyze_of_exactly_two_frames_gives_metrics():
+    cfg = short_cfg(scenario=ScenarioSpec(scenario="S0", duration_s=8320 / 12800.0, seed=1),
+                    baselines=pipeline.BASELINE_IDS)
+    result = analyze(cfg)
+    assert len(result.times_s) == len(result.tracked) == 2
+    for method in ("tracked", *pipeline.BASELINE_IDS):
+        assert set(result.metrics[method]) == {"rmse", "p95", "jitter", "max_jump"}
+        assert all(np.isfinite(v) for v in result.metrics[method].values())
 
 
 def test_analyze_on_a_grid_the_curves_cannot_reach_raises():
@@ -308,6 +329,57 @@ def test_posterior_dump_schema(tmp_path):
         assert total == pytest.approx(1.0, abs=1e-4)
     svg = (tmp_path / "trajectory.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_output_tables_equal_the_csv_writer_rendering(tmp_path):
+    cfg = short_cfg(scenario=ScenarioSpec(scenario="S5", duration_s=1.0, jump_time_s=0.5, seed=2),
+                    grid=RpmGrid.from_step(1200.0, 2400.0, 1.0), baselines=pipeline.BASELINE_IDS,
+                    output=OutputConfig(dump_posteriors=True, plot=True))
+    result = run_pipeline(cfg, tmp_path / "run")
+    naive_write_tables(result, tmp_path / "oracle")
+    names = sorted(p.name for p in (tmp_path / "oracle").iterdir())
+    assert names == sorted(["trajectory.csv", "ground_truth.csv", "posteriors.csv",
+                            *(f"baseline_{b}.csv" for b in pipeline.BASELINE_IDS)])
+    assert sorted(p.name for p in (tmp_path / "run").glob("*.csv")) == names
+    for name in names:
+        fast = (tmp_path / "run" / name).read_bytes()
+        assert fast == (tmp_path / "oracle" / name).read_bytes(), name
+    (tmp_path / "config.json").write_text(cfg.to_json())
+    assert main(["synth", "--config", str(tmp_path / "config.json"), "--scenario", "S5",
+                 "--seed", "2", "--out", str(tmp_path / "synth")]) == 0
+    assert ((tmp_path / "synth" / "ground_truth_S5_seed2.csv").read_bytes()
+            == (tmp_path / "run" / "ground_truth.csv").read_bytes())
+
+
+# -0, the smallest subnormal, a subnormal, the smallest normal, 10 digits, 1e22, nan, inf
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1234567891.0, 1e22,
+               float("nan"), float("inf")]
+
+
+def test_write_table_matches_csv_writer_on_edge_values(tmp_path):
+    rows = [["S1", 7, *EDGE_FLOATS], ["mean", -3, *(-x for x in EDGE_FLOATS)]]
+    header = ["name", "n"] + [f"x{i}" for i in range(len(EDGE_FLOATS))]
+    formats = ["%s", "%d"] + ["%.9g"] * len(EDGE_FLOATS)
+    pipeline.write_table(tmp_path / "fast.csv", header, formats,
+                         [[name.encode(), *rest] for name, *rest in rows])
+    csv_writer_table(tmp_path / "naive.csv", header, rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
+    pipeline.write_table(tmp_path / "plain.csv", None, ["%.9g"] * len(EDGE_FLOATS),
+                         [EDGE_FLOATS], line_end="\n")
+    expected = ",".join(f"{x:.9g}" for x in EDGE_FLOATS) + "\n"
+    assert (tmp_path / "plain.csv").read_text() == expected
+    assert expected == ("0,-0,4.94065646e-324,1e-310,2.22507386e-308,1,1.23456789e+09,1e+22,"
+                        "nan,inf\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**63, 2**63), st.floats(), st.floats(width=32)),
+                min_size=1, max_size=5))
+def test_write_table_matches_csv_writer_on_any_numbers(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("table")
+    pipeline.write_table(tmp / "fast.csv", ["i", "x", "y"], ["%d", "%.9g", "%.9g"], rows)
+    csv_writer_table(tmp / "naive.csv", ["i", "x", "y"], rows)
+    assert (tmp / "fast.csv").read_bytes() == (tmp / "naive.csv").read_bytes()
 
 
 def test_benchmark_table_layout(tmp_path):
