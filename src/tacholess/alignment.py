@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .estimators import AxisType, EvidenceCurve, Polarity
-from .grid import RpmGrid, logsumexp_rows
+from .grid import RpmGrid
 
 # floor added to aggregated kernel mass so log-values stay finite everywhere;
 # far below any curve's evidence scale
@@ -122,5 +122,9 @@ def aligned_loglik(curve: EvidenceCurve, scatter: sparse.csr_array,
     # overall scale cancels in normalization; avoids exp overflow
     log_w -= log_w.max(axis=-1, keepdims=True)
     mass = np.exp(log_w) @ scatter
-    log_values = np.log(mass + LIKELIHOOD_FLOOR)
-    return log_values - logsumexp_rows(log_values)
+    mass += LIKELIHOOD_FLOOR
+    # the logsumexp of log(mass) is the log of its row sum: no second exp
+    log_total = np.log(mass.sum(axis=-1, keepdims=True))
+    np.log(mass, out=mass)
+    mass -= log_total
+    return mass

@@ -103,22 +103,30 @@ def _check_lag_range(tau_min: int, tau_max: int, frame_len: int, name: str) -> N
 def difference_function(x: np.ndarray, tau_max: int) -> np.ndarray:
     """d(tau) = sum_{i=0..n-tau-1} (x[i] - x[i+tau])^2 for tau = 0..tau_max, via FFT.
 
-    ``x`` is one frame or a block of frames along the last axis. Expanded
-    into energy terms plus autocorrelation so the whole lag range costs two
-    FFTs instead of an O(n * tau_max) scan.
+    ``x`` is one frame or a block of frames along the last axis, and
+    0 <= tau_max <= n - 1. Expanded into energy terms plus autocorrelation so
+    the whole lag range costs two FFTs instead of an O(n * tau_max) scan.
     """
     x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    if not 0 <= tau_max <= n - 1:
+        raise ValueError(f"difference_function: need 0 <= tau_max <= n - 1, "
+                         f"got tau_max={tau_max} with n={n}")
     # differences cancel any constant offset, so centering changes nothing
     # mathematically but keeps FFT round-off from dominating a flat frame
     x = x - x.mean(axis=-1, keepdims=True)
-    n = x.shape[-1]
-    size = next_fast_len(n + tau_max)
+    # a 5-smooth length >= n + tau_max keeps the ACF linear at every lag read
+    size = next_fast_len(n + tau_max, real=True)
     spec = np.fft.rfft(x, size, axis=-1)
     acf = np.fft.irfft(spec * np.conj(spec), size, axis=-1)[..., : tau_max + 1]
-    cums = np.cumsum(x * x, axis=-1)
-    cums = np.concatenate((np.zeros_like(cums[..., :1]), cums), axis=-1)
-    taus = np.arange(tau_max + 1)
-    d = cums[..., n - taus] + (cums[..., n:] - cums[..., taus]) - 2.0 * acf
+    # d(tau) = (E - tail(tau)) + (E - head(tau)) - 2 acf(tau), where head and
+    # tail are the energies of the first and of the last tau samples (the
+    # tail summed from the frame's end)
+    zero = np.zeros(x.shape[:-1] + (1,))
+    head = np.concatenate((zero, np.cumsum(x[..., :tau_max] ** 2, axis=-1)), axis=-1)
+    tail = np.concatenate((zero, np.cumsum(x[..., : -tau_max - 1 : -1] ** 2, axis=-1)), axis=-1)
+    energy = np.einsum("...i,...i->...", x, x)[..., None]
+    d = (energy - tail) + (energy - head) - 2.0 * acf
     # FFT round-off can leave tiny negatives at near-perfect lags
     return np.maximum(d, 0.0)
 

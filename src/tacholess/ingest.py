@@ -137,11 +137,14 @@ def load_signal(path: str | Path, fmt: str | None = None,
 
 
 def save_signal(signal: Signal, path: str | Path, fmt: str | None = None) -> None:
-    """Write a signal to WAV (32-bit float) or CSV (one '%.17g' sample per line)."""
+    """Write a signal to WAV (32-bit float, integer rate) or CSV (one '%.17g' sample per line)."""
     path = Path(path)
     fmt = (fmt or path.suffix.lstrip(".")).lower()
     if fmt == "wav":
-        wavfile.write(str(path), int(round(signal.sample_rate_hz)),
+        if not float(signal.sample_rate_hz).is_integer():
+            raise ValueError(f"{path.name}: WAV needs an integer sample rate, got "
+                             f"{signal.sample_rate_hz} Hz; write CSV instead")
+        wavfile.write(str(path), int(signal.sample_rate_hz),
                       signal.samples.astype(np.float32))
     elif fmt == "csv":
         with open(path, "w") as fh:

@@ -154,6 +154,28 @@ def test_batched_alignment_matches_double_loop_oracle():
             assert np.allclose(one, got[t], rtol=0.0, atol=1e-12)
 
 
+def test_aligned_rows_are_normalized_when_most_columns_sit_at_the_floor():
+    # a wide fine grid that few points reach: most columns get no kernel mass
+    cfg = CurveToGridConfig()
+    grid = RpmGrid(r_min=600.0, r_max=900.0, n_points=3001)
+    axis = np.array([610.0, 700.0, 750.0, 880.0, 950.0])
+    values = np.array([
+        [0.3, -1.2, 2.0, 0.7, -0.4],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 5.0, 0.0],   # zero IQR: only 880 RPM keeps any weight
+        [0.0, 0.0, 0.0, 0.0, 5.0],   # ... and here only 950 RPM, off the grid
+    ])
+    block = rpm_curve(axis, values)
+    got = aligned_loglik(block, kernel_scatter(block, grid, cfg, 12800.0), cfg)
+    floor = np.isclose(got, got.min(axis=-1, keepdims=True), rtol=0.0, atol=1e-9)
+    assert floor[:3].mean(axis=-1).min() > 0.9
+    assert np.all(floor[3])  # no mass anywhere: a uniform row
+    assert np.all(np.abs(logsumexp(got, axis=-1)) <= 1e-12)
+    for t in range(len(values)):
+        row = one_frame(rpm_curve(axis, values[t]), grid, cfg, 12800.0)
+        assert abs(logsumexp(row)) <= 1e-12
+
+
 def test_normalization_property():
     check_curve_to_grid(40)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from tacholess import AxisType, EvidenceCurve, Polarity
 from tacholess.estimators import (
@@ -58,6 +59,40 @@ def test_difference_function_matches_direct_sum():
         assert fast.shape == (tau_max + 1,)
         assert np.allclose(fast, slow, rtol=1e-9, atol=1e-8)
         assert np.all(fast >= 0.0)
+
+
+def test_difference_function_on_a_block_matches_direct_sum():
+    # rows of very different scale and a constant row, compared in units of
+    # each row's scale so the tolerances mean the same on every row
+    rng = np.random.default_rng(14)
+    n = 96
+    scales = np.array([1e-6, 1.0, 1e4, 1.0])
+    block = rng.normal(0.0, 1.0, (4, n)) * scales[:, None]
+    block[3] = 2.5
+    for tau_max in (0, 1, n // 2, n - 1):
+        fast = difference_function(block, tau_max)
+        assert fast.shape == (4, tau_max + 1)
+        for row, got, scale in zip(block, fast, scales):
+            slow = naive_difference(row, tau_max)
+            assert np.allclose(got / scale**2, slow / scale**2, rtol=1e-9, atol=1e-8)
+        assert np.all(fast[3] == 0.0)
+    # a narrowband frame, where the 5-smooth FFT length (17280) differs from
+    # the 7-smooth one (17150)
+    n, tau_max = 16384, 640
+    assert next_fast_len(n + tau_max, real=True) != next_fast_len(n + tau_max)
+    block = rng.normal(0.0, 1.0, (2, n))
+    fast = difference_function(block, tau_max)
+    for row, got in zip(block, fast):
+        assert np.allclose(got, naive_difference(row, tau_max), rtol=1e-9, atol=1e-8)
+
+
+def test_difference_function_rejects_tau_max_outside_the_frame():
+    x = np.ones((2, 17))
+    for bad in (-1, 17, 18):
+        with pytest.raises(ValueError, match=f"tau_max={bad} with n=17"):
+            difference_function(x, bad)
+    assert difference_function(x, 16).shape == (2, 17)
+    assert difference_function(x[0], 0).shape == (1,)
 
 
 def test_yin_matches_naive_normalization():

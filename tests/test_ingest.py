@@ -104,6 +104,15 @@ def test_wav_float_round_trip(tmp_path):
     assert np.allclose(back.samples, sig.samples, atol=1e-7)
 
 
+def test_wav_rejects_a_non_integer_sample_rate(tmp_path):
+    # WAV stores whole hertz: 12800.5 would reload as 12800.0 and scale every RPM
+    sig = Signal(samples=np.zeros(64), sample_rate_hz=12800.5)
+    path = tmp_path / "sig.wav"
+    with pytest.raises(ValueError, match="integer sample rate, got 12800.5 Hz"):
+        save_signal(sig, path)
+    assert not path.exists()
+
+
 def test_wav_int16_scaling(tmp_path):
     from scipy.io import wavfile
     data = np.array([0, 16384, -16384, 32767, -32768], dtype=np.int16)

@@ -519,3 +519,10 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     code = main(["run", "--out", str(tmp_path / "w"), "--scenario", "S0",
                  "--duration", "0.8", "--baselines", "bogus"])
     assert code == 2
+    capsys.readouterr()
+    cfg_path = tmp_path / "odd_rate.json"
+    cfg_path.write_text(RunConfig(scenario=ScenarioSpec(sample_rate_hz=12800.5)).to_json())
+    code = main(["synth", "--out", str(tmp_path / "v"), "--config", str(cfg_path),
+                 "--duration", "0.8", "--format", "wav"])
+    assert code == 2
+    assert "integer sample rate" in capsys.readouterr().err
