@@ -50,12 +50,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario '{self.scenario}' (expected one of {SCENARIOS})")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if self.base_rpm <= 0:
-            raise ValueError(f"base_rpm must be positive, got {self.base_rpm}")
+        for name in ("duration_s", "sample_rate_hz", "base_rpm", "wobble_period_s"):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v <= 0:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
         if self.n_harmonics < 1:
             raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
         if self.harmonic_amps is not None and len(self.harmonic_amps) != self.n_harmonics:
@@ -65,8 +63,6 @@ class ScenarioSpec:
             )
         if not 0 <= self.wobble_fraction < 1:
             raise ValueError(f"wobble_fraction must be in [0, 1), got {self.wobble_fraction}")
-        if self.wobble_period_s <= 0:
-            raise ValueError(f"wobble_period_s must be positive, got {self.wobble_period_s}")
         if self.scenario == "S2" and self.snr_db is None:
             object.__setattr__(self, "snr_db", 0.0)
         if self.scenario == "S3" and abs(self.alpha - round(self.alpha)) < 1e-6:

@@ -12,12 +12,16 @@ depend only on frames 1..t, so `track` takes the fused rows either as one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .fusion import mass_entropy
 from .grid import RpmGrid
+
+# bins per block of the block-Toeplitz predict; smaller sigma groups convolve directly
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,47 @@ def curvature_sigma(state: PosteriorState, cfg: TrackerConfig) -> np.ndarray:
     return np.sqrt(var)
 
 
+def _kernel(s: float, dr: float, truncation_sigmas: float):
+    """Half-width in bins, taps, and [0, cumsum] of the truncated Gaussian of scale s."""
+    half = int(np.ceil(truncation_sigmas * s / dr))
+    u = np.arange(-half, half + 1) * (dr / s)
+    kern = np.where(np.abs(u) <= truncation_sigmas, np.exp(-0.5 * u * u), 0.0)
+    return half, kern, np.concatenate(([0.0], np.cumsum(kern)))
+
+
+def _column_norms(cols: np.ndarray, half: int, csum: np.ndarray, g: int) -> np.ndarray:
+    """Kernel mass that columns ``cols`` keep on a grid of ``g`` bins."""
+    lo = np.maximum(-cols, -half)
+    hi = np.minimum(g - 1 - cols, half)
+    return csum[hi + half + 1] - csum[lo + half]
+
+
+@lru_cache(maxsize=8)
+def _block_operator(s: float, dr: float, truncation_sigmas: float, g: int):
+    """(half, per-bin column norms, Toeplitz blocks) of one sigma on one grid.
+
+    ``blocks[lags + i]`` is the (B, B) matrix that carries input block q + i
+    to output block q, for block lags |i| <= lags. Lags past the grid's
+    block count carry nothing, so the blocks never outgrow the grid.
+    """
+    half, kern, csum = _kernel(s, dr, truncation_sigmas)
+    norm = _column_norms(np.arange(g), half, csum, g)
+    lags = min(-(-half // _BLOCK), -(-g // _BLOCK) - 1)
+    # entry [l, a, c] is the kernel at offset c - a - (l - lags) * B; with the
+    # taps zero-padded, row l * B + a of the flattened blocks is the padded
+    # kernel's window of B taps starting base - (l * B + a)
+    pad = max(0, (lags + 1) * _BLOCK - half - 1)
+    padded = np.zeros(2 * pad + kern.size)
+    padded[pad:pad + kern.size] = kern
+    base = pad + half + lags * _BLOCK
+    rows = base - np.arange((2 * lags + 1) * _BLOCK)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, _BLOCK)
+    blocks = windows[rows].reshape(2 * lags + 1, _BLOCK, _BLOCK)
+    norm.flags.writeable = False
+    blocks.flags.writeable = False
+    return half, norm, blocks
+
+
 def predict(state: PosteriorState, sigmas: np.ndarray,
             truncation_sigmas: float = 6.0) -> np.ndarray:
     """Diffuse posterior mass with per-bin Gaussian transition columns.
@@ -110,8 +155,12 @@ def predict(state: PosteriorState, sigmas: np.ndarray,
     Column j spreads mass[j] as a Gaussian of scale sigmas[j] truncated at
     ``truncation_sigmas``, renormalized over the bounded grid so no mass
     leaks off the ends. The columns sharing a sigma are one convolution of
-    their scaled masses over the span they cover, so a lone column costs one
-    kernel-wide add.
+    their scaled masses over the span they cover. A sigma shared by at least
+    ``_BLOCK`` columns (in practice the two clip values) convolves in
+    block-Toeplitz form: its span is cut into blocks of ``_BLOCK`` bins and
+    each output block sums one matrix product per block lag, with the
+    blocks and column norms cached per sigma and grid. Smaller groups run
+    one direct convolution over their span.
     """
     grid = state.grid
     g = grid.n_points
@@ -130,22 +179,30 @@ def predict(state: PosteriorState, sigmas: np.ndarray,
         cols = cols[mass[cols] > 0.0]
         if cols.size == 0:
             continue
-        half = int(np.ceil(truncation_sigmas * s / dr))
-        offs = np.arange(-half, half + 1)
-        u = offs * (dr / s)
-        kern = np.where(np.abs(u) <= truncation_sigmas, np.exp(-0.5 * u * u), 0.0)
-        csum = np.concatenate(([0.0], np.cumsum(kern)))
-        lo = np.maximum(-cols, -half)
-        hi = np.minimum(g - 1 - cols, half)
-        norm = csum[hi + half + 1] - csum[lo + half]
-        first = cols[0]
-        span = np.zeros(cols[-1] - first + 1)
-        span[cols - first] = mass[cols] / norm
-        # spread[k] lands on bin first - half + k; keep the part on the grid
-        spread = np.convolve(span, kern)
-        a = max(0, first - half)
-        b = min(g, cols[-1] + half + 1)
-        out[a:b] += spread[a - first + half : b - first + half]
+        first, last = cols[0], cols[-1]
+        if cols.size < _BLOCK:
+            half, kern, csum = _kernel(s, dr, truncation_sigmas)
+            span = np.zeros(last - first + 1)
+            span[cols - first] = mass[cols] / _column_norms(cols, half, csum, g)
+            # spread[k] lands on bin first - half + k; keep the part on the grid
+            spread = np.convolve(span, kern)
+            lo, hi = max(0, first - half), min(g, last + half + 1)
+            out[lo:hi] += spread[lo - first + half : hi - first + half]
+            continue
+        half, norm, blocks = _block_operator(float(s), dr, float(truncation_sigmas), g)
+        lo, hi = max(0, first - half), min(g, last + half + 1)
+        n_out = -(-(hi - lo) // _BLOCK)
+        # output block q sums input blocks q - reach .. q + reach; blocks
+        # further away than n_out - 1 hold no column of this span
+        reach = min(len(blocks) // 2, n_out - 1)
+        x = np.zeros((n_out + 2 * reach) * _BLOCK)
+        x[reach * _BLOCK + cols - lo] = mass[cols] / norm[cols]
+        x = x.reshape(-1, _BLOCK)
+        skip = len(blocks) // 2 - reach
+        y = x[:n_out] @ blocks[skip]
+        for i in range(1, 2 * reach + 1):
+            y += x[i:i + n_out] @ blocks[skip + i]
+        out[lo:hi] += y.ravel()[:hi - lo]
     return out
 
 

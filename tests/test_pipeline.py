@@ -526,3 +526,9 @@ def test_cli_errors_exit_2(tmp_path, capsys):
                  "--duration", "0.8", "--format", "wav"])
     assert code == 2
     assert "integer sample rate" in capsys.readouterr().err
+    # JSON's Infinity parses to a float; it used to overflow in synthesize
+    cfg_path = tmp_path / "endless.json"
+    cfg_path.write_text(RunConfig().to_json().replace('"duration_s": 5.0', '"duration_s": Infinity'))
+    code = main(["synth", "--out", str(tmp_path / "u"), "--config", str(cfg_path)])
+    assert code == 2
+    assert "duration_s must be positive and finite" in capsys.readouterr().err

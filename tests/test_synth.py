@@ -43,6 +43,14 @@ def test_spec_validation():
     assert ScenarioSpec(scenario="S2").snr_db == 0.0
 
 
+@pytest.mark.parametrize("name", ["duration_s", "sample_rate_hz", "base_rpm",
+                                  "wobble_period_s"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+def test_spec_rejects_non_finite_and_non_positive_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        ScenarioSpec(**{name: value})
+
+
 def test_spec_round_trips_through_dict():
     spec = ScenarioSpec(scenario="S4", seed=9, harmonic_amps=(1.0, 0.4, 0.2, 0.1, 0.05),
                         detuning=(0.0, 0.01, -0.01, 0.02, -0.02))

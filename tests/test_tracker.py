@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -13,6 +15,7 @@ from tacholess import (
     track,
     update,
 )
+from tacholess import tracker
 from oracles import discrete_gaussian_mass, naive_predict
 from props import (
     check_predict_mass,
@@ -165,6 +168,25 @@ def test_predict_matches_column_oracle():
     for G in (50, 120, 200):
         grid = RpmGrid(r_min=900.0, r_max=900.0 + (G - 1) * 1.5, n_points=G)
         cases.append((grid, rng.dirichlet(np.full(G, 0.7)), rng.uniform(40.0, 150.0, G)))
+    # sigma groups of at least _BLOCK = 64 columns take the block-Toeplitz
+    # path, smaller ones the direct convolution. Grids of 50 (smaller than a
+    # block) and 1000 bins (not a multiple of one) with two interleaved values
+    for G in (50, 1000):
+        grid = RpmGrid(r_min=900.0, r_max=900.0 + (G - 1) * 1.5, n_points=G)
+        cases.append((grid, rng.dirichlet(np.full(G, 0.7)),
+                      np.where(rng.random(G) < 0.5, 40.0, 150.0)))
+    grid = RpmGrid(r_min=900.0, r_max=900.0 + 199 * 1.5, n_points=200)
+    # a kernel wider than the grid: half-width 600 bins on 200
+    cases.append((grid, rng.dirichlet(np.full(200, 0.7)), np.full(200, 150.0)))
+    # one wide group holding both edge bins around a narrow interior block
+    sig = np.full(200, 97.0)
+    sig[70:130] = 41.5
+    cases.append((grid, rng.dirichlet(np.full(200, 0.7)), sig))
+    # groups of exactly 64 and 63 columns, one on each side of the path choice
+    grid = RpmGrid.from_step(300.0, 699.0, 1.0)
+    sig = np.full(400, 150.0)
+    sig[rng.choice(400, 127, replace=False)] = np.repeat([55.0, 70.0], [64, 63])
+    cases.append((grid, rng.dirichlet(np.full(400, 0.7)), sig))
     # the sigma layout of real runs on the default grid: the two clip values
     # over interleaved, non-contiguous column sets, plus singleton values at
     # both ends and mid-grid. Bins beyond the peak's reach hold mass hundreds
@@ -191,6 +213,30 @@ def test_predict_grouped_convolution_path_matches_oracle():
     out = predict(state, sig)
     ref = naive_predict(state.mass, sig, grid, 6.0)
     assert np.allclose(out, ref, rtol=1e-9, atol=1e-300)
+
+
+def test_predict_caches_operators_only_for_sigma_groups_of_a_block():
+    # Each frame of a real run has the two clip values over most bins plus a
+    # few one-off interior sigmas. The cached block operator of sigma 150 on
+    # this grid holds 1.08 MB; one cached per interior sigma as well took an
+    # 8.4 MB tracemalloc peak here, against 1.6 MB for the two clip values.
+    grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
+    g = grid.n_points
+    mass = np.random.default_rng(34).dirichlet(np.full(g, 0.7))
+    state = PosteriorState(grid=grid, mass=mass / mass.sum(), frame_index=1)
+    tracker._block_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(20):
+            sig = np.where(np.arange(g) % 3 == 0, 40.0, 150.0)
+            sig[100 + 7 * np.arange(5) + k] = 140.0 + 0.37 * k
+            predict(state, sig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    info = tracker._block_operator.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 38, 2)
+    assert peak < 3e6
 
 
 def test_predict_mass_conservation_property():
