@@ -18,8 +18,8 @@ from .ingest import (FramingConfig, Signal, frame_signal, frame_times,
 from .metrics import compute_metrics, stability_metrics
 from .pipeline import (AnalysisResult, EstimatorSetConfig, InputConfig,
                        OutputConfig, RunConfig, ViterbiConfig, analyze,
-                       evidence_chunks, metrics_json, run_ablation,
-                       run_benchmark, run_pipeline)
+                       evidence_chunks, metrics_json, run_benchmark,
+                       run_pipeline)
 from .synth import SCENARIOS, GroundTruth, ScenarioSpec, synthesize
 from .tracker import (PosteriorState, TrackerConfig, TrajectoryPoint,
                       curvature_sigma, estimate, init_posterior, predict,
@@ -38,7 +38,7 @@ __all__ = [
     "difference_function", "estimate", "evidence_chunks", "frame_signal", "frame_times",
     "framewise_trajectory", "init_posterior", "kernel_scatter", "lag_bounds",
     "load_signal", "map_axis_to_rpm", "mass_entropy", "metrics_json", "n_frames",
-    "pool_logliks", "predict", "robust_standardize", "run_ablation", "run_benchmark",
+    "pool_logliks", "predict", "robust_standardize", "run_benchmark",
     "run_pipeline", "save_signal", "single_estimator_pick", "stability_metrics",
     "synthesize", "to_energy", "track", "update", "viterbi_path",
     "viterbi_stft", "yin_curve",

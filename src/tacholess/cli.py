@@ -1,4 +1,8 @@
-"""Command line interface: run, synth, benchmark, ablate."""
+"""Command line interface: run, synth, benchmark.
+
+``benchmark`` sweeps scenarios x seeds over the tracker and every baseline;
+its ``framewise`` rows are the ablation of the tracker's temporal propagation.
+"""
 
 from __future__ import annotations
 
@@ -119,20 +123,8 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         if s not in SCENARIOS:
             raise ValueError(f"--scenarios: unknown scenario '{s}'")
     seeds = _parse_seeds(args.seeds)
-    table = pipeline.run_benchmark(cfg, scenarios, seeds, args.out, jobs=args.jobs)
+    pipeline.run_benchmark(cfg, scenarios, seeds, args.out, jobs=args.jobs)
     print((Path(args.out) / "benchmark.txt").read_text(), end="")
-    del table
-    return 0
-
-
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _apply_common_overrides(_load_config(args.config), args)
-    seeds = _parse_seeds(args.seeds)
-    means = pipeline.run_ablation(cfg, args.scenario, seeds, args.out)
-    print(f"{args.scenario} over {len(seeds)} seed(s), means:")
-    for method in ("tracked", "framewise"):
-        parts = ", ".join(f"{k}={v:.2f}" for k, v in sorted(means[method].items()))
-        print(f"  {method:<10} {parts}")
     return 0
 
 
@@ -173,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--format", choices=["wav", "csv"], default="wav")
     synth.set_defaults(func=_cmd_synth)
 
-    bench = sub.add_parser("benchmark", help="scenario x seed sweep with mean RMSE/P95 table")
+    bench = sub.add_parser("benchmark", help="scenario x seed sweep of every method")
     add_common(bench)
     bench.add_argument("--scenarios", default="S1,S2,S3,S4", help="comma list (default S1..S4)")
     bench.add_argument("--seeds", default="1..20", help="seed or inclusive range a..b")
@@ -181,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     bench.set_defaults(func=_cmd_benchmark)
 
-    ablate = sub.add_parser("ablate", help="tracked vs framewise fusion on one scenario")
-    add_common(ablate)
-    ablate.add_argument("--scenario", choices=SCENARIOS, default="S5")
-    ablate.add_argument("--seeds", default="1..10")
-    ablate.set_defaults(func=_cmd_ablate)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""End-to-end runs: config, orchestration, output files, benchmark, ablation.
+"""End-to-end runs: config, orchestration, output files, benchmark sweep.
 
 A run is: resolve input (scenario synthesis or file) -> frame -> evidence
 curves -> grid log-likelihoods -> fused likelihood, chunk by chunk of frames
@@ -10,6 +10,7 @@ chunk, so memory is O(chunk x G) plus the per-frame outputs.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import queue
@@ -35,7 +36,6 @@ from .tracker import PosteriorState, TrackerConfig, TrajectoryPoint, track
 
 ESTIMATOR_IDS = ("yin", "cepstrum", "comb")
 BASELINE_IDS = ("yin", "cepstrum", "comb", "framewise", "viterbi_stft")
-BENCHMARK_METHODS = ("yin", "cepstrum", "comb", "tracked")
 # frames per evidence/alignment/fusion step: working memory is O(CHUNK_FRAMES x G)
 CHUNK_FRAMES = 32
 
@@ -110,19 +110,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RunConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"config: unknown keys {sorted(unknown)}")
-        kw = {k: _SECTIONS[k](**v) if k in _SECTIONS and v is not None else v
-              for k, v in d.items() if k != "scenario"}
-        if d.get("scenario") is not None:
-            kw["scenario"] = ScenarioSpec.from_dict(d["scenario"])
-        elif d.get("input") is not None:
-            kw["scenario"] = None
-        if "grid" in d:
-            g = d["grid"]
-            kw["grid"] = RpmGrid.from_step(g["r_min"], g["r_max"], g.get("step_rpm", 1.0))
-        return cls(**kw)
+        kw = {k: _build(f"config.{k}", _SECTIONS[k], v) if k in _SECTIONS and v is not None else v
+              for k, v in d.items()}
+        if kw.get("scenario") is None:  # absent or null: the input file, else the default
+            kw["scenario"] = None if kw.get("input") is not None else ScenarioSpec()
+        return _build("config", cls, kw)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -132,10 +124,22 @@ class RunConfig:
         return cls.from_dict(json.loads(text))
 
 
-# sections of RunConfig that are flat dataclasses, built from their JSON objects
-_SECTIONS = {"input": InputConfig, "framing": FramingConfig, "alignment": CurveToGridConfig,
-             "tracker": TrackerConfig, "estimators": EstimatorSetConfig,
-             "viterbi": ViterbiConfig, "output": OutputConfig}
+# how each section of RunConfig is built from its JSON object's keys
+_SECTIONS = {"scenario": ScenarioSpec, "input": InputConfig, "framing": FramingConfig,
+             "grid": lambda r_min, r_max, step_rpm=1.0: RpmGrid.from_step(r_min, r_max, step_rpm),
+             "alignment": CurveToGridConfig, "tracker": TrackerConfig,
+             "estimators": EstimatorSetConfig, "viterbi": ViterbiConfig, "output": OutputConfig}
+
+
+def _build(section: str, make: Callable[..., Any], d: dict[str, Any]) -> Any:
+    """``make(**d)``, after a ValueError naming ``section`` if ``d`` has a key
+    that ``make`` does not take or lacks one that ``make`` has no default for."""
+    params = inspect.signature(make).parameters
+    required = {name for name, p in params.items() if p.default is p.empty}
+    for kind, keys in (("unknown", set(d) - set(params)), ("missing", required - set(d))):
+        if keys:
+            raise ValueError(f"{section}: {kind} keys {sorted(keys)}")
+    return make(**d)
 
 
 def _plain(value: Any) -> Any:
@@ -425,37 +429,34 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
     return result
 
 
-# -- benchmark and ablation -------------------------------------------------
+# -- benchmark sweep --------------------------------------------------------
 
 
-def _scenario_config(base: RunConfig, scenario: str, seed: int,
-                     baselines: tuple[str, ...]) -> RunConfig:
-    template = base.scenario if base.scenario is not None else ScenarioSpec()
-    spec = replace(template, scenario=scenario, seed=seed)
-    return replace(base, scenario=spec, input=None, baselines=baselines,
-                   output=OutputConfig())
-
-
-def _benchmark_worker(args: tuple[dict, str, int, bool]) -> tuple[str, int, dict]:
-    cfg_dict, scenario, seed, overlap = args
-    cfg = _scenario_config(RunConfig.from_dict(cfg_dict), scenario, seed,
-                           baselines=("yin", "cepstrum", "comb"))
-    result = _analyze(cfg, overlap)
-    return scenario, seed, result.metrics
+def _benchmark_worker(args: tuple[RunConfig, str, int, bool]) -> tuple[str, int, dict]:
+    cfg, scenario, seed, overlap = args
+    template = cfg.scenario if cfg.scenario is not None else ScenarioSpec()
+    cfg = replace(cfg, scenario=replace(template, scenario=scenario, seed=seed), input=None,
+                  baselines=BASELINE_IDS, output=OutputConfig())
+    return scenario, seed, _analyze(cfg, overlap).metrics
 
 
 def run_benchmark(cfg: RunConfig, scenarios: Sequence[str], seeds: Sequence[int],
                   out_dir: str | Path, jobs: int = 1) -> dict[str, dict[str, dict[str, float]]]:
-    """Scenario x seed sweep; emits per-run rows plus a mean RMSE/P95 table.
+    """Scenario x seed sweep of the tracker and every baseline.
 
-    Returns {scenario: {method: {"rmse": mean, "p95": mean}}} and writes
-    benchmark_runs.csv, benchmark.csv (wide table) and benchmark.txt.
+    The ``framewise`` rows are the ablation: the same fused evidence without
+    the tracker's temporal propagation. Returns {scenario: {method: {key:
+    mean over seeds}}} for the keys of benchmark_runs.csv (one row per run
+    and method), and writes the mean RMSE/P95 per scenario to benchmark.csv
+    (wide table) and benchmark.txt.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # pool workers keep the CPUs busy on their own: a tracker thread in each
     # as well made `--jobs 2` on two CPUs about 10 % slower
-    work = [(cfg.to_dict(), sc, int(seed), jobs <= 1) for sc in scenarios for seed in seeds]
+    work = [(cfg, sc, int(seed), jobs == 1) for sc in scenarios for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_benchmark_worker, work))
@@ -463,63 +464,31 @@ def run_benchmark(cfg: RunConfig, scenarios: Sequence[str], seeds: Sequence[int]
         raw = [_benchmark_worker(item) for item in work]
     raw.sort(key=lambda r: (scenarios.index(r[0]), r[1]))
 
+    methods = (*BASELINE_IDS, "tracked")
     keys = ("rmse", "p95", "jitter", "max_jump")
     write_table(out / "benchmark_runs.csv", ["scenario", "seed", "method", *keys],
                 ["%s", "%d", "%s"] + ["%.9g"] * len(keys),
                 ([scenario.encode(), seed, method.encode()] + [metrics[method][k] for k in keys]
-                 for scenario, seed, metrics in raw for method in BENCHMARK_METHODS))
+                 for scenario, seed, metrics in raw for method in methods))
 
-    table: dict[str, dict[str, dict[str, float]]] = {}
-    for scenario in scenarios:
-        per_scenario = [m for sc, _, m in raw if sc == scenario]
-        table[scenario] = {}
-        for method in BENCHMARK_METHODS:
-            table[scenario][method] = {
-                "rmse": float(np.mean([m[method]["rmse"] for m in per_scenario])),
-                "p95": float(np.mean([m[method]["p95"] for m in per_scenario])),
-            }
+    table = {sc: {method: {k: float(np.mean([m[method][k] for s, _, m in raw if s == sc]))
+                           for k in keys}
+                  for method in methods}
+             for sc in scenarios}
 
     columns = [(sc, k) for sc in scenarios for k in ("rmse", "p95")]
     write_table(out / "benchmark.csv", ["method"] + [f"{sc}_{k}" for sc, k in columns],
                 ["%s"] + ["%.9g"] * len(columns),
                 ([method.encode()] + [table[sc][method][k] for sc, k in columns]
-                 for method in BENCHMARK_METHODS))
+                 for method in methods))
 
     lines = [f"mean over {len(seeds)} seed(s); RMSE / P95 in RPM", ""]
     head = f"{'method':<12}" + "".join(f"{sc + ' RMSE':>12}{sc + ' P95':>12}" for sc in scenarios)
     lines.append(head)
-    for method in BENCHMARK_METHODS:
+    for method in methods:
         row = f"{method:<12}"
         for sc in scenarios:
             row += f"{table[sc][method]['rmse']:>12.1f}{table[sc][method]['p95']:>12.1f}"
         lines.append(row)
     (out / "benchmark.txt").write_text("\n".join(lines) + "\n")
     return table
-
-
-def run_ablation(cfg: RunConfig, scenario: str, seeds: Sequence[int],
-                 out_dir: str | Path) -> dict[str, dict[str, float]]:
-    """Tracked vs framewise fusion on one scenario over seeds.
-
-    Writes ablation.csv (per-seed rows plus means) and returns the means.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    keys = ("rmse", "p95", "jitter", "max_jump")
-    rows = []
-    for seed in seeds:
-        run_cfg = _scenario_config(cfg, scenario, int(seed), baselines=("framewise",))
-        result = analyze(run_cfg)
-        rows.append((int(seed), result.metrics["tracked"], result.metrics["framewise"]))
-
-    means = {
-        method: {k: float(np.mean([r[i + 1][k] for r in rows])) for k in keys}
-        for i, method in enumerate(("tracked", "framewise"))
-    }
-    rows.append(("mean", means["tracked"], means["framewise"]))
-    write_table(out / "ablation.csv",
-                ["seed"] + [f"{m}_{k}" for m in ("tracked", "framewise") for k in keys],
-                ["%s"] + ["%.9g"] * (2 * len(keys)),
-                ([str(seed).encode()] + [tr[k] for k in keys] + [fwise[k] for k in keys]
-                 for seed, tr, fwise in rows))
-    return means

@@ -54,6 +54,10 @@ class ScenarioSpec:
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        for name in ("alpha", "snr_db"):
+            v = getattr(self, name)
+            if v is not None and not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.n_harmonics < 1:
             raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
         if self.harmonic_amps is not None and len(self.harmonic_amps) != self.n_harmonics:
@@ -98,11 +102,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScenarioSpec":
-        d = dict(d)
-        for key in ("harmonic_amps", "detuning"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        return cls(**d)  # __post_init__ makes the JSON lists tuples
 
 
 @dataclass(frozen=True)

@@ -279,11 +279,12 @@ def test_c10_benchmark_sweep(tmp_path):
         rows = list(csv.reader(fh))
     header_ok = rows[0] == ["method"] + [f"{sc}_{k}" for sc in scenarios
                                          for k in ("rmse", "p95")]
-    methods_ok = [r[0] for r in rows[1:]] == ["yin", "cepstrum", "comb", "tracked"]
+    methods_ok = [r[0] for r in rows[1:]] == ["yin", "cepstrum", "comb", "framewise",
+                                              "viterbi_stft", "tracked"]
     values_ok = all(np.isfinite(float(v)) for r in rows[1:] for v in r[1:])
     with open(tmp_path / "full" / "benchmark_runs.csv") as fh:
         n_run_rows = sum(1 for _ in fh) - 1
-    shape_ok = header_ok and methods_ok and values_ok and n_run_rows == 4 * 20 * 4
+    shape_ok = header_ok and methods_ok and values_ok and n_run_rows == 4 * 20 * 6
 
     run_benchmark(cfg, ["S1"], [1, 2], tmp_path / "det_a", jobs=1)
     run_benchmark(cfg, ["S1"], [1, 2], tmp_path / "det_b", jobs=1)

@@ -22,7 +22,6 @@ from tacholess import (
     ScenarioSpec,
     analyze,
     metrics_json,
-    run_ablation,
     run_benchmark,
     run_pipeline,
 )
@@ -385,16 +384,22 @@ def test_write_table_matches_csv_writer_on_any_numbers(tmp_path_factory, rows):
 def test_benchmark_table_layout(tmp_path):
     cfg = short_cfg(scenario=ScenarioSpec(scenario="S0", duration_s=1.0, seed=1))
     table = run_benchmark(cfg, ["S0"], [1, 2], tmp_path)
+    methods = ["yin", "cepstrum", "comb", "framewise", "viterbi_stft", "tracked"]
+    keys = ["rmse", "p95", "jitter", "max_jump"]
     assert set(table) == {"S0"}
-    assert set(table["S0"]) == {"yin", "cepstrum", "comb", "tracked"}
-    assert set(table["S0"]["tracked"]) == {"rmse", "p95"}
+    assert list(table["S0"]) == methods
+    assert all(list(table["S0"][m]) == keys for m in methods)
     wide = read_csv(tmp_path / "benchmark.csv")
     assert wide[0] == ["method", "S0_rmse", "S0_p95"]
-    assert [r[0] for r in wide[1:]] == ["yin", "cepstrum", "comb", "tracked"]
+    assert [r[0] for r in wide[1:]] == methods
     runs = read_csv(tmp_path / "benchmark_runs.csv")
-    assert runs[0] == ["scenario", "seed", "method", "rmse", "p95", "jitter", "max_jump"]
-    assert len(runs) == 1 + 2 * 4  # 2 seeds x 4 methods
-    assert (tmp_path / "benchmark.txt").read_text().count("\n") >= 5
+    assert runs[0] == ["scenario", "seed", "method", *keys]
+    assert len(runs) == 1 + 2 * len(methods)
+    for m in methods:  # the returned means are those of the per-run rows
+        for j, k in enumerate(keys):
+            per_run = [float(r[3 + j]) for r in runs[1:] if r[2] == m]
+            assert table["S0"][m][k] == pytest.approx(np.mean(per_run), rel=1e-8)
+    assert (tmp_path / "benchmark.txt").read_text().count("\n") == 3 + len(methods)
 
 
 def test_benchmark_is_deterministic(tmp_path):
@@ -405,14 +410,16 @@ def test_benchmark_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_ablation_outputs(tmp_path):
+def test_benchmark_rows_match_analyze_with_framewise_only(tmp_path):
+    # the sweep asks for every baseline; that must not move the tracked or the
+    # framewise numbers, which are the paper's ablation
     cfg = short_cfg(scenario=ScenarioSpec(scenario="S0", duration_s=1.0, seed=1))
-    means = run_ablation(cfg, "S0", [1], tmp_path)
-    assert set(means) == {"tracked", "framewise"}
-    rows = read_csv(tmp_path / "ablation.csv")
-    assert rows[0][0] == "seed"
-    assert rows[-1][0] == "mean"
-    assert len(rows) == 3  # header, one seed, mean row
+    run_benchmark(cfg, ["S0"], [1], tmp_path)
+    rows = {r[2]: r[3:] for r in read_csv(tmp_path / "benchmark_runs.csv")[1:]}
+    metrics = analyze(replace(cfg, baselines=("framewise",))).metrics
+    for method in ("tracked", "framewise"):
+        expected = [f"{metrics[method][k]:.9g}" for k in ("rmse", "p95", "jitter", "max_jump")]
+        assert rows[method] == expected
 
 
 def test_input_file_run_has_no_reference(tmp_path):
@@ -485,24 +492,15 @@ def test_cli_synth_csv_format(tmp_path):
                  "--sample-rate", "12800", "--grid", "1200:1800:1"]) == 0
 
 
-def test_cli_benchmark_and_ablate(tmp_path, capsys):
+def test_cli_benchmark(tmp_path, capsys):
     out = tmp_path / "bench"
     code = main(["benchmark", "--out", str(out), "--scenarios", "S0",
                  "--seeds", "1..2", "--duration", "1.0", "--grid", "1200:1800:1"])
     assert code == 0
     assert (out / "benchmark.txt").exists()
     printed = capsys.readouterr().out
-    for method in ("yin", "cepstrum", "comb", "tracked"):
+    for method in ("yin", "cepstrum", "comb", "framewise", "viterbi_stft", "tracked"):
         assert method in printed
-
-    cfg_path = tmp_path / "short.json"
-    cfg_path.write_text(short_cfg(
-        scenario=ScenarioSpec(scenario="S0", duration_s=1.0, seed=1)).to_json())
-    out2 = tmp_path / "abl"
-    code = main(["ablate", "--out", str(out2), "--config", str(cfg_path),
-                 "--scenario", "S0", "--seeds", "1"])
-    assert code == 0
-    assert (out2 / "ablation.csv").exists()
 
 
 def test_cli_errors_exit_2(tmp_path, capsys):
@@ -516,6 +514,11 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     code = main(["benchmark", "--out", str(tmp_path / "z"), "--scenarios", "S7",
                  "--seeds", "1"])
     assert code == 2
+    for jobs in ("0", "-1"):
+        code = main(["benchmark", "--out", str(tmp_path / "z"), "--scenarios", "S0",
+                     "--seeds", "1", "--jobs", jobs])
+        assert code == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
     code = main(["run", "--out", str(tmp_path / "w"), "--scenario", "S0",
                  "--duration", "0.8", "--baselines", "bogus"])
     assert code == 2
@@ -532,3 +535,25 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     code = main(["synth", "--out", str(tmp_path / "u"), "--config", str(cfg_path)])
     assert code == 2
     assert "duration_s must be positive and finite" in capsys.readouterr().err
+    for name, value in (("alpha", float("inf")), ("snr_db", -float("inf"))):
+        d = RunConfig().to_dict()
+        d["scenario"][name] = value
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(d))
+        code = main(["synth", "--out", str(tmp_path / "t"), "--config", str(cfg_path)])
+        assert code == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("tracker", {"sigma_mn_rpm": 5.0}, "config.tracker: unknown keys ['sigma_mn_rpm']"),
+    ("scenario", {"seed": 1, "bogus": 2}, "config.scenario: unknown keys ['bogus']"),
+    ("grid", {"r_max": 4000.0}, "config.grid: missing keys ['r_min']"),
+])
+def test_config_rejects_bad_keys_inside_a_section(tmp_path, capsys, section, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig.from_dict({section: value})
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({section: value}))
+    assert main(["synth", "--out", str(tmp_path / "s"), "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err

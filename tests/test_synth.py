@@ -51,6 +51,13 @@ def test_spec_rejects_non_finite_and_non_positive_values(name, value):
         ScenarioSpec(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["alpha", "snr_db"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ScenarioSpec(scenario="S3", **{name: value})
+
+
 def test_spec_round_trips_through_dict():
     spec = ScenarioSpec(scenario="S4", seed=9, harmonic_amps=(1.0, 0.4, 0.2, 0.1, 0.05),
                         detuning=(0.0, 0.01, -0.01, 0.02, -0.02))
