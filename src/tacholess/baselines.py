@@ -131,8 +131,9 @@ def viterbi_stft(signal: Signal, framing: FramingConfig, grid: RpmGrid,
                  n_candidates_per_frame: int = 10) -> BaselineTrajectory:
     """STFT peak tracking: top-k spectral peaks per frame in the fundamental
     band, joined by a Viterbi pass trading peak magnitude against RPM jumps."""
-    if transition_penalty_per_rpm < 0:
-        raise ValueError(f"transition penalty must be >= 0, got {transition_penalty_per_rpm}")
+    if not 0 <= transition_penalty_per_rpm < np.inf:
+        raise ValueError(
+            f"transition penalty must be finite and >= 0, got {transition_penalty_per_rpm}")
     if n_candidates_per_frame < 1:
         raise ValueError(f"need >= 1 candidate per frame, got {n_candidates_per_frame}")
     frames = frame_signal(signal, framing)

@@ -9,15 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
-from .grid import RpmGrid
-from .ingest import FramingConfig, frame_times
-from .pipeline import InputConfig, OutputConfig, RunConfig
-from .synth import SCENARIOS, ScenarioSpec, synthesize
-from .ingest import save_signal
+from .ingest import frame_times, save_signal
+from .pipeline import RunConfig
+from .synth import SCENARIOS, synthesize
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -31,74 +28,55 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(text)]
 
 
-def _parse_grid(text: str) -> RpmGrid:
+def _parse_grid(text: str) -> dict[str, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--grid expects min:max:step, got '{text}'")
-    return RpmGrid.from_step(float(parts[0]), float(parts[1]), float(parts[2]))
+    return dict(zip(("r_min", "r_max", "step_rpm"), map(float, parts)))
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    return RunConfig.from_json(Path(path).read_text())
+# config section -> {key: flag dest}; every flag defaults to None, so one not given sets nothing
+_FLAG_KEYS = {
+    "framing": {"frame_len": "frame", "hop": "hop"},
+    "scenario": {"scenario": "scenario", "seed": "seed", "duration_s": "duration"},
+    "input": {"path": "input", "format": "input_format", "sample_rate_hz": "sample_rate"},
+    "output": {"dump_posteriors": "dump_posteriors", "plot": "plot"}}
 
 
-def _apply_common_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "grid", None):
-        cfg = replace(cfg, grid=_parse_grid(args.grid))
-    framing = cfg.framing
-    if getattr(args, "frame", None):
-        framing = FramingConfig(frame_len=args.frame, hop=framing.hop)
-    if getattr(args, "hop", None):
-        framing = FramingConfig(frame_len=framing.frame_len, hop=args.hop)
-    if framing is not cfg.framing:
-        cfg = replace(cfg, framing=framing)
-    return cfg
-
-
-def _scenario_from_args(cfg: RunConfig, args: argparse.Namespace) -> ScenarioSpec:
-    spec = cfg.scenario if cfg.scenario is not None else ScenarioSpec()
-    kw = {}
-    if getattr(args, "scenario", None):
-        kw["scenario"] = args.scenario
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    if getattr(args, "duration", None) is not None:
-        kw["duration_s"] = args.duration
-    return replace(spec, **kw) if kw else spec
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` JSON (or ``{}``) with each given flag written over its key."""
+    d = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(d, dict):
+        return RunConfig.from_dict(d)  # raises: the config is not a JSON object
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    if args.command != "run":
+        d.pop("input", None)  # synth and benchmark always synthesize
+    elif "input" in flags:
+        d["scenario"] = None  # a scenario flag as well makes the run ambiguous
+    for section, keys in _FLAG_KEYS.items():
+        given = {key: flags[dest] for key, dest in keys.items() if dest in flags}
+        old = d.get(section)
+        if given and (old is None or isinstance(old, dict)):  # else from_dict rejects it
+            d[section] = {**(old or {}), **given}
+    if "grid" in flags:
+        d["grid"] = _parse_grid(flags["grid"])
+    if "baselines" in flags:
+        d["baselines"] = [b for b in flags["baselines"].split(",") if b]
+    return RunConfig.from_dict(d)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _apply_common_overrides(_load_config(args.config), args)
-    if args.input:
-        cfg = replace(cfg, scenario=None,
-                      input=InputConfig(path=args.input, format=args.format,
-                                        sample_rate_hz=args.sample_rate))
-    else:
-        cfg = replace(cfg, input=None, scenario=_scenario_from_args(cfg, args))
-    if args.baselines is not None:
-        names = tuple(b for b in args.baselines.split(",") if b)
-        cfg = replace(cfg, baselines=names)
-    out_flags = cfg.output
-    if args.dump_posteriors:
-        out_flags = replace(out_flags, dump_posteriors=True)
-    if args.plot:
-        out_flags = replace(out_flags, plot=True)
-    cfg = replace(cfg, output=out_flags)
-
-    result = pipeline.run_pipeline(cfg, args.out)
+    result = pipeline.run_pipeline(_config(args), args.out)
     print(f"analyzed {len(result.times_s)} frames -> {args.out}")
     for method in sorted(result.metrics):
-        vals = result.metrics[method]
-        parts = ", ".join(f"{k}={v:.2f}" for k, v in sorted(vals.items()))
+        parts = ", ".join(f"{k}={v:.2f}" for k, v in sorted(result.metrics[method].items()))
         print(f"  {method:<12} {parts}")
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _apply_common_overrides(_load_config(args.config), args)
-    spec = _scenario_from_args(cfg, args)
+    cfg = _config(args)
+    spec = cfg.scenario
     signal, truth = synthesize(spec, rpm_bounds=(cfg.grid.r_min, cfg.grid.r_max))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -114,16 +92,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    cfg = _apply_common_overrides(_load_config(args.config), args)
-    if args.duration is not None:
-        template = cfg.scenario if cfg.scenario is not None else ScenarioSpec()
-        cfg = replace(cfg, scenario=replace(template, duration_s=args.duration), input=None)
     scenarios = [s for s in args.scenarios.split(",") if s]
     for s in scenarios:
         if s not in SCENARIOS:
             raise ValueError(f"--scenarios: unknown scenario '{s}'")
     seeds = _parse_seeds(args.seeds)
-    pipeline.run_benchmark(cfg, scenarios, seeds, args.out, jobs=args.jobs)
+    pipeline.run_benchmark(_config(args), scenarios, seeds, args.out, jobs=args.jobs)
     print((Path(args.out) / "benchmark.txt").read_text(), end="")
     return 0
 
@@ -145,22 +119,23 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="analyze one signal or synthetic scenario")
     add_common(run)
     run.add_argument("--input", help="input WAV/CSV file (otherwise a scenario is synthesized)")
-    run.add_argument("--format", choices=["wav", "csv"], help="input format override")
+    run.add_argument("--format", dest="input_format", choices=["wav", "csv"],
+                     help="input format override")
     run.add_argument("--sample-rate", type=float, help="sample rate for CSV input")
     run.add_argument("--scenario", choices=SCENARIOS, help="synthetic scenario code")
     run.add_argument("--seed", type=int, help="scenario seed")
     run.add_argument("--duration", type=float, help="scenario duration in seconds")
     run.add_argument("--baselines",
                      help="comma list of yin,cepstrum,comb,framewise,viterbi_stft")
-    run.add_argument("--dump-posteriors", action="store_true",
+    run.add_argument("--dump-posteriors", action="store_true", default=None,
                      help="also write per-frame posterior rows (posteriors.csv)")
-    run.add_argument("--plot", action="store_true", help="write trajectory.svg")
+    run.add_argument("--plot", action="store_true", default=None, help="write trajectory.svg")
     run.set_defaults(func=_cmd_run)
 
     synth = sub.add_parser("synth", help="write a synthetic scenario to disk")
     add_common(synth)
-    synth.add_argument("--scenario", choices=SCENARIOS, default="S0")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--scenario", choices=SCENARIOS, help="scenario code (default S0)")
+    synth.add_argument("--seed", type=int, help="scenario seed (default 0)")
     synth.add_argument("--duration", type=float, help="duration in seconds")
     synth.add_argument("--format", choices=["wav", "csv"], default="wav")
     synth.set_defaults(func=_cmd_synth)

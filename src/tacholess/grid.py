@@ -45,11 +45,14 @@ class RpmGrid:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_step(cls, r_min: float, r_max: float, step_rpm: float) -> "RpmGrid":
+    def from_step(cls, r_min: float, r_max: float, step_rpm: float = 1.0) -> "RpmGrid":
         """Build a grid from a step size, holding r_min and the step exact.
 
         r_max is snapped to the nearest whole number of steps.
         """
+        for name, value in (("r_min", r_min), ("r_max", r_max), ("step_rpm", step_rpm)):
+            if not np.isfinite(value):
+                raise ValueError(f"grid.{name} must be finite, got {value}")
         if step_rpm <= 0:
             raise ValueError(f"grid step must be positive, got {step_rpm}")
         n = int(round((r_max - r_min) / step_rpm)) + 1

@@ -18,7 +18,8 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import (Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -110,6 +111,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RunConfig":
+        if not isinstance(d, dict):
+            return _build("config", cls, d)  # raises: not a JSON object
         kw = {k: _build(f"config.{k}", _SECTIONS[k], v) if k in _SECTIONS and v is not None else v
               for k, v in d.items()}
         if kw.get("scenario") is None:  # absent or null: the input file, else the default
@@ -126,20 +129,42 @@ class RunConfig:
 
 # how each section of RunConfig is built from its JSON object's keys
 _SECTIONS = {"scenario": ScenarioSpec, "input": InputConfig, "framing": FramingConfig,
-             "grid": lambda r_min, r_max, step_rpm=1.0: RpmGrid.from_step(r_min, r_max, step_rpm),
-             "alignment": CurveToGridConfig, "tracker": TrackerConfig,
+             "grid": RpmGrid.from_step, "alignment": CurveToGridConfig, "tracker": TrackerConfig,
              "estimators": EstimatorSetConfig, "viterbi": ViterbiConfig, "output": OutputConfig}
 
 
-def _build(section: str, make: Callable[..., Any], d: dict[str, Any]) -> Any:
-    """``make(**d)``, after a ValueError naming ``section`` if ``d`` has a key
-    that ``make`` does not take or lacks one that ``make`` has no default for."""
+def _build(section: str, make: Callable[..., Any], d: Any) -> Any:
+    """``make(**d)``, after a ValueError naming ``section`` if ``d`` is not a JSON
+    object, has a key that ``make`` does not take, lacks one that ``make`` has no
+    default for, or holds a value that does not fit the key's annotation."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{section}: expected a JSON object, got {d!r}")
     params = inspect.signature(make).parameters
     required = {name for name, p in params.items() if p.default is p.empty}
     for kind, keys in (("unknown", set(d) - set(params)), ("missing", required - set(d))):
         if keys:
             raise ValueError(f"{section}: {kind} keys {sorted(keys)}")
+    hints = get_type_hints(make)
+    for key, value in d.items():
+        if not _fits(value, hints[key]):
+            hint = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise ValueError(f"{section}.{key}: expected {hint}, got {value!r}")
     return make(**d)
+
+
+def _fits(value: Any, hint: Any) -> bool:
+    """Whether a JSON value fits a type annotation: an int fits a float, a list a
+    tuple, and a bool no number."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if origin is dict:  # JSON keys are strings
+        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
+    if args:  # a union such as float | None
+        return any(_fits(value, h) for h in args)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _plain(value: Any) -> Any:

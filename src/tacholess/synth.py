@@ -75,10 +75,9 @@ class ScenarioSpec:
             raise ValueError(
                 f"jump_time_s must fall inside (0, {self.duration_s}), got {self.jump_time_s}"
             )
-        if self.harmonic_amps is not None:
-            object.__setattr__(self, "harmonic_amps", tuple(float(a) for a in self.harmonic_amps))
-        if self.detuning is not None:
-            object.__setattr__(self, "detuning", tuple(float(d) for d in self.detuning))
+        for name in ("harmonic_amps", "detuning"):  # JSON lists become tuples
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
     def amps(self) -> np.ndarray:
         if self.harmonic_amps is not None:
@@ -95,10 +94,7 @@ class ScenarioSpec:
         return out
 
     def to_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d["harmonic_amps"] = list(self.harmonic_amps) if self.harmonic_amps is not None else None
-        d["detuning"] = list(self.detuning) if self.detuning is not None else None
-        return d
+        return asdict(self)  # tuples, which json writes as lists
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScenarioSpec":

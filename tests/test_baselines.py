@@ -125,7 +125,8 @@ def test_viterbi_stft_needs_spectral_peaks():
         viterbi_stft(flat, FramingConfig(), grid)
     spec = ScenarioSpec(scenario="S0", duration_s=1.0, seed=2)
     sig, _ = synthesize(spec)
-    with pytest.raises(ValueError):
-        viterbi_stft(sig, FramingConfig(), grid, transition_penalty_per_rpm=-1.0)
+    for penalty in (-1.0, np.nan, np.inf):  # NaN and inf used to act as penalty 0
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            viterbi_stft(sig, FramingConfig(), grid, transition_penalty_per_rpm=penalty)
     with pytest.raises(ValueError):
         viterbi_stft(sig, FramingConfig(), grid, n_candidates_per_frame=0)

@@ -35,6 +35,12 @@ def test_grid_validation():
         RpmGrid(r_min=100.0, r_max=200.0, n_points=1)
     with pytest.raises(ValueError):
         RpmGrid.from_step(100.0, 200.0, 0.0)
+    # non-finite bounds or step are named before any arithmetic on them
+    for args, name in (((300.0, np.inf, 1.0), "r_max"), ((np.nan, 4000.0, 1.0), "r_min"),
+                       ((300.0, 4000.0, np.nan), "step_rpm"), ((-np.inf, 4000.0, 1.0), "r_min"),
+                       ((300.0, 4000.0, np.inf), "step_rpm")):
+        with pytest.raises(ValueError, match=f"grid.{name} must be finite"):
+            RpmGrid.from_step(*args)
 
 
 def test_grid_values_read_only():

@@ -444,8 +444,7 @@ def test_cli_parse_helpers():
     assert _parse_seeds("1..4") == [1, 2, 3, 4]
     with pytest.raises(ValueError, match="empty seed range"):
         _parse_seeds("5..2")
-    grid = _parse_grid("300:4000:1")
-    assert (grid.r_min, grid.r_max, grid.n_points) == (300.0, 4000.0, 3701)
+    assert _parse_grid("300:4000:1") == {"r_min": 300.0, "r_max": 4000.0, "step_rpm": 1.0}
     with pytest.raises(ValueError, match="min:max:step"):
         _parse_grid("300:4000")
 
@@ -543,6 +542,10 @@ def test_cli_errors_exit_2(tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "t"), "--config", str(cfg_path)])
         assert code == 2
         assert f"{name} must be finite" in capsys.readouterr().err
+    for grid, name in (("300:inf:1", "r_max"), ("nan:4000:1", "r_min"),
+                       ("300:4000:nan", "step_rpm")):
+        assert main(["run", "--out", str(tmp_path / "g"), "--grid", grid]) == 2
+        assert f"grid.{name} must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, value, message", [
@@ -557,3 +560,82 @@ def test_config_rejects_bad_keys_inside_a_section(tmp_path, capsys, section, val
     cfg_path.write_text(json.dumps({section: value}))
     assert main(["synth", "--out", str(tmp_path / "s"), "--config", str(cfg_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d, message", [
+    (5, "config: expected a JSON object, got 5"),
+    ([1], "config: expected a JSON object, got [1]"),
+    ({"tracker": 5}, "config.tracker: expected a JSON object, got 5"),
+    ({"framing": None}, "config.framing: expected FramingConfig, got None"),
+    ({"grid": {"r_min": "300", "r_max": 4000}}, "config.grid.r_min: expected float, got '300'"),
+    ({"fusion_weights": {"yin": "a"}}, "config.fusion_weights: expected dict[str, float]"),
+    ({"framing": {"frame_len": 8192.0}}, "config.framing.frame_len: expected int, got 8192.0"),
+    ({"viterbi": {"n_candidates_per_frame": 2.5}},
+     "config.viterbi.n_candidates_per_frame: expected int, got 2.5"),
+    ({"tracker": {"eps_c": True}}, "config.tracker.eps_c: expected float, got True"),
+    ({"output": {"plot": 1}}, "config.output.plot: expected bool, got 1"),
+    ({"baselines": "comb"}, "config.baselines: expected tuple[str, ...], got 'comb'"),
+    ({"scenario": {"harmonic_amps": [1.0, "x"], "n_harmonics": 2}},
+     "config.scenario.harmonic_amps: expected tuple[float, ...] | None"),
+])
+def test_config_rejects_values_of_the_wrong_json_type(tmp_path, capsys, d, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig.from_dict(d)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(d))
+    assert main(["synth", "--out", str(tmp_path / "s"), "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_takes_ints_for_floats_and_lists_for_tuples():
+    cfg = RunConfig.from_dict({"grid": {"r_min": 1200, "r_max": 1800},
+                               "fusion_weights": {"yin": 2},
+                               "scenario": {"harmonic_amps": [1, 0.5], "n_harmonics": 2}})
+    assert (cfg.grid.r_min, cfg.grid.step, cfg.grid.n_points) == (1200, 1.0, 601)
+    assert cfg.scenario.harmonic_amps == (1.0, 0.5) and cfg.fusion_weights == {"yin": 2}
+
+
+def test_cli_replays_a_file_run_from_its_config(tmp_path):
+    gen = tmp_path / "gen"
+    assert main(["synth", "--out", str(gen), "--scenario", "S2", "--seed", "1",
+                 "--duration", "0.7"]) == 0
+    first, again = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--input", str(gen / "signal_S2_seed1.wav"), "--out", str(first),
+                 "--grid", "1200:1800:1"]) == 0
+    # the replay used to synthesize the default S0 clip in place of the file
+    assert main(["run", "--config", str(first / "config.json"), "--out", str(again)]) == 0
+    trajectory = (first / "trajectory.csv").read_bytes()
+    assert (again / "trajectory.csv").read_bytes() == trajectory
+    assert json.loads((again / "metrics.json").read_text())["has_reference"] is False
+    # a scenario flag over a config naming an input is ambiguous, not a synthesis
+    assert main(["run", "--config", str(first / "config.json"), "--scenario", "S3",
+                 "--out", str(tmp_path / "c")]) == 2
+
+
+def test_cli_input_flag_keeps_the_config_input_section(tmp_path):
+    gen = tmp_path / "gen"
+    assert main(["synth", "--out", str(gen), "--scenario", "S0", "--seed", "1",
+                 "--duration", "0.7", "--format", "csv"]) == 0
+    csv_path = gen / "signal_S0_seed1.csv"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"input": {"path": "elsewhere.csv", "sample_rate_hz": 12800},
+                                    "grid": {"r_min": 1200, "r_max": 1800}}))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--input", str(csv_path),
+                 "--out", str(out)]) == 0
+    saved = json.loads((out / "config.json").read_text())
+    assert saved["input"] == {"path": str(csv_path), "format": None, "sample_rate_hz": 12800}
+    assert saved["scenario"] is None
+
+
+def test_cli_synth_takes_the_scenario_from_its_config(tmp_path):
+    cfg_path = tmp_path / "s3.json"
+    cfg_path.write_text(json.dumps({"scenario": {"scenario": "S3", "seed": 7, "duration_s": 0.7}}))
+    cases = (([], "S3_seed7"), (["--seed", "0"], "S3_seed0"), (None, "S0_seed0"))
+    for extra, stem in cases:
+        out = tmp_path / stem
+        config = ["--duration", "0.7"] if extra is None else ["--config", str(cfg_path), *extra]
+        assert main(["synth", "--out", str(out), *config]) == 0
+        assert (out / f"signal_{stem}.wav").exists()
+        spec = json.loads((out / f"scenario_{stem}.json").read_text())
+        assert spec["scenario"] + "_seed" + str(spec["seed"]) == stem
