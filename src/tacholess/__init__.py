@@ -21,22 +21,19 @@ from .pipeline import (AnalysisResult, EstimatorSetConfig, InputConfig,
                        evidence_chunks, metrics_json, run_benchmark,
                        run_pipeline)
 from .synth import SCENARIOS, GroundTruth, ScenarioSpec, synthesize
-from .tracker import (PosteriorState, TrackerConfig, TrajectoryPoint,
-                      curvature_sigma, estimate, init_posterior, predict,
-                      track, update)
+from .tracker import TrackerConfig, curvature_sigma, estimate, predict, track, update
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisResult", "AxisType", "BaselineTrajectory", "CurveToGridConfig",
     "EstimatorSetConfig", "EvidenceCurve", "FramingConfig",
-    "FusionWeights", "GroundTruth", "InputConfig",
-    "OutputConfig", "Polarity", "PosteriorState", "RpmGrid", "RunConfig",
-    "SCENARIOS", "ScenarioSpec", "Signal", "TrackerConfig", "TrajectoryPoint",
+    "FusionWeights", "GroundTruth", "InputConfig", "OutputConfig", "Polarity",
+    "RpmGrid", "RunConfig", "SCENARIOS", "ScenarioSpec", "Signal", "TrackerConfig",
     "ViterbiConfig", "aligned_loglik", "analyze", "cepstrum_curve", "comb_curve",
     "compute_metrics", "curvature_sigma",
     "difference_function", "estimate", "evidence_chunks", "frame_signal", "frame_times",
-    "framewise_trajectory", "init_posterior", "kernel_scatter", "lag_bounds",
+    "framewise_trajectory", "kernel_scatter", "lag_bounds",
     "load_signal", "map_axis_to_rpm", "mass_entropy", "metrics_json", "n_frames",
     "pool_logliks", "predict", "robust_standardize", "run_benchmark",
     "run_pipeline", "save_signal", "single_estimator_pick", "stability_metrics",

@@ -14,6 +14,7 @@ import inspect
 import itertools
 import json
 import queue
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -33,7 +34,7 @@ from .ingest import FramingConfig, Signal, frame_signal, frame_times, load_signa
 from .metrics import compute_metrics, stability_metrics
 from .plotting import write_trajectory_svg
 from .synth import GroundTruth, ScenarioSpec, synthesize
-from .tracker import PosteriorState, TrackerConfig, TrajectoryPoint, track
+from .tracker import TrackerConfig, track
 
 ESTIMATOR_IDS = ("yin", "cepstrum", "comb")
 BASELINE_IDS = ("yin", "cepstrum", "comb", "framewise", "viterbi_stft")
@@ -164,6 +165,10 @@ def _fits(value: Any, hint: Any) -> bool:
         return any(_fits(value, h) for h in args)
     if isinstance(value, bool) and hint is not bool:
         return False
+    if isinstance(value, int) and hint in (int, float):
+        # a float field takes the ints a float holds exactly (numpy ufuncs take
+        # no int past 2**64), an int field those within the float range
+        return abs(value) <= (2**53 if hint is float else sys.float_info.max)
     return isinstance(value, (int, float) if hint is float else hint)
 
 
@@ -273,14 +278,14 @@ def _consume_on_worker(consume: Callable[[Iterator[Any]], Any], items: Iterable[
 class AnalysisResult:
     config: RunConfig
     times_s: np.ndarray
-    tracked: list[TrajectoryPoint]
+    # one row per frame: frame_index, time_s, map_rpm, mmse_rpm, sigma_rpm,
+    # entropy_nats; read a column (tracked.mmse_rpm) or a row (tracked[-1])
+    tracked: np.recarray
     baselines: dict[str, BaselineTrajectory]
     reference: np.ndarray | None
     metrics: dict[str, dict[str, float]]
-    posteriors: list[PosteriorState] | None = None
-
-    def tracked_rpm(self) -> np.ndarray:
-        return np.array([p.mmse_rpm for p in self.tracked])
+    # the (G,) posterior mass row of each frame, with output.dump_posteriors
+    posteriors: list[np.ndarray] | None = None
 
 
 def _resolve_input(cfg: RunConfig) -> tuple[Signal, GroundTruth | None]:
@@ -346,7 +351,7 @@ def _analyze(cfg: RunConfig, overlap: bool) -> AnalysisResult:
     reference = truth.frame_references(cfg.framing) if truth is not None else None
 
     metrics: dict[str, dict[str, float]] = {}
-    series = {"tracked": np.array([p.mmse_rpm for p in tracked])}
+    series = {"tracked": tracked.mmse_rpm}
     for name, traj in baselines.items():
         series[name] = traj.rpm
     for name, rpm in series.items():
@@ -404,10 +409,9 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path) -> dict[str, Path
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    columns = ["frame_index", "time_s", "map_rpm", "mmse_rpm", "sigma_rpm", "entropy_nats"]
-    paths["trajectory"] = write_table(
-        out / "trajectory.csv", columns, ["%d"] + ["%.9g"] * 5,
-        ([getattr(pt, c) for c in columns] for pt in result.tracked))
+    tracked = result.tracked
+    paths["trajectory"] = write_table(out / "trajectory.csv", tracked.dtype.names,
+                                      ["%d"] + ["%.9g"] * 5, tracked.tolist())
 
     for name, traj in result.baselines.items():
         paths[f"baseline_{name}"] = write_table(
@@ -429,19 +433,17 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path) -> dict[str, Path
 
     if result.posteriors is not None:
         grid = result.config.grid.values.tolist()  # the header row is the grid
-        rows = itertools.chain([grid], (state.mass.tolist() for state in result.posteriors))
+        rows = itertools.chain([grid], (mass.tolist() for mass in result.posteriors))
         paths["posteriors"] = write_table(out / "posteriors.csv", None, ["%.9g"] * len(grid),
                                           rows, line_end="\n")
 
     if result.config.output.plot:
         p = out / "trajectory.svg"
-        series = {"tracked": np.array([pt.mmse_rpm for pt in result.tracked])}
+        series = {"tracked": tracked.mmse_rpm}
         for name, traj in result.baselines.items():
             series[name] = traj.rpm
-        band_lo = np.array([pt.mmse_rpm - pt.sigma_rpm for pt in result.tracked])
-        band_hi = np.array([pt.mmse_rpm + pt.sigma_rpm for pt in result.tracked])
-        write_trajectory_svg(p, result.times_s, series, band=(band_lo, band_hi),
-                             reference=result.reference)
+        band = (tracked.mmse_rpm - tracked.sigma_rpm, tracked.mmse_rpm + tracked.sigma_rpm)
+        write_trajectory_svg(p, result.times_s, series, band=band, reference=result.reference)
         paths["plot"] = p
 
     return paths

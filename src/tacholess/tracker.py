@@ -1,12 +1,14 @@
 """Curvature-adaptive recursive Bayesian tracking on the RPM grid.
 
-The state is a full posterior mass vector over the grid. Each step reads the
-local log-posterior curvature to set a per-bin diffusion scale (sharp peak ->
-narrow transitions, flat posterior -> wide), diffuses with per-column
-renormalized truncated Gaussians (mass stays on the bounded grid), then
-multiplies in the fused frame likelihood. Strictly online: outputs for frame t
-depend only on frames 1..t, so `track` takes the fused rows either as one
-(T, G) array or as an iterator of (n, G) blocks filtered as they arrive.
+The state is one plain (G,) float64 posterior mass vector over the grid. Each
+step reads the local log-posterior curvature to set a per-bin diffusion scale
+(sharp peak -> narrow transitions, flat posterior -> wide), diffuses with
+per-column renormalized truncated Gaussians (mass stays on the bounded grid),
+multiplies in the fused frame likelihood, and reads MAP, MMSE, sigma and
+entropy off the result. Strictly online: outputs for frame t depend only on
+frames 1..t, so `track` takes the fused rows either as one (T, G) array or as
+an iterator of (n, G) blocks filtered as they arrive, and returns one record
+array row per frame.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .grid import RpmGrid
 
 # bins per block of the block-Toeplitz predict; smaller sigma groups convolve directly
 _BLOCK = 64
+# one row of a tracked trajectory: frame_index counts frames from 1
+TRACK_DTYPE = np.dtype([("frame_index", np.int64), ("time_s", np.float64),
+                        ("map_rpm", np.float64), ("mmse_rpm", np.float64),
+                        ("sigma_rpm", np.float64), ("entropy_nats", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -45,43 +51,7 @@ class TrackerConfig:
             )
 
 
-@dataclass(frozen=True)
-class PosteriorState:
-    """Posterior mass over the grid after frame ``frame_index`` (0 = prior)."""
-
-    grid: RpmGrid
-    mass: np.ndarray
-    frame_index: int
-
-    def __post_init__(self):
-        m = np.asarray(self.mass, dtype=np.float64)
-        if m.shape != (self.grid.n_points,):
-            raise ValueError(f"mass shape {m.shape} does not match grid ({self.grid.n_points},)")
-        if np.any(m < 0) or not np.all(np.isfinite(m)):
-            raise ValueError("posterior mass must be finite and non-negative")
-        total = m.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"posterior mass sums to {total!r}, expected 1")
-        m.flags.writeable = False
-        object.__setattr__(self, "mass", m)
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    frame_index: int
-    time_s: float
-    map_rpm: float
-    mmse_rpm: float
-    sigma_rpm: float
-    entropy_nats: float
-
-
-def init_posterior(grid: RpmGrid) -> PosteriorState:
-    """Uniform prior over the grid."""
-    return PosteriorState(grid, np.full(grid.n_points, 1.0 / grid.n_points), 0)
-
-
-def curvature_sigma(state: PosteriorState, cfg: TrackerConfig) -> np.ndarray:
+def curvature_sigma(mass: np.ndarray, grid: RpmGrid, cfg: TrackerConfig) -> np.ndarray:
     """Per-bin diffusion scale from local log-posterior curvature.
 
     l = log(mass + eps_log) is pre-smoothed with a 3-point moving average
@@ -89,15 +59,15 @@ def curvature_sigma(state: PosteriorState, cfg: TrackerConfig) -> np.ndarray:
     and sigma^2 = clip(1 / (max(0, -l'') + eps_c), sigma_min^2, sigma_max^2).
     Boundary bins replicate the nearest interior curvature.
     """
-    g = state.grid.n_points
+    g = grid.n_points
     if g < 3:
         raise ValueError(f"curvature needs a grid of >= 3 points, got {g}")
-    l = np.log(state.mass + cfg.eps_log)
+    l = np.log(mass + cfg.eps_log)
     sm = np.empty_like(l)
     sm[1:-1] = (l[:-2] + l[1:-1] + l[2:]) / 3.0
     sm[0] = (l[0] + l[1]) / 2.0
     sm[-1] = (l[-2] + l[-1]) / 2.0
-    dr2 = state.grid.step ** 2
+    dr2 = grid.step ** 2
     curv = np.empty_like(l)
     curv[1:-1] = (sm[2:] - 2.0 * sm[1:-1] + sm[:-2]) / dr2
     curv[0] = curv[1]
@@ -148,7 +118,7 @@ def _block_operator(s: float, dr: float, truncation_sigmas: float, g: int):
     return half, norm, blocks
 
 
-def predict(state: PosteriorState, sigmas: np.ndarray,
+def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid,
             truncation_sigmas: float = 6.0) -> np.ndarray:
     """Diffuse posterior mass with per-bin Gaussian transition columns.
 
@@ -162,10 +132,8 @@ def predict(state: PosteriorState, sigmas: np.ndarray,
     blocks and column norms cached per sigma and grid. Smaller groups run
     one direct convolution over their span.
     """
-    grid = state.grid
     g = grid.n_points
     dr = grid.step
-    mass = state.mass
     sigmas = np.asarray(sigmas, dtype=np.float64)
     if sigmas.shape != (g,):
         raise ValueError(f"sigmas shape {sigmas.shape} does not match grid ({g},)")
@@ -206,36 +174,25 @@ def predict(state: PosteriorState, sigmas: np.ndarray,
     return out
 
 
-def update(predicted_mass: np.ndarray, loglik: np.ndarray, grid: RpmGrid,
-           cfg: TrackerConfig, frame_index: int) -> PosteriorState:
-    """Bayes product of predicted mass and one frame's (G,) log-likelihood,
-    in the log domain, max-shifted and normalized back to mass."""
-    predicted_mass = np.asarray(predicted_mass, dtype=np.float64)
-    for name, v in (("predicted mass", predicted_mass), ("log-likelihood", loglik)):
-        if np.shape(v) != (grid.n_points,):
-            raise ValueError(
-                f"{name} shape {np.shape(v)} does not match grid ({grid.n_points},)"
-            )
-    log_post = np.log(predicted_mass + cfg.eps_log) + loglik
+def update(prior: np.ndarray, loglik: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
+    """Posterior mass: the Bayes product of (G,) prior mass and one frame's
+    (G,) log-likelihood, in the log domain, max-shifted and normalized."""
+    if np.shape(prior) != np.shape(loglik):
+        raise ValueError(f"prior shape {np.shape(prior)} does not match "
+                         f"log-likelihood shape {np.shape(loglik)}")
+    log_post = np.log(prior + cfg.eps_log) + loglik
     mass = np.exp(log_post - log_post.max())
     mass /= mass.sum()
-    return PosteriorState(grid, mass, frame_index)
+    return mass
 
 
-def estimate(state: PosteriorState, time_s: float = float("nan")) -> TrajectoryPoint:
-    """MAP (first max on ties), MMSE, posterior stddev, and entropy."""
-    values = state.grid.values
-    mass = state.mass
+def estimate(mass: np.ndarray, grid: RpmGrid) -> tuple[float, float, float, float]:
+    """(MAP (first max on ties), MMSE, posterior stddev, entropy) of grid mass."""
+    values = grid.values
     mmse = float(mass @ values)
     var = float(mass @ (values - mmse) ** 2)
-    return TrajectoryPoint(
-        frame_index=state.frame_index,
-        time_s=time_s,
-        map_rpm=float(values[int(np.argmax(mass))]),
-        mmse_rpm=mmse,
-        sigma_rpm=float(np.sqrt(max(var, 0.0))),
-        entropy_nats=mass_entropy(mass),
-    )
+    return (float(values[int(np.argmax(mass))]), mmse, float(np.sqrt(max(var, 0.0))),
+            mass_entropy(mass))
 
 
 def _checked_blocks(blocks: Iterable, grid: RpmGrid,
@@ -268,26 +225,27 @@ def track(loglik: np.ndarray | Iterator[np.ndarray], grid: RpmGrid, cfg: Tracker
     filtering, or an iterator of (n, G) blocks in frame order, each checked
     and filtered as it arrives.
 
-    Returns the trajectory points, plus the per-frame posterior states when
-    ``return_posteriors`` is set.
+    Returns a record array with one row per frame and the columns of
+    ``TRACK_DTYPE`` (``time_s`` is nan without ``times_s``), plus the list of
+    per-frame (G,) posterior mass rows when ``return_posteriors`` is set.
     """
     n_times = None if times_s is None else len(times_s)
     if isinstance(loglik, Iterator):
         blocks = _checked_blocks(loglik, grid, n_times)
     else:
         blocks = list(_checked_blocks([loglik], grid, n_times))
-    state = init_posterior(grid)
-    points: list[TrajectoryPoint] = []
-    posteriors: list[PosteriorState] = []
+    mass = np.full(grid.n_points, 1.0 / grid.n_points)  # uniform prior
+    rows = []
+    posteriors = []
     for start, block in blocks:
         for t, row in enumerate(block, start=start + 1):
-            sig = curvature_sigma(state, cfg)
-            prior = predict(state, sig, cfg.kernel_truncation_sigmas)
-            state = update(prior, row, grid, cfg, frame_index=t)
+            sig = curvature_sigma(mass, grid, cfg)
+            mass = update(predict(mass, sig, grid, cfg.kernel_truncation_sigmas), row, cfg)
             when = float(times_s[t - 1]) if times_s is not None else float("nan")
-            points.append(estimate(state, when))
+            rows.append((t, when, *estimate(mass, grid)))
             if return_posteriors:
-                posteriors.append(state)
+                posteriors.append(mass)
+    tracked = np.array(rows, dtype=TRACK_DTYPE).view(np.recarray)
     if return_posteriors:
-        return points, posteriors
-    return points
+        return tracked, posteriors
+    return tracked

@@ -170,5 +170,5 @@ def naive_write_tables(result, out_dir: Path) -> None:
     if result.posteriors is not None:
         with open(out / "posteriors.csv", "w", newline="") as fh:
             fh.write(",".join(f"{v:.9g}" for v in result.config.grid.values) + "\n")
-            for state in result.posteriors:
-                fh.write(",".join(f"{m:.9g}" for m in state.mass) + "\n")
+            for mass in result.posteriors:
+                fh.write(",".join(f"{m:.9g}" for m in mass) + "\n")

@@ -13,7 +13,6 @@ from tacholess import (
     FramingConfig,
     FusionWeights,
     Polarity,
-    PosteriorState,
     RpmGrid,
     ScenarioSpec,
     TrackerConfig,
@@ -56,10 +55,9 @@ def _random_log_values(rng: np.random.Generator, grid: RpmGrid) -> np.ndarray:
     return raw - logsumexp(raw)
 
 
-def _random_state(rng: np.random.Generator, grid: RpmGrid) -> PosteriorState:
+def _random_mass(rng: np.random.Generator, grid: RpmGrid) -> np.ndarray:
     mass = rng.dirichlet(np.full(grid.n_points, 0.6))
-    mass = mass / mass.sum()
-    return PosteriorState(grid=grid, mass=mass, frame_index=1)
+    return mass / mass.sum()
 
 
 def check_standardize(n_cases: int, seed: int = 101) -> None:
@@ -120,8 +118,7 @@ def check_sigma_bounds(n_cases: int, seed: int = 505) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
         grid = _random_grid(rng)
-        state = _random_state(rng, grid)
-        sig = curvature_sigma(state, cfg)
+        sig = curvature_sigma(_random_mass(rng, grid), grid, cfg)
         assert sig.shape == (grid.n_points,)
         assert np.all(sig >= cfg.sigma_min_rpm)
         assert np.all(sig <= cfg.sigma_max_rpm)
@@ -131,9 +128,9 @@ def check_predict_mass(n_cases: int, seed: int = 606) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
         grid = _random_grid(rng)
-        state = _random_state(rng, grid)
+        mass = _random_mass(rng, grid)
         sig = rng.uniform(40.0, 150.0, grid.n_points)
-        out = predict(state, sig)
+        out = predict(mass, sig, grid)
         assert np.all(out >= 0.0)
         assert abs(float(out.sum()) - 1.0) < 1e-9
 
@@ -145,9 +142,9 @@ def check_update(n_cases: int, seed: int = 707) -> None:
         grid = _random_grid(rng)
         predicted = rng.dirichlet(np.full(grid.n_points, 0.8))
         lik = _random_log_values(rng, grid)
-        state = update(predicted, lik, grid, cfg, frame_index=1)
-        assert np.all(state.mass >= 0.0)
-        assert abs(float(state.mass.sum()) - 1.0) < 1e-9
+        mass = update(predicted, lik, cfg)
+        assert np.all(mass >= 0.0)
+        assert abs(float(mass.sum()) - 1.0) < 1e-9
 
 
 def check_track_causal(n_cases: int, seed: int = 808) -> None:
@@ -158,15 +155,23 @@ def check_track_causal(n_cases: int, seed: int = 808) -> None:
         t = int(rng.integers(2, 7))
         liks = np.array([_random_log_values(rng, grid) for _ in range(t)])
         times = [0.01 * k for k in range(t)]
-        full = track(liks, grid, cfg, times_s=times)
+        full, masses = track(liks, grid, cfg, times_s=times, return_posteriors=True)
         cut = int(rng.integers(1, t))
         prefix = track(liks[:cut], grid, cfg, times_s=times[:cut])
-        for a, b in zip(prefix, full[:cut]):
-            assert a == b  # bit-identical: later frames cannot touch earlier output
+        # bit-identical: later frames cannot touch earlier output
+        assert np.array_equal(prefix, full[:cut])
+        # one finite, non-negative (G,) mass row per frame, each summing to 1
+        assert len(masses) == len(full) == t
+        for mass in masses:
+            assert mass.shape == (grid.n_points,)
+            assert np.all(np.isfinite(mass)) and np.all(mass >= 0.0)
+            assert abs(float(mass.sum()) - 1.0) <= 1e-9
         # the same frames streamed as row blocks split at random boundaries
         bounds = np.sort(rng.choice(np.arange(1, t), size=int(rng.integers(0, t)), replace=False))
-        streamed = track(iter(np.split(liks, bounds)), grid, cfg, times_s=times)
-        assert streamed == full
+        streamed, streamed_masses = track(iter(np.split(liks, bounds)), grid, cfg, times_s=times,
+                                          return_posteriors=True)
+        assert np.array_equal(streamed, full)
+        assert all(np.array_equal(a, b) for a, b in zip(streamed_masses, masses, strict=True))
 
 
 def check_synth_determinism(n_cases: int, seed: int = 909) -> None:

@@ -16,7 +16,6 @@ from tacholess import (
     CurveToGridConfig,
     EvidenceCurve,
     Polarity,
-    PosteriorState,
     RpmGrid,
     RunConfig,
     ScenarioSpec,
@@ -107,12 +106,12 @@ def test_c02_oracle_equivalence():
         grid = RpmGrid(r_min=r_min, r_max=r_min + float(rng.uniform(40.0, 400.0)),
                        n_points=g)
         mass = rng.dirichlet(np.full(g, 0.7))
-        state = PosteriorState(grid=grid, mass=mass / mass.sum(), frame_index=1)
+        mass = mass / mass.sum()
         sig = rng.uniform(40.0, 150.0, g)
         if rng.integers(2):
             sig = np.full(g, float(rng.uniform(40.0, 150.0)))  # one sigma group
-        out = predict(state, sig, truncation_sigmas=6.0)
-        ref = naive_predict(state.mass, sig, grid, 6.0)
+        out = predict(mass, sig, grid, truncation_sigmas=6.0)
+        ref = naive_predict(mass, sig, grid, 6.0)
         scale = np.maximum(np.abs(ref), 1e-300)
         worst_pred = max(worst_pred, float(np.max(np.abs(out - ref) / scale)))
 
@@ -130,12 +129,12 @@ def test_c03_gaussian_product_closed_form():
     for prior_mu, prior_s, lik_mu, lik_s in cases:
         prior = discrete_gaussian_mass(GRID, prior_mu, prior_s)
         lik = _loglik(discrete_gaussian_mass(GRID, lik_mu, lik_s))
-        pt = estimate(update(prior, lik, GRID, cfg, frame_index=1))
+        _, mmse_rpm, sigma_rpm, _ = estimate(update(prior, lik, cfg), GRID)
         w = (1.0 / prior_s**2) / (1.0 / prior_s**2 + 1.0 / lik_s**2)
         mu = w * prior_mu + (1.0 - w) * lik_mu
         s = np.sqrt(1.0 / (1.0 / prior_s**2 + 1.0 / lik_s**2))
-        worst_mu = max(worst_mu, abs(pt.mmse_rpm - mu))
-        worst_s = max(worst_s, abs(pt.sigma_rpm - s))
+        worst_mu = max(worst_mu, abs(mmse_rpm - mu))
+        worst_s = max(worst_s, abs(sigma_rpm - s))
     tol = 2.0 * GRID.step
     ok = worst_mu <= tol and worst_s <= tol
     _report("C3 Bayes update conjugacy", ok,
@@ -148,15 +147,13 @@ def test_c04_curvature_calibration():
     rel_errs = []
     for s in (50.0, 80.0, 120.0):
         mass = discrete_gaussian_mass(GRID, 2000.0, s)
-        sig = curvature_sigma(PosteriorState(grid=GRID, mass=mass, frame_index=1), cfg)
+        sig = curvature_sigma(mass, GRID, cfg)
         mode = int(np.argmax(mass))
         rel_errs.append(abs(sig[mode] - s) / s)
     sharp = discrete_gaussian_mass(GRID, 2000.0, 1.0)
-    sig_sharp = curvature_sigma(PosteriorState(grid=GRID, mass=sharp, frame_index=1), cfg)
+    sig_sharp = curvature_sigma(sharp, GRID, cfg)
     lo_clip = sig_sharp[int(np.argmax(sharp))]
-    uniform = PosteriorState(grid=GRID, mass=np.full(GRID.n_points, 1.0 / GRID.n_points),
-                             frame_index=1)
-    hi_clip = curvature_sigma(uniform, cfg)
+    hi_clip = curvature_sigma(np.full(GRID.n_points, 1.0 / GRID.n_points), GRID, cfg)
     ok = (max(rel_errs) <= 0.10 and lo_clip == 40.0 and np.all(hi_clip == 150.0))
     _report("C4 curvature-to-sigma calibration", ok,
             f"recovered 50/80/120 within {100 * max(rel_errs):.2f}%, "
@@ -168,7 +165,7 @@ def test_c05_constant_speed_convergence():
     cfg = RunConfig(scenario=ScenarioSpec(scenario="S0", seed=1), baselines=())
     result = analyze(cfg)
     elapsed = time.perf_counter() - t0
-    rpm = result.tracked_rpm()
+    rpm = result.tracked.mmse_rpm
     err_after_settle = np.abs(rpm[5:] - result.reference[5:])
     worst = float(err_after_settle.max())
     ok = worst <= 5.0 and elapsed < 60.0
@@ -233,8 +230,7 @@ def test_c08_corrupted_burst_recovery():
     for idx in (199, 200, 201):
         fused[idx] = _loglik(bogus)
 
-    tracked = track(fused, GRID, cfg.tracker, times)
-    tracked_rpm = np.array([p.mmse_rpm for p in tracked])
+    tracked_rpm = track(fused, GRID, cfg.tracker, times).mmse_rpm
     frame_rpm = framewise_trajectory(fused, GRID, times).rpm
     ref = np.full(len(fused), 1500.0)
     m_tracked = compute_metrics(tracked_rpm, ref)

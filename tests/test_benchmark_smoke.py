@@ -26,6 +26,29 @@ print(json.dumps({name: max_abs_drpm(name, Path(sys.argv[1])) for name in WORKLO
 """
 
 
+# names the benchmark's tracer wraps that no longer exist in the program
+STALE_TRACED_NAMES = {"tacholess.pipeline.curve_to_grid_loglik",
+                      "tacholess.pipeline.fuse_loglik", "grid.GridLogLikelihood"}
+
+
+def test_the_tracer_finds_every_name_it_wraps(monkeypatch):
+    # a renamed layer function would leave its span empty in the traced
+    # benchmark without any error, so the set of missing names is pinned
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+    from tacholess import RpmGrid, RunConfig, ScenarioSpec, analyze
+
+    cfg = RunConfig(scenario=ScenarioSpec(scenario="S0", duration_s=0.8, seed=1),
+                    grid=RpmGrid.from_step(1200.0, 1800.0, 1.0))
+    with spans.Tracer() as tracer:
+        n = len(tracer.entry(lambda: analyze(cfg)).tracked)
+    assert set(tracer.missing) <= STALE_TRACED_NAMES
+    assert tracer.restored()
+    for step in ("curvature", "predict", "update", "estimate"):
+        assert tracer.calls[f"tracker.{step}"] == n == 17, step
+    assert tracer.counts["predict_calls"] == n
+
+
 @pytest.mark.slow
 def test_benchmark_smoke_passes():
     proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT,

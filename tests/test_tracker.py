@@ -5,12 +5,10 @@ import pytest
 from scipy.special import logsumexp
 
 from tacholess import (
-    PosteriorState,
     RpmGrid,
     TrackerConfig,
     curvature_sigma,
     estimate,
-    init_posterior,
     predict,
     track,
     update,
@@ -28,6 +26,10 @@ from props import (
 def loglik_from_mass(mass):
     lv = np.log(mass + 1e-300)
     return lv - logsumexp(lv)
+
+
+def uniform(grid):
+    return np.full(grid.n_points, 1.0 / grid.n_points)
 
 
 def test_config_defaults_and_validation():
@@ -56,39 +58,18 @@ def test_predict_rejects_a_bad_sigma_naming_its_bin(bad):
     sigmas = np.full(200, 40.0)
     sigmas[[57, 120]] = bad
     with pytest.raises(ValueError, match="sigma at bin 57 .*positive and finite"):
-        predict(init_posterior(grid), sigmas)
-
-
-def test_posterior_state_validation():
-    grid = RpmGrid(r_min=300.0, r_max=400.0, n_points=11)
-    with pytest.raises(ValueError, match="sums to"):
-        PosteriorState(grid=grid, mass=np.full(11, 0.2), frame_index=0)
-    with pytest.raises(ValueError, match="non-negative"):
-        m = np.full(11, 1.0 / 11)
-        m[0] = -1.0 / 11
-        m[1] = 3.0 / 11
-        PosteriorState(grid=grid, mass=m, frame_index=0)
-    with pytest.raises(ValueError, match="shape"):
-        PosteriorState(grid=grid, mass=np.full(10, 0.1), frame_index=0)
-
-
-def test_init_posterior_is_uniform():
-    grid = RpmGrid(r_min=300.0, r_max=400.0, n_points=101)
-    state = init_posterior(grid)
-    assert state.frame_index == 0
-    assert np.allclose(state.mass, 1.0 / 101)
+        predict(uniform(grid), sigmas, grid)
 
 
 def test_uniform_estimate_reference_values():
     grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
-    pt = estimate(init_posterior(grid), time_s=1.5)
-    assert pt.mmse_rpm == pytest.approx(2150.0, abs=1e-9)
+    map_rpm, mmse_rpm, sigma_rpm, entropy_nats = estimate(uniform(grid), grid)
+    assert mmse_rpm == pytest.approx(2150.0, abs=1e-9)
     ref_sigma = np.sqrt(np.mean((grid.values - 2150.0) ** 2))
-    assert pt.sigma_rpm == pytest.approx(ref_sigma, abs=1e-9)
-    assert abs(pt.sigma_rpm - 1068.4) < 1.0
-    assert pt.entropy_nats == pytest.approx(np.log(3701.0), abs=1e-12)
-    assert pt.map_rpm == 300.0  # ties resolve to the first grid point
-    assert pt.time_s == 1.5
+    assert sigma_rpm == pytest.approx(ref_sigma, abs=1e-9)
+    assert abs(sigma_rpm - 1068.4) < 1.0
+    assert entropy_nats == pytest.approx(np.log(3701.0), abs=1e-12)
+    assert map_rpm == 300.0  # ties resolve to the first grid point
 
 
 def test_map_tie_breaks_to_first_maximum():
@@ -96,8 +77,7 @@ def test_map_tie_breaks_to_first_maximum():
     mass = np.full(100, 0.4 / 98)
     mass[30] = 0.3
     mass[70] = 0.3
-    pt = estimate(PosteriorState(grid=grid, mass=mass, frame_index=1))
-    assert pt.map_rpm == grid.values[30]
+    assert estimate(mass, grid)[0] == grid.values[30]
 
 
 def test_curvature_sigma_on_discrete_gaussians():
@@ -105,7 +85,7 @@ def test_curvature_sigma_on_discrete_gaussians():
     grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
     for s in (50.0, 80.0, 120.0):
         mass = discrete_gaussian_mass(grid, 2000.0, s)
-        sig = curvature_sigma(PosteriorState(grid=grid, mass=mass, frame_index=1), cfg)
+        sig = curvature_sigma(mass, grid, cfg)
         mode = int(np.argmax(mass))
         # -d2/dr2 of a Gaussian log-density at its mode is exactly 1/s^2
         assert sig[mode] == pytest.approx(s, rel=1e-6)
@@ -115,18 +95,16 @@ def test_curvature_sigma_clips_both_ends():
     cfg = TrackerConfig()
     grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
     sharp = discrete_gaussian_mass(grid, 2000.0, 1.0)
-    sig = curvature_sigma(PosteriorState(grid=grid, mass=sharp, frame_index=1), cfg)
+    sig = curvature_sigma(sharp, grid, cfg)
     assert sig[int(np.argmax(sharp))] == 40.0
-    flat = init_posterior(grid)
-    assert np.all(curvature_sigma(flat, cfg) == 150.0)
+    assert np.all(curvature_sigma(uniform(grid), grid, cfg) == 150.0)
 
 
 def test_curvature_needs_three_points():
     cfg = TrackerConfig()
     grid = RpmGrid(r_min=300.0, r_max=400.0, n_points=2)
     with pytest.raises(ValueError, match=">= 3"):
-        curvature_sigma(PosteriorState(grid=grid, mass=np.array([0.5, 0.5]),
-                                       frame_index=0), cfg)
+        curvature_sigma(np.array([0.5, 0.5]), grid, cfg)
 
 
 def test_sigma_bounds_property():
@@ -137,8 +115,7 @@ def test_predict_delta_becomes_discrete_gaussian():
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
     mass = np.zeros(200)
     mass[100] = 1.0
-    state = PosteriorState(grid=grid, mass=mass, frame_index=1)
-    out = predict(state, np.full(200, 40.0))
+    out = predict(mass, np.full(200, 40.0), grid)
     ref = np.exp(-0.5 * ((grid.values - grid.values[100]) / 40.0) ** 2)
     ref[np.abs(grid.values - grid.values[100]) > 6.0 * 40.0] = 0.0
     ref /= ref.sum()
@@ -147,8 +124,7 @@ def test_predict_delta_becomes_discrete_gaussian():
 
 def test_predict_keeps_uniform_interior_exactly_uniform():
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
-    state = init_posterior(grid)
-    out = predict(state, np.full(200, 5.0), truncation_sigmas=6.0)
+    out = predict(uniform(grid), np.full(200, 5.0), grid, truncation_sigmas=6.0)
     # beyond twice the kernel reach from either edge the column renormalization
     # cancels exactly and the uniform prior is a fixed point
     reach = int(np.ceil(6.0 * 5.0 / grid.step))
@@ -197,9 +173,9 @@ def test_predict_matches_column_oracle():
     sig[0], sig[g // 2], sig[-1] = 61.3, 97.0, 122.5
     cases.append((grid, discrete_gaussian_mass(grid, 640.0, 30.0) + 1e-250, sig))
     for grid, mass, sig in cases:
-        state = PosteriorState(grid=grid, mass=mass / mass.sum(), frame_index=1)
-        out = predict(state, sig, truncation_sigmas=6.0)
-        ref = naive_predict(state.mass, sig, grid, 6.0)
+        mass = mass / mass.sum()
+        out = predict(mass, sig, grid, truncation_sigmas=6.0)
+        ref = naive_predict(mass, sig, grid, 6.0)
         assert np.allclose(out, ref, rtol=1e-9, atol=1e-300)
 
 
@@ -208,10 +184,10 @@ def test_predict_grouped_convolution_path_matches_oracle():
     rng = np.random.default_rng(32)
     grid = RpmGrid.from_step(300.0, 700.0, 1.0)
     mass = rng.dirichlet(np.full(grid.n_points, 0.5))
-    state = PosteriorState(grid=grid, mass=mass / mass.sum(), frame_index=1)
+    mass = mass / mass.sum()
     sig = np.full(grid.n_points, 55.0)
-    out = predict(state, sig)
-    ref = naive_predict(state.mass, sig, grid, 6.0)
+    out = predict(mass, sig, grid)
+    ref = naive_predict(mass, sig, grid, 6.0)
     assert np.allclose(out, ref, rtol=1e-9, atol=1e-300)
 
 
@@ -223,14 +199,14 @@ def test_predict_caches_operators_only_for_sigma_groups_of_a_block():
     grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
     g = grid.n_points
     mass = np.random.default_rng(34).dirichlet(np.full(g, 0.7))
-    state = PosteriorState(grid=grid, mass=mass / mass.sum(), frame_index=1)
+    mass = mass / mass.sum()
     tracker._block_operator.cache_clear()
     tracemalloc.start()
     try:
         for k in range(20):
             sig = np.where(np.arange(g) % 3 == 0, 40.0, 150.0)
             sig[100 + 7 * np.arange(5) + k] = 140.0 + 0.37 * k
-            predict(state, sig)
+            predict(mass, sig, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -249,9 +225,8 @@ def test_update_with_flat_likelihood_is_identity():
     rng = np.random.default_rng(33)
     predicted = rng.dirichlet(np.full(200, 0.9))
     flat = loglik_from_mass(np.full(200, 1.0 / 200))
-    state = update(predicted, flat, grid, cfg, frame_index=4)
-    assert state.frame_index == 4
-    assert np.allclose(state.mass, predicted / predicted.sum(), rtol=1e-9)
+    mass = update(predicted, flat, cfg)
+    assert np.allclose(mass, predicted / predicted.sum(), rtol=1e-9)
 
 
 def test_update_gaussian_conjugacy():
@@ -263,13 +238,12 @@ def test_update_gaussian_conjugacy():
     lik_mu, lik_s = 1580.0, 80.0
     prior = discrete_gaussian_mass(grid, prior_mu, prior_s)
     lik = loglik_from_mass(discrete_gaussian_mass(grid, lik_mu, lik_s))
-    state = update(prior, lik, grid, cfg, frame_index=1)
-    pt = estimate(state)
+    _, mmse_rpm, sigma_rpm, _ = estimate(update(prior, lik, cfg), grid)
     w = (1.0 / prior_s**2) / (1.0 / prior_s**2 + 1.0 / lik_s**2)
     expect_mu = w * prior_mu + (1.0 - w) * lik_mu
     expect_s = np.sqrt(1.0 / (1.0 / prior_s**2 + 1.0 / lik_s**2))
-    assert abs(pt.mmse_rpm - expect_mu) <= 2.0 * grid.step
-    assert abs(pt.sigma_rpm - expect_s) <= 2.0 * grid.step
+    assert abs(mmse_rpm - expect_mu) <= 2.0 * grid.step
+    assert abs(sigma_rpm - expect_s) <= 2.0 * grid.step
 
 
 def test_update_normalization_property():
@@ -281,7 +255,7 @@ def test_update_shape_mismatch():
     grid = RpmGrid(r_min=300.0, r_max=399.0, n_points=100)
     flat = loglik_from_mass(np.full(100, 0.01))
     with pytest.raises(ValueError, match="shape"):
-        update(np.full(99, 1.0 / 99), flat, grid, cfg, frame_index=1)
+        update(np.full(99, 1.0 / 99), flat, cfg)
 
 
 def test_track_is_online():
@@ -293,11 +267,13 @@ def test_track_single_frame_equals_manual_steps():
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
     lik = loglik_from_mass(discrete_gaussian_mass(grid, 1100.0, 12.0))
     points = track(lik[None], grid, cfg, times_s=[0.25])
-    prior = init_posterior(grid)
-    sig = curvature_sigma(prior, cfg)
-    manual = estimate(update(predict(prior, sig, cfg.kernel_truncation_sigmas),
-                             lik, grid, cfg, frame_index=1), 0.25)
-    assert points[0] == manual
+    prior = uniform(grid)
+    sig = curvature_sigma(prior, grid, cfg)
+    manual = estimate(update(predict(prior, sig, grid, cfg.kernel_truncation_sigmas), lik, cfg),
+                      grid)
+    assert points.dtype.names == ("frame_index", "time_s", "map_rpm", "mmse_rpm",
+                                  "sigma_rpm", "entropy_nats")
+    assert points[0].tolist() == (1, 0.25, *manual)
 
 
 def test_track_locks_onto_static_target():
@@ -319,7 +295,8 @@ def test_track_grid_mismatch():
     good = np.full((1, 200), -np.log(200.0))
     # a list of (G,) rows is one (T, G) array, not a sequence of blocks
     rows = [good[0], good[0] - 1.0]
-    assert track(rows, grid, cfg, [0.1, 0.2]) == track(np.array(rows), grid, cfg, [0.1, 0.2])
+    assert np.array_equal(track(rows, grid, cfg, [0.1, 0.2]),
+                          track(np.array(rows), grid, cfg, [0.1, 0.2]))
     with pytest.raises(ValueError, match="grid"):
         track([good[0, :100], good[0, :100]], grid, cfg)
     with pytest.raises(ValueError, match="times"):
@@ -358,8 +335,8 @@ def test_track_returns_posteriors_on_request():
     cfg = TrackerConfig()
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
     lik = loglik_from_mass(discrete_gaussian_mass(grid, 1100.0, 12.0))
-    points, states = track(np.stack([lik, lik]), grid, cfg, return_posteriors=True)
-    assert len(points) == len(states) == 2
-    assert states[0].frame_index == 1
-    assert states[1].frame_index == 2
-    assert states[1].mass.sum() == pytest.approx(1.0, abs=1e-12)
+    points, masses = track(np.stack([lik, lik]), grid, cfg, return_posteriors=True)
+    assert len(points) == len(masses) == 2
+    assert points.frame_index.tolist() == [1, 2]
+    assert masses[1].shape == (200,)
+    assert masses[1].sum() == pytest.approx(1.0, abs=1e-12)
