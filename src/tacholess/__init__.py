@@ -10,7 +10,8 @@ from .alignment import (CurveToGridConfig, aligned_loglik, kernel_scatter,
 from .baselines import (BaselineTrajectory, framewise_trajectory,
                         single_estimator_pick, viterbi_path, viterbi_stft)
 from .estimators import (AxisType, EvidenceCurve, Polarity, cepstrum_curve,
-                         comb_curve, difference_function, lag_bounds, yin_curve)
+                         comb_curve, difference_function, lag_bounds,
+                         magnitude_spectrum, yin_curve)
 from .fusion import FusionWeights, mass_entropy, pool_logliks
 from .grid import RpmGrid
 from .ingest import (FramingConfig, Signal, frame_signal, frame_times,
@@ -33,8 +34,8 @@ __all__ = [
     "ViterbiConfig", "aligned_loglik", "analyze", "cepstrum_curve", "comb_curve",
     "compute_metrics", "curvature_sigma",
     "difference_function", "estimate", "evidence_chunks", "frame_signal", "frame_times",
-    "framewise_trajectory", "kernel_scatter", "lag_bounds",
-    "load_signal", "map_axis_to_rpm", "mass_entropy", "metrics_json", "n_frames",
+    "framewise_trajectory", "kernel_scatter", "lag_bounds", "load_signal",
+    "magnitude_spectrum", "map_axis_to_rpm", "mass_entropy", "metrics_json", "n_frames",
     "pool_logliks", "predict", "robust_standardize", "run_benchmark",
     "run_pipeline", "save_signal", "single_estimator_pick", "stability_metrics",
     "synthesize", "to_energy", "track", "update", "viterbi_path",

@@ -1,4 +1,5 @@
-"""Reference methods: single-estimator picks, framewise fusion, Viterbi-STFT."""
+"""Reference methods: single-estimator picks, framewise fusion, Viterbi-STFT,
+each read from what ``pipeline.evidence_chunks`` computes per chunk of frames."""
 
 from __future__ import annotations
 
@@ -6,12 +7,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .alignment import map_axis_to_rpm
-from .estimators import EvidenceCurve, Polarity, hann_window
+from .estimators import EvidenceCurve, Polarity
 from .grid import RpmGrid
-from .ingest import FramingConfig, Signal, frame_signal, frame_times
 
 PEAK_LOG_FLOOR = 1e-300
 
@@ -65,39 +64,38 @@ def framewise_trajectory(loglik: np.ndarray, grid: RpmGrid,
     )
 
 
-def _frame_peaks(frame: np.ndarray, index: int, sample_rate_hz: float, f_lo: float,
-                 f_hi: float, top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k local spectral maxima of frame ``index`` (1-based) in [f_lo, f_hi]:
-    (freqs_hz, magnitudes).
-
-    Peak frequencies are refined by 3-point parabolic interpolation of the
-    log-magnitude, then clamped to the band.
-    """
-    n = len(frame)
-    nfft = next_fast_len(2 * n)
-    mag = np.abs(np.fft.rfft(frame * hann_window(n), nfft))
+def frame_peaks(mag: np.ndarray, nfft: int, first_index: int, sample_rate_hz: float,
+                f_lo: float, f_hi: float, top_k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per row of a chunk's :func:`magnitude_spectrum` ``mag``, the (log-magnitude,
+    RPM) of its top-k local maxima in [f_lo, f_hi] Hz, refined by 3-point parabolic
+    interpolation of the log-magnitude and clamped to the band. An error names the
+    frame by its index in the recording, ``first_index`` being the first row's."""
     df = sample_rate_hz / nfft
     lo = max(1, int(np.ceil(f_lo / df)))
-    hi = min(len(mag) - 2, int(np.floor(f_hi / df)))
+    hi = min(mag.shape[-1] - 2, int(np.floor(f_hi / df)))
     if hi < lo:
         raise ValueError(f"band [{f_lo:.3g}, {f_hi:.3g}] Hz holds no spectral bins")
-    seg = mag[lo : hi + 1]
-    is_peak = (seg > mag[lo - 1 : hi]) & (seg >= mag[lo + 1 : hi + 2])
-    peak_idx = np.nonzero(is_peak)[0] + lo
-    if peak_idx.size == 0:
-        raise ValueError(
-            f"no spectral peaks found in band [{f_lo:.3g}, {f_hi:.3g}] Hz "
-            f"at frame {index}"
-        )
-    order = np.argsort(mag[peak_idx])[::-1][:top_k]
-    peak_idx = peak_idx[order]
-    logm = np.log(mag + PEAK_LOG_FLOOR)
-    a, b, c = logm[peak_idx - 1], logm[peak_idx], logm[peak_idx + 1]
-    denom = a - 2.0 * b + c
-    shift = np.where(np.abs(denom) > 0, 0.5 * (a - c) / np.where(denom == 0, 1.0, denom), 0.0)
-    shift = np.clip(shift, -0.5, 0.5)
-    freqs = np.clip((peak_idx + shift) * df, f_lo, f_hi)
-    return freqs, mag[peak_idx]
+    candidates = []
+    for index, row in enumerate(mag, start=first_index):
+        seg = row[lo : hi + 1]
+        is_peak = (seg > row[lo - 1 : hi]) & (seg >= row[lo + 1 : hi + 2])
+        peak_idx = np.nonzero(is_peak)[0] + lo
+        if peak_idx.size == 0:
+            raise ValueError(
+                f"no spectral peaks found in band [{f_lo:.3g}, {f_hi:.3g}] Hz "
+                f"at frame {index}"
+            )
+        order = np.argsort(row[peak_idx])[::-1][:top_k]
+        peak_idx = peak_idx[order]
+        logm = np.log(row + PEAK_LOG_FLOOR)
+        a, b, c = logm[peak_idx - 1], logm[peak_idx], logm[peak_idx + 1]
+        denom = a - 2.0 * b + c
+        shift = np.where(np.abs(denom) > 0, 0.5 * (a - c) / np.where(denom == 0, 1.0, denom),
+                         0.0)
+        shift = np.clip(shift, -0.5, 0.5)
+        freqs = np.clip((peak_idx + shift) * df, f_lo, f_hi)
+        candidates.append((np.log(row[peak_idx] + PEAK_LOG_FLOOR), 60.0 * freqs))
+    return candidates
 
 
 def viterbi_path(scores: Sequence[np.ndarray], rpms: Sequence[np.ndarray],
@@ -126,29 +124,11 @@ def viterbi_path(scores: Sequence[np.ndarray], rpms: Sequence[np.ndarray],
     return path
 
 
-def viterbi_stft(signal: Signal, framing: FramingConfig, grid: RpmGrid,
-                 transition_penalty_per_rpm: float = 0.02,
-                 n_candidates_per_frame: int = 10) -> BaselineTrajectory:
-    """STFT peak tracking: top-k spectral peaks per frame in the fundamental
-    band, joined by a Viterbi pass trading peak magnitude against RPM jumps."""
-    if not 0 <= transition_penalty_per_rpm < np.inf:
-        raise ValueError(
-            f"transition penalty must be finite and >= 0, got {transition_penalty_per_rpm}")
-    if n_candidates_per_frame < 1:
-        raise ValueError(f"need >= 1 candidate per frame, got {n_candidates_per_frame}")
-    frames = frame_signal(signal, framing)
-    f_lo, f_hi = grid.r_min / 60.0, grid.r_max / 60.0
-    all_scores, all_rpms = [], []
-    for index, frame in enumerate(frames, start=1):
-        freqs, mags = _frame_peaks(frame, index, signal.sample_rate_hz, f_lo, f_hi,
-                                   n_candidates_per_frame)
-        all_scores.append(np.log(mags + PEAK_LOG_FLOOR))
-        all_rpms.append(60.0 * freqs)
-    path = viterbi_path(all_scores, all_rpms, transition_penalty_per_rpm)
-    rpm = np.array([all_rpms[t][c] for t, c in enumerate(path)])
-    return BaselineTrajectory(
-        method="viterbi_stft",
-        frame_index=np.arange(1, len(frames) + 1),
-        time_s=frame_times(signal, framing),
-        rpm=rpm,
-    )
+def viterbi_stft(candidates: Sequence[tuple[np.ndarray, np.ndarray]],
+                 transition_penalty_per_rpm: float) -> np.ndarray:
+    """STFT peak tracking: the RPM per frame of the Viterbi path through each
+    frame's (log-magnitude, RPM) peak candidates (:func:`frame_peaks`), which
+    trades peak magnitude against RPM jumps."""
+    scores, rpms = zip(*candidates)
+    path = viterbi_path(scores, rpms, transition_penalty_per_rpm)
+    return np.array([rpms[t][c] for t, c in enumerate(path)])

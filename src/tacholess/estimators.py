@@ -6,10 +6,11 @@ Three frame-level estimators with deliberately different physics and axes:
 * ``cepstrum_curve`` real cepstrum over integer quefrencies (score),
 * ``comb_curve``     harmonic comb magnitude over candidate frequencies in Hz (score).
 
-Each takes one frame (N,) or a block of frames (T, N), runs its FFTs along
-the last axis, and returns an :class:`EvidenceCurve` with one values row per
-frame. Converting curves into grid log-likelihoods is the alignment module's
-job.
+YIN and the cepstrum take one frame (N,) or a block of frames (T, N) and
+run their FFTs along the last axis; the comb reads the same frames'
+:func:`magnitude_spectrum`. Each returns an :class:`EvidenceCurve` with one
+values row per frame. Converting curves into grid log-likelihoods is the
+alignment module's job.
 """
 
 from __future__ import annotations
@@ -181,13 +182,20 @@ def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return slope * (x - xp[j]) + fp[..., j]
 
 
-def comb_curve(frames: np.ndarray, sample_rate_hz: float, f_min: float, f_max: float,
-               n_candidates: int = 2048, n_harmonics: int = 5,
-               zero_pad_factor: int = 2) -> EvidenceCurve:
+def magnitude_spectrum(frames: np.ndarray) -> tuple[np.ndarray, int]:
+    """|DFT| of each Hann-windowed frame zero-padded to ``nfft = next_fast_len(2N)``,
+    and nfft: the one spectrum that the comb and the STFT peak baseline read."""
+    n = frames.shape[-1]
+    nfft = next_fast_len(2 * n)
+    return np.abs(np.fft.rfft(frames * hann_window(n), nfft, axis=-1)), nfft
+
+
+def comb_curve(mag: np.ndarray, nfft: int, sample_rate_hz: float, f_min: float,
+               f_max: float, n_candidates: int = 2048, n_harmonics: int = 5) -> EvidenceCurve:
     """Harmonic comb score h(f) = mean_m |X(m f)| on a uniform candidate grid in Hz.
 
-    |X| is the magnitude spectrum of each Hann-windowed, zero-padded frame,
-    read off harmonic positions by linear interpolation.
+    ``(mag, nfft)`` is the :func:`magnitude_spectrum` of one frame or a block of
+    frames; |X| is read off harmonic positions by linear interpolation.
     """
     if not (0 < f_min < f_max):
         raise ValueError(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
@@ -195,16 +203,11 @@ def comb_curve(frames: np.ndarray, sample_rate_hz: float, f_min: float, f_max: f
         raise ValueError(f"n_candidates must be >= 2, got {n_candidates}")
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
-    if zero_pad_factor < 1:
-        raise ValueError(f"zero_pad_factor must be >= 1, got {zero_pad_factor}")
     if f_max * n_harmonics >= sample_rate_hz / 2:
         raise ValueError(
             f"highest comb line {f_max * n_harmonics:.1f} Hz reaches Nyquist "
             f"({sample_rate_hz / 2:.1f} Hz); lower f_max or n_harmonics"
         )
-    n = frames.shape[-1]
-    nfft = next_fast_len(zero_pad_factor * n)
-    mag = np.abs(np.fft.rfft(frames * hann_window(n), nfft, axis=-1))
     freqs = np.arange(mag.shape[-1]) * (sample_rate_hz / nfft)
     cands = np.linspace(f_min, f_max, n_candidates)
     score = sum(_interp_rows(m * cands, freqs, mag) for m in range(1, n_harmonics + 1))

@@ -18,6 +18,7 @@ import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache, partial
 from pathlib import Path
 from typing import (Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin,
                     get_type_hints)
@@ -25,9 +26,9 @@ from typing import (Any, Callable, Iterable, Iterator, Sequence, get_args, get_o
 import numpy as np
 
 from .alignment import CurveToGridConfig, aligned_loglik, kernel_scatter
-from .baselines import (BaselineTrajectory, framewise_trajectory,
+from .baselines import (BaselineTrajectory, frame_peaks, framewise_trajectory,
                         single_estimator_pick, viterbi_stft)
-from .estimators import cepstrum_curve, comb_curve, lag_bounds, yin_curve
+from .estimators import cepstrum_curve, comb_curve, lag_bounds, magnitude_spectrum, yin_curve
 from .fusion import FusionWeights, pool_logliks
 from .grid import RpmGrid
 from .ingest import FramingConfig, Signal, frame_signal, frame_times, load_signal
@@ -61,7 +62,6 @@ class EstimatorSetConfig:
     enabled: tuple[str, ...] = ESTIMATOR_IDS
     comb_candidates: int = 2048
     comb_harmonics: int = 5
-    comb_zero_pad: int = 2
 
     def __post_init__(self):
         if not self.enabled:
@@ -74,6 +74,13 @@ class EstimatorSetConfig:
 class ViterbiConfig:
     transition_penalty_per_rpm: float = 0.02
     n_candidates_per_frame: int = 10
+
+    def __post_init__(self):
+        if not 0 <= self.transition_penalty_per_rpm < np.inf:
+            raise ValueError(f"transition penalty must be finite and >= 0, "
+                             f"got {self.transition_penalty_per_rpm}")
+        if self.n_candidates_per_frame < 1:
+            raise ValueError(f"need >= 1 candidate per frame, got {self.n_candidates_per_frame}")
 
 
 @dataclass(frozen=True)
@@ -187,13 +194,16 @@ def _plain(value: Any) -> Any:
 
 
 def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
-                    cfg: RunConfig) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray]]]:
+                    cfg: RunConfig) -> Iterator[tuple[np.ndarray, dict[str, Any]]]:
     """Fused grid log-likelihood of a (T, N) block of frames, CHUNK_FRAMES
-    frames at a time: yields each chunk's fused (n, G) rows and the RPM per
-    frame of each pick baseline in ``cfg.baselines``.
+    frames at a time: yields each chunk's fused (n, G) rows and, for each
+    baseline in ``cfg.baselines`` read from the evidence, its part for the
+    chunk's frames: each pick's RPM per frame, and under ``viterbi_stft`` each
+    frame's (log-magnitude, RPM) peak candidates.
 
-    Each estimator's scatter matrix is built once; nothing else outlives its
-    chunk.
+    A chunk's magnitude spectrum is computed once, if the comb or
+    ``viterbi_stft`` reads it, and each estimator's scatter matrix once per
+    run; nothing else outlives its chunk.
     """
     if len(frames) == 0:
         raise ValueError("no frames to analyze")
@@ -209,21 +219,28 @@ def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
             f"{int(np.ceil(60.0 * fs / (frame_len // 2)))}"
         )
     tau_min, tau_max = lag_bounds(fs, grid.r_min, grid.r_max, frame_len)
+    f_lo, f_hi = grid.r_min / 60.0, grid.r_max / 60.0
     evaluate = {
-        "yin": lambda x: yin_curve(x, fs, tau_min, tau_max),
-        "cepstrum": lambda x: cepstrum_curve(x, fs, tau_min, tau_max),
-        "comb": lambda x: comb_curve(x, fs, grid.r_min / 60.0, grid.r_max / 60.0,
-                                     est.comb_candidates, est.comb_harmonics,
-                                     est.comb_zero_pad),
+        "yin": lambda x, _: yin_curve(x, fs, tau_min, tau_max),
+        "cepstrum": lambda x, _: cepstrum_curve(x, fs, tau_min, tau_max),
+        "comb": lambda _, spectrum: comb_curve(*spectrum(), fs, f_lo, f_hi,
+                                               est.comb_candidates, est.comb_harmonics),
     }
     weights = FusionWeights(cfg.fusion_weights)
     picked = [name for name in cfg.baselines if name in ESTIMATOR_IDS]
     scatter = {}
     for start in range(0, len(frames), CHUNK_FRAMES):
         block = frames[start:start + CHUNK_FRAMES]
-        curves = {eid: evaluate[eid](block) for eid in dict.fromkeys([*est.enabled, *picked])}
+        # made on first use and freed before alignment: held longer, it raised peak RSS
+        spectrum = cache(partial(magnitude_spectrum, block))
+        curves = {eid: evaluate[eid](block, spectrum)
+                  for eid in dict.fromkeys([*est.enabled, *picked])}
         picks = {name: single_estimator_pick(curves[name], grid.r_min, grid.r_max, fs)
                  for name in picked}
+        if "viterbi_stft" in cfg.baselines:
+            picks["viterbi_stft"] = frame_peaks(*spectrum(), start + 1, fs, f_lo, f_hi,
+                                                cfg.viterbi.n_candidates_per_frame)
+        del spectrum
         if not scatter:
             scatter = {eid: kernel_scatter(curves[eid], grid, cfg.alignment, fs)
                        for eid in est.enabled}
@@ -315,13 +332,13 @@ def _analyze(cfg: RunConfig, overlap: bool) -> AnalysisResult:
                          f"{framing.frame_len}, hop {framing.hop}; need >= 2 frames, i.e. "
                          f">= {framing.frame_len + framing.hop} samples")
     frames = frame_signal(signal, framing)
-    per_frame = {name: [] for name in cfg.baselines if name in (*ESTIMATOR_IDS, "framewise")}
+    per_frame = {name: [] for name in cfg.baselines}
 
     def fused_blocks():
         done = 0
         for fused, picks in evidence_chunks(frames, signal.sample_rate_hz, cfg):
-            for name, rpm in picks.items():
-                per_frame[name].append(rpm)
+            for name, part in picks.items():
+                per_frame[name].append(part)
             if "framewise" in per_frame:
                 block_times = times[done:done + len(fused)]
                 per_frame["framewise"].append(
@@ -337,16 +354,13 @@ def _analyze(cfg: RunConfig, overlap: bool) -> AnalysisResult:
     tracked, posteriors = out if cfg.output.dump_posteriors else (out, None)
 
     baselines: dict[str, BaselineTrajectory] = {}
-    for name in cfg.baselines:
-        if name in per_frame:
-            baselines[name] = BaselineTrajectory(
-                method=name, frame_index=np.arange(1, len(frames) + 1),
-                time_s=times.copy(), rpm=np.concatenate(per_frame[name]))
-        elif name == "viterbi_stft":
-            baselines[name] = viterbi_stft(
-                signal, cfg.framing, cfg.grid,
-                transition_penalty_per_rpm=cfg.viterbi.transition_penalty_per_rpm,
-                n_candidates_per_frame=cfg.viterbi.n_candidates_per_frame)
+    for name, parts in per_frame.items():
+        if name == "viterbi_stft":
+            rpm = viterbi_stft([*itertools.chain(*parts)], cfg.viterbi.transition_penalty_per_rpm)
+        else:
+            rpm = np.concatenate(parts)
+        baselines[name] = BaselineTrajectory(
+            method=name, frame_index=np.arange(1, len(frames) + 1), time_s=times.copy(), rpm=rpm)
 
     reference = truth.frame_references(cfg.framing) if truth is not None else None
 

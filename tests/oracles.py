@@ -7,10 +7,12 @@ import itertools
 from pathlib import Path
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.special import logsumexp
 
-from tacholess import AxisType, EvidenceCurve, RpmGrid
+from tacholess import AxisType, EvidenceCurve, RpmGrid, frame_signal, viterbi_path
 from tacholess.alignment import LIKELIHOOD_FLOOR
+from tacholess.baselines import PEAK_LOG_FLOOR
 
 
 def naive_difference(x: np.ndarray, tau_max: int) -> np.ndarray:
@@ -126,6 +128,35 @@ def exhaustive_best_score(scores, rpms, penalty: float) -> float:
             total -= penalty * np.abs(np.asarray(rpms[t])[paths[:, t]]
                                       - np.asarray(rpms[t - 1])[paths[:, t - 1]])
     return float(total.max())
+
+
+def naive_viterbi_stft(signal, framing, grid: RpmGrid, penalty: float, k: int) -> np.ndarray:
+    """STFT peak tracking one frame at a time: each frame's Hann-windowed
+    ``rfft`` at ``next_fast_len(2N)``, its top-k local maxima in the grid's band
+    with parabolic refinement of the log-magnitude, then ``viterbi_path``
+    over every frame's (log-magnitude, RPM) candidates; the RPM per frame."""
+    fs = signal.sample_rate_hz
+    f_lo, f_hi = grid.r_min / 60.0, grid.r_max / 60.0
+    n = framing.frame_len
+    nfft = next_fast_len(2 * n)
+    df = fs / nfft
+    lo, hi = max(1, int(np.ceil(f_lo / df))), min(nfft // 2 - 1, int(np.floor(f_hi / df)))
+    scores, rpms = [], []
+    for frame in frame_signal(signal, framing):
+        mag = np.abs(np.fft.rfft(frame * np.hanning(n), nfft))
+        peaks = [i for i in range(lo, hi + 1) if mag[i - 1] < mag[i] >= mag[i + 1]]
+        peaks = np.array(peaks)[np.argsort(mag[peaks])[::-1][:k]]
+        logm = np.log(mag + PEAK_LOG_FLOOR)
+        freqs = []
+        for i in peaks:
+            a, b, c = logm[i - 1], logm[i], logm[i + 1]
+            denom = a - 2.0 * b + c
+            shift = np.clip(0.5 * (a - c) / denom, -0.5, 0.5) if abs(denom) > 0 else 0.0
+            freqs.append(np.clip((i + shift) * df, f_lo, f_hi))
+        scores.append(np.log(mag[peaks] + PEAK_LOG_FLOOR))
+        rpms.append(60.0 * np.array(freqs))
+    path = viterbi_path(scores, rpms, penalty)
+    return np.array([rpms[t][c] for t, c in enumerate(path)])
 
 
 def discrete_gaussian_mass(grid: RpmGrid, mu: float, s: float) -> np.ndarray:

@@ -5,15 +5,18 @@ from scipy.special import logsumexp
 from tacholess import (
     AxisType,
     EvidenceCurve,
-    FramingConfig,
+    InputConfig,
     Polarity,
     RpmGrid,
+    RunConfig,
     ScenarioSpec,
+    Signal,
+    ViterbiConfig,
+    analyze,
     framewise_trajectory,
+    save_signal,
     single_estimator_pick,
-    synthesize,
     viterbi_path,
-    viterbi_stft,
 )
 from oracles import (
     brute_force_path_score,
@@ -107,26 +110,32 @@ def test_viterbi_validation():
 
 
 def test_viterbi_stft_tracks_a_clean_tone():
-    spec = ScenarioSpec(scenario="S0", duration_s=1.0, seed=2)
-    sig, truth = synthesize(spec)
-    grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
-    traj = viterbi_stft(sig, FramingConfig(), grid)
-    refs = truth.frame_references(FramingConfig())
+    cfg = RunConfig(scenario=ScenarioSpec(scenario="S0", duration_s=1.0, seed=2),
+                    baselines=("viterbi_stft",))
+    result = analyze(cfg)
+    traj, refs = result.baselines["viterbi_stft"], result.reference
     assert traj.method == "viterbi_stft"
     assert len(traj.rpm) == len(refs)
     assert np.max(np.abs(traj.rpm - refs)) < 2.0  # sub-bin via peak interpolation
 
 
-def test_viterbi_stft_needs_spectral_peaks():
-    from tacholess.ingest import Signal
-    flat = Signal(samples=np.zeros(12000), sample_rate_hz=12800.0)
-    grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
-    with pytest.raises(ValueError, match="peaks"):
-        viterbi_stft(flat, FramingConfig(), grid)
-    spec = ScenarioSpec(scenario="S0", duration_s=1.0, seed=2)
-    sig, _ = synthesize(spec)
+def test_viterbi_stft_needs_spectral_peaks(tmp_path):
+    # 1 s of a 3600 RPM tone, then 1 s of zeros. Frame 101 is the first
+    # all-zero frame, but frame 100 holds only the tone's last 128 samples,
+    # where the Hann window is below 0.0025: too short for a spectral peak in
+    # the 5-66.7 Hz band. The error names it as the recording's frame, not as
+    # row 4 of its chunk (frames 97-128)
+    fs = 12800
+    tone = np.sin(2 * np.pi * 60.0 * np.arange(fs) / fs)
+    for samples, frame in ((np.concatenate([tone, np.zeros(fs)]), 100), (np.zeros(fs), 1)):
+        path = tmp_path / f"frame{frame}.wav"
+        save_signal(Signal(samples, float(fs)), path)
+        cfg = RunConfig(scenario=None, input=InputConfig(path=str(path)),
+                        baselines=("viterbi_stft",))
+        with pytest.raises(ValueError, match=f"no spectral peaks .* at frame {frame}$"):
+            analyze(cfg)
     for penalty in (-1.0, np.nan, np.inf):  # NaN and inf used to act as penalty 0
         with pytest.raises(ValueError, match="finite and >= 0"):
-            viterbi_stft(sig, FramingConfig(), grid, transition_penalty_per_rpm=penalty)
+            ViterbiConfig(transition_penalty_per_rpm=penalty)
     with pytest.raises(ValueError):
-        viterbi_stft(sig, FramingConfig(), grid, n_candidates_per_frame=0)
+        ViterbiConfig(n_candidates_per_frame=0)

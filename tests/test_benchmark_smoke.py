@@ -28,7 +28,8 @@ print(json.dumps({name: max_abs_drpm(name, Path(sys.argv[1])) for name in WORKLO
 
 # names the benchmark's tracer wraps that no longer exist in the program
 STALE_TRACED_NAMES = {"tacholess.pipeline.curve_to_grid_loglik",
-                      "tacholess.pipeline.fuse_loglik", "grid.GridLogLikelihood"}
+                      "tacholess.pipeline.fuse_loglik", "grid.GridLogLikelihood",
+                      "tacholess.baselines.frame_signal"}
 
 
 def test_the_tracer_finds_every_name_it_wraps(monkeypatch):

@@ -28,7 +28,7 @@ from tacholess import (
 import tacholess
 from tacholess import pipeline
 from tacholess.cli import _parse_grid, _parse_seeds, main
-from oracles import csv_writer_table, naive_write_tables
+from oracles import csv_writer_table, naive_viterbi_stft, naive_write_tables
 
 
 def short_cfg(**kw):
@@ -180,37 +180,47 @@ def test_analyze_on_a_grid_the_curves_cannot_reach_raises():
 def test_streamed_analyze_equals_the_whole_array_path(overlap):
     # 87 frames: two full chunks and a partial one. The reference filters the
     # whole (T, G) array on this thread; analyze switches between its two
-    # threads as often as the interpreter allows, to expose any shared state
-    cfg = short_cfg(scenario=ScenarioSpec(scenario="S3", duration_s=1.5, seed=2),
-                    baselines=pipeline.BASELINE_IDS, output=OutputConfig(dump_posteriors=True))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        streamed = pipeline._analyze(cfg, overlap)
-    finally:
-        sys.setswitchinterval(interval)
+    # threads as often as the interpreter allows, to expose any shared state.
+    # The second run computes the chunk spectrum for viterbi_stft alone
+    for estimators, baselines in ((EstimatorSetConfig(), pipeline.BASELINE_IDS),
+                                  (EstimatorSetConfig(enabled=("yin",)),
+                                   ("yin", "framewise", "viterbi_stft"))):
+        cfg = short_cfg(scenario=ScenarioSpec(scenario="S3", duration_s=1.5, seed=2),
+                        estimators=estimators, baselines=baselines,
+                        output=OutputConfig(dump_posteriors=True))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            streamed = pipeline._analyze(cfg, overlap)
+        finally:
+            sys.setswitchinterval(interval)
 
-    signal, _ = tacholess.synthesize(cfg.scenario, rpm_bounds=(cfg.grid.r_min, cfg.grid.r_max))
-    frames = tacholess.frame_signal(signal, cfg.framing)
-    times = tacholess.frame_times(signal, cfg.framing)
-    chunks = list(pipeline.evidence_chunks(frames, signal.sample_rate_hz, cfg))
-    fused = np.concatenate([rows for rows, _ in chunks])
-    tracked, posteriors = tacholess.track(fused, cfg.grid, cfg.tracker, times,
-                                          return_posteriors=True)
-    rpm = {name: np.concatenate([picks[name] for _, picks in chunks])
-           for name in pipeline.ESTIMATOR_IDS}
-    rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid, times).rpm
+        signal, _ = tacholess.synthesize(cfg.scenario,
+                                         rpm_bounds=(cfg.grid.r_min, cfg.grid.r_max))
+        frames = tacholess.frame_signal(signal, cfg.framing)
+        times = tacholess.frame_times(signal, cfg.framing)
+        chunks = list(pipeline.evidence_chunks(frames, signal.sample_rate_hz, cfg))
+        fused = np.concatenate([rows for rows, _ in chunks])
+        tracked, posteriors = tacholess.track(fused, cfg.grid, cfg.tracker, times,
+                                              return_posteriors=True)
+        rpm = {name: np.concatenate([picks[name] for _, picks in chunks])
+               for name in pipeline.ESTIMATOR_IDS if name in baselines}
+        rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid, times).rpm
+        rpm["viterbi_stft"] = naive_viterbi_stft(
+            signal, cfg.framing, cfg.grid, cfg.viterbi.transition_penalty_per_rpm,
+            cfg.viterbi.n_candidates_per_frame)
 
-    assert len(streamed.tracked) == 87 and np.array_equal(streamed.tracked, tracked)
-    assert np.array_equal(streamed.times_s, times)
-    assert set(streamed.baselines) == set(pipeline.BASELINE_IDS)
-    for name, values in rpm.items():
-        traj = streamed.baselines[name]
-        assert np.array_equal(traj.rpm, values), name
-        assert np.array_equal(traj.time_s, times) and list(traj.frame_index) == list(range(1, 88))
-    assert streamed.tracked.frame_index.tolist() == list(range(1, 88))
-    for a, b in zip(streamed.posteriors, posteriors, strict=True):
-        assert np.array_equal(a, b)
+        assert len(streamed.tracked) == 87 and np.array_equal(streamed.tracked, tracked)
+        assert np.array_equal(streamed.times_s, times)
+        assert set(streamed.baselines) == set(baselines) == set(rpm)
+        for name, values in rpm.items():
+            traj = streamed.baselines[name]
+            assert np.array_equal(traj.rpm, values), name
+            assert np.array_equal(traj.time_s, times)
+            assert list(traj.frame_index) == list(range(1, 88))
+        assert streamed.tracked.frame_index.tolist() == list(range(1, 88))
+        for a, b in zip(streamed.posteriors, posteriors, strict=True):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("overlap", [True, False])
@@ -556,6 +566,16 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     ("tracker", {"sigma_mn_rpm": 5.0}, "config.tracker: unknown keys ['sigma_mn_rpm']"),
     ("scenario", {"seed": 1, "bogus": 2}, "config.scenario: unknown keys ['bogus']"),
     ("grid", {"r_max": 4000.0}, "config.grid: missing keys ['r_min']"),
+    # checked when the config is built, not after the whole analysis, and
+    # also when viterbi_stft is not requested
+    ("viterbi", {"transition_penalty_per_rpm": -1},
+     "transition penalty must be finite and >= 0, got -1"),
+    ("viterbi", {"transition_penalty_per_rpm": float("nan")},
+     "transition penalty must be finite and >= 0, got nan"),
+    ("viterbi", {"transition_penalty_per_rpm": float("inf")},
+     "transition penalty must be finite and >= 0, got inf"),
+    ("viterbi", {"n_candidates_per_frame": 0}, "need >= 1 candidate per frame, got 0"),
+    ("estimators", {"comb_zero_pad": 2}, "config.estimators: unknown keys ['comb_zero_pad']"),
 ])
 def test_config_rejects_bad_keys_inside_a_section(tmp_path, capsys, section, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
