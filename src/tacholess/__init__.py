@@ -5,12 +5,10 @@ cepstrum, harmonic comb) is aligned onto one shared RPM grid, pooled
 log-linearly, and tracked by a curvature-adaptive recursive grid filter.
 """
 
-from .alignment import (CurveToGridConfig, aligned_loglik, kernel_scatter,
-                        map_axis_to_rpm, robust_standardize, to_energy)
+from .alignment import CurveToGridConfig, aligned_loglik, kernel_scatter, robust_standardize
 from .baselines import (BaselineTrajectory, framewise_trajectory,
                         single_estimator_pick, viterbi_path, viterbi_stft)
-from .estimators import (AxisType, EvidenceCurve, Polarity, cepstrum_curve,
-                         comb_curve, difference_function, lag_bounds,
+from .estimators import (SIGN, cepstrum_curve, comb_curve, difference_function, lag_bounds,
                          magnitude_spectrum, yin_curve)
 from .fusion import FusionWeights, mass_entropy, pool_logliks
 from .grid import RpmGrid
@@ -27,17 +25,17 @@ from .tracker import TrackerConfig, curvature_sigma, estimate, predict, track, u
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisResult", "AxisType", "BaselineTrajectory", "CurveToGridConfig",
-    "EstimatorSetConfig", "EvidenceCurve", "FramingConfig",
-    "FusionWeights", "GroundTruth", "InputConfig", "OutputConfig", "Polarity",
-    "RpmGrid", "RunConfig", "SCENARIOS", "ScenarioSpec", "Signal", "TrackerConfig",
+    "AnalysisResult", "BaselineTrajectory", "CurveToGridConfig",
+    "EstimatorSetConfig", "FramingConfig",
+    "FusionWeights", "GroundTruth", "InputConfig", "OutputConfig",
+    "RpmGrid", "RunConfig", "SCENARIOS", "SIGN", "ScenarioSpec", "Signal", "TrackerConfig",
     "ViterbiConfig", "aligned_loglik", "analyze", "cepstrum_curve", "comb_curve",
     "compute_metrics", "curvature_sigma",
     "difference_function", "estimate", "evidence_chunks", "frame_signal", "frame_times",
     "framewise_trajectory", "kernel_scatter", "lag_bounds", "load_signal",
-    "magnitude_spectrum", "map_axis_to_rpm", "mass_entropy", "metrics_json", "n_frames",
+    "magnitude_spectrum", "mass_entropy", "metrics_json", "n_frames",
     "pool_logliks", "predict", "robust_standardize", "run_benchmark",
     "run_pipeline", "save_signal", "single_estimator_pick", "stability_metrics",
-    "synthesize", "to_energy", "track", "update", "viterbi_path",
+    "synthesize", "track", "update", "viterbi_path",
     "viterbi_stft", "yin_curve",
 ]

@@ -1,17 +1,18 @@
-"""Aligning native-axis evidence curves onto the shared RPM grid.
+"""Aligning native-axis evidence onto the shared RPM grid.
 
-The pipeline per curve: map the native axis to RPM, robust-standardize the
-values (median/IQR), flip sign by polarity so low energy = plausible, weight
-points by exp(-beta * energy), and spread each weighted point onto the grid
-with a truncated Gaussian kernel. The aggregated mass is floored and
-log-normalized. The kernel spread depends only on the axis, so it is one
-sparse (n_axis x G) matrix K per estimator, and a (T, n_axis) block of
-frames aggregates as exp(-beta * E) @ K.
+Each estimator's values are scored at fixed RPM points: the RPM of each
+point of its native axis, which the caller maps once per run. Per frame the
+values are robust-standardized (median/IQR), oriented by the estimator's
+sign (+1 score, -1 cost), weighted as exp(sign * beta * z), and each weighted
+point is spread onto the grid with a truncated Gaussian kernel. The
+aggregated mass is floored and log-normalized. The kernel spread depends
+only on the RPM points, so it is one sparse (n_axis x G) matrix K per
+estimator, and a (T, n_axis) block of frames aggregates as
+exp(sign * beta * z) @ K.
 
 No change-of-variables correction is applied when mapping reciprocal axes
 (lag/quefrency) to RPM; the kernel aggregation operates on mapped point
-locations as-is.
-"""
+locations as-is."""
 
 from __future__ import annotations
 
@@ -20,47 +21,32 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .estimators import AxisType, EvidenceCurve, Polarity
 from .grid import RpmGrid
 
 # floor added to aggregated kernel mass so log-values stay finite everywhere;
 # far below any curve's evidence scale
 LIKELIHOOD_FLOOR = float(np.finfo(np.float64).tiny)
+# added to the IQR so that an all-equal row standardizes to zeros, not NaN
+EPS_NORM = 1e-10
+# kernels are cut at this many bandwidths; the tail beyond is exp(-18) of the peak
+KERNEL_TRUNCATION_SIGMAS = 6.0
 
 
 @dataclass(frozen=True)
 class CurveToGridConfig:
     beta: float = 1.0
     kernel_bandwidth_rpm: float = 0.5
-    eps_norm: float = 1e-10
-    kernel_truncation_sigmas: float = 6.0
 
     def __post_init__(self):
-        for name in ("beta", "kernel_bandwidth_rpm", "eps_norm", "kernel_truncation_sigmas"):
+        for name in ("beta", "kernel_bandwidth_rpm"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
                 raise ValueError(f"alignment.{name} must be positive and finite, got {v}")
 
 
-def map_axis_to_rpm(z, axis_type: AxisType, sample_rate_hz: float):
-    """Convert native axis coordinates to RPM.
-
-    lag/quefrency (samples): 60 * fs / z; hz: 60 * z; rpm: identity.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if axis_type in (AxisType.LAG, AxisType.QUEFRENCY):
-        if np.any(z <= 0):
-            raise ValueError(f"{axis_type.value} coordinates must be positive")
-        return 60.0 * sample_rate_hz / z
-    if axis_type is AxisType.HZ:
-        if np.any(z < 0):
-            raise ValueError("frequency coordinates must be non-negative")
-        return 60.0 * z
-    return z.copy()
-
-
-def robust_standardize(values: np.ndarray, eps: float = 1e-10) -> np.ndarray:
-    """(values - median) / (IQR + eps) along the last axis, quartiles by linear interpolation.
+def robust_standardize(values: np.ndarray) -> np.ndarray:
+    """(values - median) / (IQR + EPS_NORM) along the last axis, quartiles by linear
+    interpolation.
 
     Scale- and offset-robust: outliers move the quartiles little, and a
     degenerate all-equal input comes back as zeros rather than NaN. A block
@@ -72,29 +58,25 @@ def robust_standardize(values: np.ndarray, eps: float = 1e-10) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot standardize non-finite values")
     q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0], axis=-1, keepdims=True)
-    return (v - med) / ((q3 - q1) + eps)
+    return (v - med) / ((q3 - q1) + EPS_NORM)
 
 
-def to_energy(standardized: np.ndarray, polarity: Polarity) -> np.ndarray:
-    """Orient standardized values so that smaller energy means more plausible."""
-    return -float(polarity.value) * np.asarray(standardized, dtype=np.float64)
-
-
-def kernel_scatter(curve: EvidenceCurve, grid: RpmGrid, cfg: CurveToGridConfig,
-                   sample_rate_hz: float) -> sparse.csr_array:
+def kernel_scatter(rpm: np.ndarray, grid: RpmGrid, cfg: CurveToGridConfig,
+                   label: str = "evidence") -> sparse.csr_array:
     """Sparse (n_axis x G) K: row m is a Gaussian (bandwidth in RPM, truncated
-    at cfg.kernel_truncation_sigmas) centered at point m's mapped RPM.
+    at KERNEL_TRUNCATION_SIGMAS) centered at ``rpm[m]``, the RPM of point m
+    of an estimator's axis.
 
     Points whose kernel window misses the grid entirely get empty rows; if
-    that is every point, the curve is disjoint from the grid.
+    that is every point, the axis is disjoint from the grid, and the error
+    names it by ``label``.
     """
-    rpm = map_axis_to_rpm(curve.axis, curve.axis_type, sample_rate_hz)
     h = cfg.kernel_bandwidth_rpm
-    radius = cfg.kernel_truncation_sigmas * h
+    radius = KERNEL_TRUNCATION_SIGMAS * h
     inside = np.nonzero((rpm >= grid.r_min - radius) & (rpm <= grid.r_max + radius))[0]
     if inside.size == 0:
         raise ValueError(
-            f"curve '{curve.estimator_id}' disjoint from grid: all {len(rpm)} points map "
+            f"{label} disjoint from grid: all {len(rpm)} points map "
             f"outside [{grid.r_min}, {grid.r_max}] RPM (+/- {radius:.3g} kernel reach)"
         )
     dr = grid.step
@@ -102,23 +84,23 @@ def kernel_scatter(curve: EvidenceCurve, grid: RpmGrid, cfg: CurveToGridConfig,
     centers = np.round((rpm[inside] - grid.r_min) / dr).astype(np.int64)
     idx = centers[:, None] + np.arange(-half, half + 1)[None, :]
     u = (grid.r_min + idx * dr - rpm[inside, None]) / h
-    kern = np.where(np.abs(u) <= cfg.kernel_truncation_sigmas,
-                    np.exp(-0.5 * u * u), 0.0)
+    kern = np.where(np.abs(u) <= KERNEL_TRUNCATION_SIGMAS, np.exp(-0.5 * u * u), 0.0)
     valid = (idx >= 0) & (idx < grid.n_points)
     rows = np.broadcast_to(inside[:, None], idx.shape)[valid]
     return sparse.csr_array((kern[valid], (rows, idx[valid])),
                             shape=(len(rpm), grid.n_points))
 
 
-def aligned_loglik(curve: EvidenceCurve, scatter: sparse.csr_array,
+def aligned_loglik(values: np.ndarray, sign: float, scatter: sparse.csr_array,
                    cfg: CurveToGridConfig) -> np.ndarray:
-    """Normalized grid log-likelihood, (G,) or (T, G), of each frame of ``curve``.
+    """Normalized grid log-likelihood, (G,) or (T, G), of each frame's ``values``:
+    one (N,) row or a (T, N) block of one estimator's evidence.
 
-    Point m contributes exp(-beta * E[m]) times row m of ``scatter``, the
-    :func:`kernel_scatter` of the same axis.
+    Point m contributes exp(sign * beta * z[m]) times row m of ``scatter``, the
+    :func:`kernel_scatter` of the same axis, where z is the robust-standardized
+    row and ``sign`` is +1 for a score and -1 for a cost.
     """
-    energy = to_energy(robust_standardize(curve.values, cfg.eps_norm), curve.polarity)
-    log_w = -cfg.beta * energy
+    log_w = (sign * cfg.beta) * robust_standardize(values)
     # overall scale cancels in normalization; avoids exp overflow
     log_w -= log_w.max(axis=-1, keepdims=True)
     mass = np.exp(log_w) @ scatter

@@ -8,8 +8,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import map_axis_to_rpm
-from .estimators import EvidenceCurve, Polarity
 from .grid import RpmGrid
 
 PEAK_LOG_FLOOR = 1e-300
@@ -27,25 +25,15 @@ class BaselineTrajectory:
             raise ValueError(f"baseline '{self.method}': column lengths differ")
 
 
-def single_estimator_pick(curve: EvidenceCurve, r_min: float, r_max: float,
-                          sample_rate_hz: float) -> float | np.ndarray:
-    """Best native-axis candidate mapping inside [r_min, r_max], as RPM.
-
-    Cost curves pick the minimum, score curves the maximum; ties go to the
-    lower native coordinate (first occurrence on the ascending axis). A
-    one-frame curve gives one RPM, a block of frames one RPM per row.
+def single_estimator_pick(values: np.ndarray, sign: float, rpm: np.ndarray,
+                          inside: np.ndarray) -> float | np.ndarray:
+    """RPM of the best of an estimator's ``values`` among the axis points whose
+    ``rpm`` lies ``inside`` the band: the largest of ``sign * values``, so a
+    score's maximum or a cost's minimum. Ties go to the lower native
+    coordinate (first occurrence on the ascending axis). One frame's (N,)
+    values give one RPM, a block of frames one RPM per row.
     """
-    rpm = map_axis_to_rpm(curve.axis, curve.axis_type, sample_rate_hz)
-    ok = (rpm >= r_min) & (rpm <= r_max)
-    if not np.any(ok):
-        raise ValueError(
-            f"'{curve.estimator_id}': no candidate maps inside [{r_min}, {r_max}] RPM"
-        )
-    if curve.polarity is Polarity.COST:
-        best = np.argmin(np.where(ok, curve.values, np.inf), axis=-1)
-    else:
-        best = np.argmax(np.where(ok, curve.values, -np.inf), axis=-1)
-    return rpm[best]
+    return rpm[np.argmax(np.where(inside, sign * values, -np.inf), axis=-1)]
 
 
 def framewise_trajectory(loglik: np.ndarray, grid: RpmGrid,
@@ -64,27 +52,25 @@ def framewise_trajectory(loglik: np.ndarray, grid: RpmGrid,
     )
 
 
-def frame_peaks(mag: np.ndarray, nfft: int, first_index: int, sample_rate_hz: float,
+def frame_peaks(mag: np.ndarray, nfft: int, sample_rate_hz: float,
                 f_lo: float, f_hi: float, top_k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per row of a chunk's :func:`magnitude_spectrum` ``mag``, the (log-magnitude,
     RPM) of its top-k local maxima in [f_lo, f_hi] Hz, refined by 3-point parabolic
-    interpolation of the log-magnitude and clamped to the band. An error names the
-    frame by its index in the recording, ``first_index`` being the first row's."""
+    interpolation of the log-magnitude and clamped to the band. A row with no
+    local maximum in the band (silence, or a tone's faded tail) gets its largest
+    in-band bin, the first on ties, as its one candidate."""
     df = sample_rate_hz / nfft
     lo = max(1, int(np.ceil(f_lo / df)))
     hi = min(mag.shape[-1] - 2, int(np.floor(f_hi / df)))
     if hi < lo:
         raise ValueError(f"band [{f_lo:.3g}, {f_hi:.3g}] Hz holds no spectral bins")
     candidates = []
-    for index, row in enumerate(mag, start=first_index):
+    for row in mag:
         seg = row[lo : hi + 1]
         is_peak = (seg > row[lo - 1 : hi]) & (seg >= row[lo + 1 : hi + 2])
         peak_idx = np.nonzero(is_peak)[0] + lo
         if peak_idx.size == 0:
-            raise ValueError(
-                f"no spectral peaks found in band [{f_lo:.3g}, {f_hi:.3g}] Hz "
-                f"at frame {index}"
-            )
+            peak_idx = np.array([lo + np.argmax(seg)])
         order = np.argsort(row[peak_idx])[::-1][:top_k]
         peak_idx = peak_idx[order]
         logm = np.log(row + PEAK_LOG_FLOOR)

@@ -8,66 +8,25 @@ Three frame-level estimators with deliberately different physics and axes:
 
 YIN and the cepstrum take one frame (N,) or a block of frames (T, N) and
 run their FFTs along the last axis; the comb reads the same frames'
-:func:`magnitude_spectrum`. Each returns an :class:`EvidenceCurve` with one
-values row per frame. Converting curves into grid log-likelihoods is the
-alignment module's job.
+:func:`magnitude_spectrum`. Each returns a plain values array with one row
+per frame. The axis behind the values depends only on the run (lags
+``tau_min..tau_max``, or ``n_candidates`` frequencies from ``f_min`` to
+``f_max``), so the caller maps it to RPM once per run: ``60 * fs / tau`` for
+lags and quefrencies, ``60 * f`` for frequencies. ``SIGN`` orients each
+estimator's values so that larger means more plausible. Converting values
+into grid log-likelihoods is the alignment module's job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 from scipy.fft import next_fast_len
 
 CEPSTRUM_LOG_EPS = 1e-12
-
-
-class AxisType(Enum):
-    LAG = "lag"              # samples, speed = 60 * fs / axis
-    QUEFRENCY = "quefrency"  # samples, speed = 60 * fs / axis
-    HZ = "hz"                # speed = 60 * axis
-    RPM = "rpm"              # already in RPM
-
-
-class Polarity(Enum):
-    """Whether small (COST) or large (SCORE) values indicate the speed hypothesis."""
-
-    SCORE = 1
-    COST = -1
-
-
-@dataclass(frozen=True)
-class EvidenceCurve:
-    """Evidence on a native axis: ``values`` is one frame (n,) or a block of
-    frames (T, n), one row per frame, all sharing ``axis``."""
-
-    axis: np.ndarray
-    values: np.ndarray
-    axis_type: AxisType
-    polarity: Polarity
-    estimator_id: str
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if axis.ndim != 1 or values.ndim not in (1, 2) or values.shape[-1:] != axis.shape:
-            raise ValueError(
-                f"curve '{self.estimator_id}': axis {axis.shape} and values "
-                f"{values.shape} must be 1-D and match along the last axis"
-            )
-        if axis.size < 2:
-            raise ValueError(f"curve '{self.estimator_id}' needs >= 2 points, got {axis.size}")
-        if not np.all(np.diff(axis) > 0):
-            raise ValueError(f"curve '{self.estimator_id}': axis must be strictly increasing")
-        if not np.all(np.isfinite(axis)) or not np.all(np.isfinite(values)):
-            raise ValueError(f"curve '{self.estimator_id}' contains non-finite entries")
-        axis.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "values", values)
+# +1 for a score (peaks mark the speed), -1 for a cost (dips mark it)
+SIGN = {"yin": -1.0, "cepstrum": 1.0, "comb": 1.0}
 
 
 @lru_cache(maxsize=4)
@@ -132,9 +91,8 @@ def difference_function(x: np.ndarray, tau_max: int) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def yin_curve(frames: np.ndarray, sample_rate_hz: float, tau_min: int,
-              tau_max: int) -> EvidenceCurve:
-    """Cumulative-mean-normalized difference d'(tau) over integer lags (cost curve).
+def yin_curve(frames: np.ndarray, tau_min: int, tau_max: int) -> np.ndarray:
+    """Cumulative-mean-normalized difference d'(tau) at lags tau_min..tau_max (cost curve).
 
     d'(tau) = d(tau) * tau / sum_{j<=tau} d(j), with d'(tau) = 1 where the
     running sum is zero (silent frame). Values are scale-invariant in the
@@ -146,18 +104,11 @@ def yin_curve(frames: np.ndarray, sample_rate_hz: float, tau_min: int,
     running = np.cumsum(d[..., 1:], axis=-1)
     dprime = np.ones_like(d)
     np.divide(d[..., 1:] * taus, running, out=dprime[..., 1:], where=running > 0)
-    return EvidenceCurve(
-        axis=np.arange(tau_min, tau_max + 1, dtype=np.float64),
-        values=dprime[..., tau_min : tau_max + 1],
-        axis_type=AxisType.LAG,
-        polarity=Polarity.COST,
-        estimator_id="yin",
-    )
+    return dprime[..., tau_min : tau_max + 1]
 
 
-def cepstrum_curve(frames: np.ndarray, sample_rate_hz: float, q_min: int,
-                   q_max: int) -> EvidenceCurve:
-    """Real cepstrum of each Hann-windowed frame over integer quefrencies (score curve).
+def cepstrum_curve(frames: np.ndarray, q_min: int, q_max: int) -> np.ndarray:
+    """Real cepstrum of each Hann-windowed frame at quefrencies q_min..q_max (score curve).
 
     c = IDFT(log(|DFT(w * x)| + eps)); a periodic excitation shows up as a
     rahmonic peak at its period in samples.
@@ -166,13 +117,7 @@ def cepstrum_curve(frames: np.ndarray, sample_rate_hz: float, q_min: int,
     _check_lag_range(q_min, q_max, n, "cepstrum quefrency range")
     mag = np.abs(np.fft.rfft(frames * hann_window(n), axis=-1))
     ceps = np.fft.irfft(np.log(mag + CEPSTRUM_LOG_EPS), n, axis=-1)
-    return EvidenceCurve(
-        axis=np.arange(q_min, q_max + 1, dtype=np.float64),
-        values=ceps[..., q_min : q_max + 1].copy(),  # a view would keep all of ceps alive
-        axis_type=AxisType.QUEFRENCY,
-        polarity=Polarity.SCORE,
-        estimator_id="cepstrum",
-    )
+    return ceps[..., q_min : q_max + 1].copy()  # a view would keep all of ceps alive
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -191,8 +136,9 @@ def magnitude_spectrum(frames: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def comb_curve(mag: np.ndarray, nfft: int, sample_rate_hz: float, f_min: float,
-               f_max: float, n_candidates: int = 2048, n_harmonics: int = 5) -> EvidenceCurve:
-    """Harmonic comb score h(f) = mean_m |X(m f)| on a uniform candidate grid in Hz.
+               f_max: float, n_candidates: int = 2048, n_harmonics: int = 5) -> np.ndarray:
+    """Harmonic comb score h(f) = mean_m |X(m f)| at the ``n_candidates`` frequencies
+    ``np.linspace(f_min, f_max, n_candidates)`` Hz.
 
     ``(mag, nfft)`` is the :func:`magnitude_spectrum` of one frame or a block of
     frames; |X| is read off harmonic positions by linear interpolation.
@@ -211,10 +157,4 @@ def comb_curve(mag: np.ndarray, nfft: int, sample_rate_hz: float, f_min: float,
     freqs = np.arange(mag.shape[-1]) * (sample_rate_hz / nfft)
     cands = np.linspace(f_min, f_max, n_candidates)
     score = sum(_interp_rows(m * cands, freqs, mag) for m in range(1, n_harmonics + 1))
-    return EvidenceCurve(
-        axis=cands,
-        values=score / n_harmonics,
-        axis_type=AxisType.HZ,
-        polarity=Polarity.SCORE,
-        estimator_id="comb",
-    )
+    return score / n_harmonics

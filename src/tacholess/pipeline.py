@@ -25,10 +25,11 @@ from typing import (Any, Callable, Iterable, Iterator, Sequence, get_args, get_o
 
 import numpy as np
 
+from . import estimators
 from .alignment import CurveToGridConfig, aligned_loglik, kernel_scatter
 from .baselines import (BaselineTrajectory, frame_peaks, framewise_trajectory,
                         single_estimator_pick, viterbi_stft)
-from .estimators import cepstrum_curve, comb_curve, lag_bounds, magnitude_spectrum, yin_curve
+from .estimators import SIGN, lag_bounds, magnitude_spectrum
 from .fusion import FusionWeights, pool_logliks
 from .grid import RpmGrid
 from .ingest import FramingConfig, Signal, frame_signal, frame_times, load_signal
@@ -201,9 +202,10 @@ def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
     chunk's frames: each pick's RPM per frame, and under ``viterbi_stft`` each
     frame's (log-magnitude, RPM) peak candidates.
 
-    A chunk's magnitude spectrum is computed once, if the comb or
-    ``viterbi_stft`` reads it, and each estimator's scatter matrix once per
-    run; nothing else outlives its chunk.
+    Each estimator's axis is the same in every frame, so its RPM points, its
+    scatter matrix and each pick's band mask are made once per run. A chunk's
+    magnitude spectrum is computed once, if the comb or ``viterbi_stft``
+    reads it; nothing else outlives its chunk.
     """
     if len(frames) == 0:
         raise ValueError("no frames to analyze")
@@ -220,31 +222,44 @@ def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
         )
     tau_min, tau_max = lag_bounds(fs, grid.r_min, grid.r_max, frame_len)
     f_lo, f_hi = grid.r_min / 60.0, grid.r_max / 60.0
+    # called through the module, where a profiler can wrap them
     evaluate = {
-        "yin": lambda x, _: yin_curve(x, fs, tau_min, tau_max),
-        "cepstrum": lambda x, _: cepstrum_curve(x, fs, tau_min, tau_max),
-        "comb": lambda _, spectrum: comb_curve(*spectrum(), fs, f_lo, f_hi,
-                                               est.comb_candidates, est.comb_harmonics),
+        "yin": lambda x, _: estimators.yin_curve(x, tau_min, tau_max),
+        "cepstrum": lambda x, _: estimators.cepstrum_curve(x, tau_min, tau_max),
+        "comb": lambda _, spectrum: estimators.comb_curve(
+            *spectrum(), fs, f_lo, f_hi, est.comb_candidates, est.comb_harmonics),
     }
+    lag_rpm = 60.0 * fs / np.arange(tau_min, tau_max + 1, dtype=np.float64)
+    rpm = {"yin": lag_rpm, "cepstrum": lag_rpm,
+           "comb": 60.0 * np.linspace(f_lo, f_hi, est.comb_candidates)}
     weights = FusionWeights(cfg.fusion_weights)
     picked = [name for name in cfg.baselines if name in ESTIMATOR_IDS]
-    scatter = {}
+    inside = {}
+    for name in picked:
+        inside[name] = (rpm[name] >= grid.r_min) & (rpm[name] <= grid.r_max)
+        if not inside[name].any():
+            raise ValueError(f"'{name}': no candidate maps inside "
+                             f"[{grid.r_min}, {grid.r_max}] RPM")
+    scatter = {eid: kernel_scatter(rpm[eid], grid, cfg.alignment, f"curve '{eid}'")
+               for eid in est.enabled}
     for start in range(0, len(frames), CHUNK_FRAMES):
         block = frames[start:start + CHUNK_FRAMES]
         # made on first use and freed before alignment: held longer, it raised peak RSS
         spectrum = cache(partial(magnitude_spectrum, block))
         curves = {eid: evaluate[eid](block, spectrum)
                   for eid in dict.fromkeys([*est.enabled, *picked])}
-        picks = {name: single_estimator_pick(curves[name], grid.r_min, grid.r_max, fs)
+        for eid, values in curves.items():
+            # a finite but huge recording can overflow the cepstrum and comb
+            if not np.isfinite(values).all():
+                raise ValueError(f"curve '{eid}' contains non-finite entries")
+        picks = {name: single_estimator_pick(curves[name], SIGN[name], rpm[name], inside[name])
                  for name in picked}
         if "viterbi_stft" in cfg.baselines:
-            picks["viterbi_stft"] = frame_peaks(*spectrum(), start + 1, fs, f_lo, f_hi,
+            picks["viterbi_stft"] = frame_peaks(*spectrum(), fs, f_lo, f_hi,
                                                 cfg.viterbi.n_candidates_per_frame)
         del spectrum
-        if not scatter:
-            scatter = {eid: kernel_scatter(curves[eid], grid, cfg.alignment, fs)
-                       for eid in est.enabled}
-        logliks = [aligned_loglik(curves[eid], scatter[eid], cfg.alignment) for eid in est.enabled]
+        logliks = [aligned_loglik(curves[eid], SIGN[eid], scatter[eid], cfg.alignment)
+                   for eid in est.enabled]
         fused = pool_logliks(est.enabled, logliks, weights)
         del curves, logliks  # not held while the next chunk is computed
         yield fused, picks

@@ -24,6 +24,11 @@ from .grid import RpmGrid
 
 # bins per block of the block-Toeplitz predict; smaller sigma groups convolve directly
 _BLOCK = 64
+# numeric guards: curvature floor in 1/sigma^2, and the mass floor under every log
+EPS_C = 1e-12
+EPS_LOG = 1e-300
+# transition kernels are cut at this many sigmas
+KERNEL_TRUNCATION_SIGMAS = 6.0
 # one row of a tracked trajectory: frame_index counts frames from 1
 TRACK_DTYPE = np.dtype([("frame_index", np.int64), ("time_s", np.float64),
                         ("map_rpm", np.float64), ("mmse_rpm", np.float64),
@@ -34,13 +39,9 @@ TRACK_DTYPE = np.dtype([("frame_index", np.int64), ("time_s", np.float64),
 class TrackerConfig:
     sigma_min_rpm: float = 40.0
     sigma_max_rpm: float = 150.0
-    eps_c: float = 1e-12
-    eps_log: float = 1e-300
-    kernel_truncation_sigmas: float = 6.0
 
     def __post_init__(self):
-        for name in ("sigma_min_rpm", "sigma_max_rpm", "eps_c", "eps_log",
-                     "kernel_truncation_sigmas"):
+        for name in ("sigma_min_rpm", "sigma_max_rpm"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
                 raise ValueError(f"tracker.{name} must be positive and finite, got {v}")
@@ -54,15 +55,15 @@ class TrackerConfig:
 def curvature_sigma(mass: np.ndarray, grid: RpmGrid, cfg: TrackerConfig) -> np.ndarray:
     """Per-bin diffusion scale from local log-posterior curvature.
 
-    l = log(mass + eps_log) is pre-smoothed with a 3-point moving average
+    l = log(mass + EPS_LOG) is pre-smoothed with a 3-point moving average
     (2-point means at the ends), its second difference taken per grid step,
-    and sigma^2 = clip(1 / (max(0, -l'') + eps_c), sigma_min^2, sigma_max^2).
+    and sigma^2 = clip(1 / (max(0, -l'') + EPS_C), sigma_min^2, sigma_max^2).
     Boundary bins replicate the nearest interior curvature.
     """
     g = grid.n_points
     if g < 3:
         raise ValueError(f"curvature needs a grid of >= 3 points, got {g}")
-    l = np.log(mass + cfg.eps_log)
+    l = np.log(mass + EPS_LOG)
     sm = np.empty_like(l)
     sm[1:-1] = (l[:-2] + l[1:-1] + l[2:]) / 3.0
     sm[0] = (l[0] + l[1]) / 2.0
@@ -73,7 +74,7 @@ def curvature_sigma(mass: np.ndarray, grid: RpmGrid, cfg: TrackerConfig) -> np.n
     curv[0] = curv[1]
     curv[-1] = curv[-2]
     q = np.maximum(0.0, -curv)
-    var = np.clip(1.0 / (q + cfg.eps_c), cfg.sigma_min_rpm ** 2, cfg.sigma_max_rpm ** 2)
+    var = np.clip(1.0 / (q + EPS_C), cfg.sigma_min_rpm ** 2, cfg.sigma_max_rpm ** 2)
     return np.sqrt(var)
 
 
@@ -119,7 +120,7 @@ def _block_operator(s: float, dr: float, truncation_sigmas: float, g: int):
 
 
 def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid,
-            truncation_sigmas: float = 6.0) -> np.ndarray:
+            truncation_sigmas: float = KERNEL_TRUNCATION_SIGMAS) -> np.ndarray:
     """Diffuse posterior mass with per-bin Gaussian transition columns.
 
     Column j spreads mass[j] as a Gaussian of scale sigmas[j] truncated at
@@ -174,13 +175,13 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid,
     return out
 
 
-def update(prior: np.ndarray, loglik: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
+def update(prior: np.ndarray, loglik: np.ndarray) -> np.ndarray:
     """Posterior mass: the Bayes product of (G,) prior mass and one frame's
     (G,) log-likelihood, in the log domain, max-shifted and normalized."""
     if np.shape(prior) != np.shape(loglik):
         raise ValueError(f"prior shape {np.shape(prior)} does not match "
                          f"log-likelihood shape {np.shape(loglik)}")
-    log_post = np.log(prior + cfg.eps_log) + loglik
+    log_post = np.log(prior + EPS_LOG) + loglik
     mass = np.exp(log_post - log_post.max())
     mass /= mass.sum()
     return mass
@@ -240,7 +241,7 @@ def track(loglik: np.ndarray | Iterator[np.ndarray], grid: RpmGrid, cfg: Tracker
     for start, block in blocks:
         for t, row in enumerate(block, start=start + 1):
             sig = curvature_sigma(mass, grid, cfg)
-            mass = update(predict(mass, sig, grid, cfg.kernel_truncation_sigmas), row, cfg)
+            mass = update(predict(mass, sig, grid), row)
             when = float(times_s[t - 1]) if times_s is not None else float("nan")
             rows.append((t, when, *estimate(mass, grid)))
             if return_posteriors:

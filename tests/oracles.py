@@ -10,8 +10,8 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.special import logsumexp
 
-from tacholess import AxisType, EvidenceCurve, RpmGrid, frame_signal, viterbi_path
-from tacholess.alignment import LIKELIHOOD_FLOOR
+from tacholess import RpmGrid, frame_signal, viterbi_path
+from tacholess.alignment import EPS_NORM, KERNEL_TRUNCATION_SIGMAS, LIKELIHOOD_FLOOR
 from tacholess.baselines import PEAK_LOG_FLOOR
 
 
@@ -36,33 +36,41 @@ def naive_cmndf(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mapped_weights(curve: EvidenceCurve, cfg, sample_rate_hz: float):
+# the native axes an estimator may score on
+AXIS_KINDS = ("lag", "quefrency", "hz", "rpm")
+
+
+def axis_rpm(rpm_targets: np.ndarray, kind: str, sample_rate_hz: float) -> np.ndarray:
+    """RPM points of an ascending native axis through ``rpm_targets``: a lag or
+    quefrency axis at 60 * fs / rpm, mapped back by 60 * fs / tau; an axis in
+    Hz at rpm / 60, mapped back by 60 * f; an RPM axis as it is."""
+    if kind in ("lag", "quefrency"):
+        return 60.0 * sample_rate_hz / np.sort(60.0 * sample_rate_hz / rpm_targets)
+    if kind == "hz":
+        return 60.0 * (rpm_targets / 60.0)
+    return rpm_targets
+
+
+def _point_weights(values: np.ndarray, sign: float, cfg) -> np.ndarray:
     """Standardize -> energy -> point weights, written independently."""
-    v = curve.values
-    q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
-    standardized = (v - med) / ((q3 - q1) + cfg.eps_norm)
-    energy = -float(curve.polarity.value) * standardized
+    q1, med, q3 = np.percentile(values, [25.0, 50.0, 75.0])
+    standardized = (values - med) / ((q3 - q1) + EPS_NORM)
+    energy = -sign * standardized  # low energy = plausible
     log_w = -cfg.beta * energy
-    log_w = log_w - log_w.max()
-    if curve.axis_type in (AxisType.LAG, AxisType.QUEFRENCY):
-        rpm = 60.0 * sample_rate_hz / curve.axis
-    elif curve.axis_type is AxisType.HZ:
-        rpm = 60.0 * curve.axis
-    else:
-        rpm = curve.axis.astype(np.float64)
-    return rpm, np.exp(log_w)
+    return np.exp(log_w - log_w.max())
 
 
-def naive_curve_to_grid(curve: EvidenceCurve, grid: RpmGrid, cfg,
-                        sample_rate_hz: float, truncate: bool = True) -> np.ndarray:
-    """Double-loop kernel aggregation; returns normalized log-likelihood values.
+def naive_curve_to_grid(rpm: np.ndarray, values: np.ndarray, sign: float, grid: RpmGrid,
+                        cfg, truncate: bool = True) -> np.ndarray:
+    """Double-loop kernel aggregation of one frame's ``values`` at the points
+    ``rpm``; returns normalized log-likelihood values.
 
     With ``truncate=False`` the Gaussian kernel is evaluated everywhere
     (the untruncated reference for the truncation-error bound).
     """
-    rpm, weights = _mapped_weights(curve, cfg, sample_rate_hz)
+    weights = _point_weights(values, sign, cfg)
     h = cfg.kernel_bandwidth_rpm
-    trunc = cfg.kernel_truncation_sigmas
+    trunc = KERNEL_TRUNCATION_SIGMAS
     reach = trunc * h
     mass = np.zeros(grid.n_points)
     kept = 0
@@ -145,6 +153,8 @@ def naive_viterbi_stft(signal, framing, grid: RpmGrid, penalty: float, k: int) -
     for frame in frame_signal(signal, framing):
         mag = np.abs(np.fft.rfft(frame * np.hanning(n), nfft))
         peaks = [i for i in range(lo, hi + 1) if mag[i - 1] < mag[i] >= mag[i + 1]]
+        if not peaks:  # no local maximum in band: the band's largest bin, first on ties
+            peaks = [lo + int(np.argmax(mag[lo:hi + 1]))]
         peaks = np.array(peaks)[np.argsort(mag[peaks])[::-1][:k]]
         logm = np.log(mag + PEAK_LOG_FLOOR)
         freqs = []

@@ -7,12 +7,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from tacholess import (
-    AxisType,
     CurveToGridConfig,
-    EvidenceCurve,
     FramingConfig,
     FusionWeights,
-    Polarity,
     RpmGrid,
     ScenarioSpec,
     TrackerConfig,
@@ -40,14 +37,14 @@ def _random_grid(rng: np.random.Generator) -> RpmGrid:
     return RpmGrid(r_min=r_min, r_max=r_min + span, n_points=g)
 
 
-def _random_curve(rng: np.random.Generator, grid: RpmGrid) -> EvidenceCurve:
+def _random_curve(rng: np.random.Generator, grid: RpmGrid) -> tuple[np.ndarray, np.ndarray, float]:
+    """(RPM points, values, sign) of one frame of evidence on an RPM axis."""
     k = int(rng.integers(3, 24))
-    axis = np.sort(rng.uniform(grid.r_min, grid.r_max, k))
-    axis += np.arange(k) * 1e-6  # strictly increasing even after sort ties
+    rpm = np.sort(rng.uniform(grid.r_min, grid.r_max, k))
+    rpm += np.arange(k) * 1e-6  # strictly increasing even after sort ties
     values = rng.normal(0.0, 1.0, k)
-    polarity = Polarity.COST if rng.integers(2) else Polarity.SCORE
-    return EvidenceCurve(estimator_id="prop", axis=axis, values=values,
-                         axis_type=AxisType.RPM, polarity=polarity)
+    sign = -1.0 if rng.integers(2) else 1.0
+    return rpm, values, sign
 
 
 def _random_log_values(rng: np.random.Generator, grid: RpmGrid) -> np.ndarray:
@@ -79,12 +76,12 @@ def check_curve_to_grid(n_cases: int, seed: int = 202) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
         grid = _random_grid(rng)
-        curve = _random_curve(rng, grid)
-        lik = aligned_loglik(curve, kernel_scatter(curve, grid, cfg, 12800.0), cfg)
+        rpm, values, sign = _random_curve(rng, grid)
+        lik = aligned_loglik(values, sign, kernel_scatter(rpm, grid, cfg), cfg)
         assert lik.shape == (grid.n_points,)
         assert np.all(np.isfinite(lik))
         assert abs(float(logsumexp(lik))) < 1e-9
-        again = aligned_loglik(curve, kernel_scatter(curve, grid, cfg, 12800.0), cfg)
+        again = aligned_loglik(values, sign, kernel_scatter(rpm, grid, cfg), cfg)
         assert np.array_equal(lik, again)
 
 
@@ -136,13 +133,12 @@ def check_predict_mass(n_cases: int, seed: int = 606) -> None:
 
 
 def check_update(n_cases: int, seed: int = 707) -> None:
-    cfg = TrackerConfig()
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
         grid = _random_grid(rng)
         predicted = rng.dirichlet(np.full(grid.n_points, 0.8))
         lik = _random_log_values(rng, grid)
-        mass = update(predicted, lik, cfg)
+        mass = update(predicted, lik)
         assert np.all(mass >= 0.0)
         assert abs(float(mass.sum()) - 1.0) < 1e-9
 

@@ -12,10 +12,7 @@ import pytest
 from scipy.special import logsumexp
 
 from tacholess import (
-    AxisType,
     CurveToGridConfig,
-    EvidenceCurve,
-    Polarity,
     RpmGrid,
     RunConfig,
     ScenarioSpec,
@@ -34,6 +31,8 @@ from tacholess import (
     viterbi_path,
 )
 from oracles import (
+    AXIS_KINDS,
+    axis_rpm,
     discrete_gaussian_mass,
     exhaustive_best_score,
     naive_curve_to_grid,
@@ -84,19 +83,11 @@ def test_c02_oracle_equivalence():
         k = int(rng.integers(4, 40))
         rpm_targets = np.sort(rng.uniform(grid.r_min - 5.0, grid.r_max + 5.0, k))
         rpm_targets += np.arange(k) * 1e-9
-        axis_type = list(AxisType)[int(rng.integers(4))]
-        if axis_type in (AxisType.LAG, AxisType.QUEFRENCY):
-            axis = np.sort(60.0 * fs / rpm_targets)
-        elif axis_type is AxisType.HZ:
-            axis = rpm_targets / 60.0
-        else:
-            axis = rpm_targets
-        curve = EvidenceCurve(
-            estimator_id="t", axis=axis, values=rng.normal(0.0, 1.5, k),
-            axis_type=axis_type,
-            polarity=Polarity.COST if rng.integers(2) else Polarity.SCORE)
-        lik = aligned_loglik(curve, kernel_scatter(curve, grid, cfg, fs), cfg)
-        ref = naive_curve_to_grid(curve, grid, cfg, fs)
+        rpm = axis_rpm(rpm_targets, AXIS_KINDS[int(rng.integers(4))], fs)
+        values = rng.normal(0.0, 1.5, k)
+        sign = -1.0 if rng.integers(2) else 1.0
+        lik = aligned_loglik(values, sign, kernel_scatter(rpm, grid, cfg), cfg)
+        ref = naive_curve_to_grid(rpm, values, sign, grid, cfg)
         worst_align = max(worst_align, float(np.max(np.abs(lik - ref))))
 
     worst_pred = 0.0
@@ -122,14 +113,13 @@ def test_c02_oracle_equivalence():
 
 
 def test_c03_gaussian_product_closed_form():
-    cfg = TrackerConfig()
     cases = [(1500.0, 60.0, 1580.0, 80.0), (2200.0, 50.0, 2150.0, 50.0),
              (900.0, 120.0, 1050.0, 45.0), (3400.0, 70.0, 3300.0, 140.0)]
     worst_mu = worst_s = 0.0
     for prior_mu, prior_s, lik_mu, lik_s in cases:
         prior = discrete_gaussian_mass(GRID, prior_mu, prior_s)
         lik = _loglik(discrete_gaussian_mass(GRID, lik_mu, lik_s))
-        _, mmse_rpm, sigma_rpm, _ = estimate(update(prior, lik, cfg), GRID)
+        _, mmse_rpm, sigma_rpm, _ = estimate(update(prior, lik), GRID)
         w = (1.0 / prior_s**2) / (1.0 / prior_s**2 + 1.0 / lik_s**2)
         mu = w * prior_mu + (1.0 - w) * lik_mu
         s = np.sqrt(1.0 / (1.0 / prior_s**2 + 1.0 / lik_s**2))

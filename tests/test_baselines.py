@@ -3,10 +3,7 @@ import pytest
 from scipy.special import logsumexp
 
 from tacholess import (
-    AxisType,
-    EvidenceCurve,
     InputConfig,
-    Polarity,
     RpmGrid,
     RunConfig,
     ScenarioSpec,
@@ -14,6 +11,7 @@ from tacholess import (
     ViterbiConfig,
     analyze,
     framewise_trajectory,
+    load_signal,
     save_signal,
     single_estimator_pick,
     viterbi_path,
@@ -21,39 +19,34 @@ from tacholess import (
 from oracles import (
     brute_force_path_score,
     discrete_gaussian_mass,
+    naive_viterbi_stft,
     path_score,
 )
 
 
-def curve(axis, values, axis_type=AxisType.RPM, polarity=Polarity.SCORE):
-    return EvidenceCurve(estimator_id="t", axis=np.asarray(axis, float),
-                         values=np.asarray(values, float),
-                         axis_type=axis_type, polarity=polarity)
+def pick(values, sign, rpm, r_min=300.0, r_max=4000.0):
+    rpm = np.asarray(rpm, float)
+    return single_estimator_pick(np.asarray(values, float), sign, rpm,
+                                 (rpm >= r_min) & (rpm <= r_max))
 
 
 def test_pick_score_and_cost_orientations():
-    c_score = curve([900.0, 1000.0, 1100.0], [0.2, 0.9, 0.4])
-    assert single_estimator_pick(c_score, 300.0, 4000.0, 12800.0) == 1000.0
-    c_cost = curve([900.0, 1000.0, 1100.0], [0.2, 0.9, 0.4],
-                   polarity=Polarity.COST)
-    assert single_estimator_pick(c_cost, 300.0, 4000.0, 12800.0) == 900.0
+    assert pick([0.2, 0.9, 0.4], 1.0, [900.0, 1000.0, 1100.0]) == 1000.0
+    assert pick([0.2, 0.9, 0.4], -1.0, [900.0, 1000.0, 1100.0]) == 900.0
+    block = np.array([[0.2, 0.9, 0.4], [0.5, 0.1, 0.3]])
+    assert np.array_equal(pick(block, -1.0, [900.0, 1000.0, 1100.0]), [900.0, 1000.0])
 
 
 def test_pick_respects_the_feasible_band():
-    c = curve([200.0, 1000.0, 5000.0], [9.0, 1.0, 8.0])
     # the global maxima sit outside [300, 4000] and must be ignored
-    assert single_estimator_pick(c, 300.0, 4000.0, 12800.0) == 1000.0
-    with pytest.raises(ValueError, match="no candidate maps inside"):
-        single_estimator_pick(c, 1500.0, 2000.0, 12800.0)
+    assert pick([9.0, 1.0, 8.0], 1.0, [200.0, 1000.0, 5000.0]) == 1000.0
 
 
 def test_pick_tie_goes_to_lower_native_coordinate():
-    c = curve([900.0, 1000.0, 1100.0], [0.7, 0.3, 0.7])
-    assert single_estimator_pick(c, 300.0, 4000.0, 12800.0) == 900.0
+    assert pick([0.7, 0.3, 0.7], 1.0, [900.0, 1000.0, 1100.0]) == 900.0
     # on a lag axis the lower coordinate is the higher RPM
-    lag = curve([100.0, 200.0], [0.5, 0.5], axis_type=AxisType.LAG,
-                polarity=Polarity.COST)
-    assert single_estimator_pick(lag, 300.0, 10000.0, 12800.0) == pytest.approx(7680.0)
+    lags = np.array([100.0, 200.0])
+    assert pick([0.5, 0.5], -1.0, 60.0 * 12800.0 / lags, r_max=10000.0) == pytest.approx(7680.0)
 
 
 def test_framewise_is_per_frame_mmse():
@@ -119,21 +112,25 @@ def test_viterbi_stft_tracks_a_clean_tone():
     assert np.max(np.abs(traj.rpm - refs)) < 2.0  # sub-bin via peak interpolation
 
 
-def test_viterbi_stft_needs_spectral_peaks(tmp_path):
-    # 1 s of a 3600 RPM tone, then 1 s of zeros. Frame 101 is the first
-    # all-zero frame, but frame 100 holds only the tone's last 128 samples,
-    # where the Hann window is below 0.0025: too short for a spectral peak in
-    # the 5-66.7 Hz band. The error names it as the recording's frame, not as
-    # row 4 of its chunk (frames 97-128)
+def test_viterbi_stft_takes_the_band_maximum_of_a_peakless_frame(tmp_path):
+    # 1 s of a 3600 RPM tone, then 1 s of zeros. From frame 100 on no frame has
+    # a local maximum in the 5-66.7 Hz band: frame 100 holds only the tone's
+    # last 128 samples, where the Hann window is below 0.0025, and later frames
+    # are silent. Such a frame's one candidate is its largest in-band bin, the
+    # first on ties: bin 7 of 0.78125 Hz (328.125 RPM) in a silent frame
     fs = 12800
     tone = np.sin(2 * np.pi * 60.0 * np.arange(fs) / fs)
-    for samples, frame in ((np.concatenate([tone, np.zeros(fs)]), 100), (np.zeros(fs), 1)):
-        path = tmp_path / f"frame{frame}.wav"
-        save_signal(Signal(samples, float(fs)), path)
-        cfg = RunConfig(scenario=None, input=InputConfig(path=str(path)),
-                        baselines=("viterbi_stft",))
-        with pytest.raises(ValueError, match=f"no spectral peaks .* at frame {frame}$"):
-            analyze(cfg)
+    path = tmp_path / "tail.wav"
+    save_signal(Signal(np.concatenate([tone, np.zeros(fs)]), float(fs)), path)
+    cfg = RunConfig(scenario=None, input=InputConfig(path=str(path)),
+                    baselines=("viterbi_stft",))
+    rpm = analyze(cfg).baselines["viterbi_stft"].rpm
+    expected = naive_viterbi_stft(load_signal(path), cfg.framing, cfg.grid,
+                                  cfg.viterbi.transition_penalty_per_rpm,
+                                  cfg.viterbi.n_candidates_per_frame)
+    assert np.array_equal(rpm, expected)
+    assert np.max(np.abs(rpm[:60] - 3600.0)) < 2.0
+    assert np.all(rpm[100:] == 328.125)
     for penalty in (-1.0, np.nan, np.inf):  # NaN and inf used to act as penalty 0
         with pytest.raises(ValueError, match="finite and >= 0"):
             ViterbiConfig(transition_penalty_per_rpm=penalty)

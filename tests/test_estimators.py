@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from tacholess import AxisType, EvidenceCurve, Polarity
+from tacholess import (EstimatorSetConfig, InputConfig, RunConfig, Signal, analyze,
+                       evidence_chunks, save_signal)
 from tacholess.estimators import (
     cepstrum_curve,
     comb_curve,
@@ -22,22 +23,20 @@ def harmonic_frame(n=1024, fs=8000.0, f0=200.0, n_harm=5):
     return x
 
 
-def test_evidence_curve_validation():
-    ax = np.array([1.0, 2.0, 3.0])
-    EvidenceCurve(estimator_id="x", axis=ax, values=np.zeros(3),
-                  axis_type=AxisType.RPM, polarity=Polarity.SCORE)
-    with pytest.raises(ValueError):
-        EvidenceCurve(estimator_id="x", axis=ax[::-1].copy(), values=np.zeros(3),
-                      axis_type=AxisType.RPM, polarity=Polarity.SCORE)
-    with pytest.raises(ValueError):
-        EvidenceCurve(estimator_id="x", axis=ax, values=np.zeros(2),
-                      axis_type=AxisType.RPM, polarity=Polarity.SCORE)
-    with pytest.raises(ValueError):
-        EvidenceCurve(estimator_id="x", axis=np.array([1.0]), values=np.array([0.0]),
-                      axis_type=AxisType.RPM, polarity=Polarity.SCORE)
-    with pytest.raises(ValueError):
-        EvidenceCurve(estimator_id="x", axis=ax, values=np.array([0.0, np.nan, 0.0]),
-                      axis_type=AxisType.RPM, polarity=Polarity.SCORE)
+def test_evidence_curve_validation(tmp_path):
+    # the pipeline checks each chunk's curves once: finite samples of 1e305
+    # overflow the cepstrum's and the comb's spectra, and the run stops naming
+    # the estimator, whether it is fused or only picked
+    path = tmp_path / "huge.csv"
+    x = 1e305 * np.sin(2 * np.pi * 25.0 * np.arange(8192 + 3 * 128) / 12800.0)
+    save_signal(Signal(x, 12800.0), path)
+    for name in ("cepstrum", "comb"):
+        for enabled, baselines in (((name,), ()), (("yin",), (name,))):
+            cfg = RunConfig(scenario=None, input=InputConfig(path=str(path), sample_rate_hz=12800.0),
+                            estimators=EstimatorSetConfig(enabled=enabled), baselines=baselines)
+            with np.errstate(all="ignore"), \
+                    pytest.raises(ValueError, match=f"curve '{name}' contains non-finite"):
+                analyze(cfg)
 
 
 def test_lag_bounds_default_configuration():
@@ -103,90 +102,80 @@ def test_yin_matches_naive_normalization():
         tau_min = int(rng.integers(2, 10))
         tau_max = int(rng.integers(tau_min + 8, n // 2))
         x = rng.normal(0.0, 1.0, n)
-        curve = yin_curve(x, 8000.0, tau_min, tau_max)
+        values = yin_curve(x, tau_min, tau_max)
         ref = naive_cmndf(naive_difference(x, tau_max))[tau_min:tau_max + 1]
-        assert np.allclose(curve.values, ref, rtol=1e-9, atol=1e-9)
-        assert np.array_equal(curve.axis, np.arange(tau_min, tau_max + 1))
-        assert curve.axis_type is AxisType.LAG
-        assert curve.polarity is Polarity.COST
+        assert values.shape == (tau_max - tau_min + 1,)
+        assert np.allclose(values, ref, rtol=1e-9, atol=1e-9)
 
 
 def test_yin_dips_at_the_period():
-    curve = yin_curve(harmonic_frame(), 8000.0, 20, 100)
-    best = curve.axis[np.argmin(curve.values)]
+    values = yin_curve(harmonic_frame(), 20, 100)
+    best = 20 + np.argmin(values)
     assert abs(best - 40.0) <= 1.0  # 200 Hz at 8 kHz
-    assert curve.values.min() < 0.1
+    assert values.min() < 0.1
 
 
 def test_yin_on_silence_is_flat_one():
-    curve = yin_curve(np.zeros(256), 8000.0, 4, 64)
-    assert np.array_equal(curve.values, np.ones(61))
-    dc = yin_curve(np.full(256, 3.25), 8000.0, 4, 64)
-    assert np.array_equal(dc.values, np.ones(61))
+    assert np.array_equal(yin_curve(np.zeros(256), 4, 64), np.ones(61))
+    assert np.array_equal(yin_curve(np.full(256, 3.25), 4, 64), np.ones(61))
 
 
 def test_yin_amplitude_invariance():
     rng = np.random.default_rng(13)
     x = rng.normal(0.0, 1.0, 400)
-    a = yin_curve(x, 8000.0, 4, 150)
-    b = yin_curve(8.0 * x, 8000.0, 4, 150)  # power-of-two scale
-    assert np.allclose(a.values, b.values, rtol=1e-12, atol=0.0)
-    c = yin_curve(3.7 * x, 8000.0, 4, 150)
-    assert np.allclose(a.values, c.values, rtol=1e-9, atol=1e-9)
+    a = yin_curve(x, 4, 150)
+    b = yin_curve(8.0 * x, 4, 150)  # power-of-two scale
+    assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+    c = yin_curve(3.7 * x, 4, 150)
+    assert np.allclose(a, c, rtol=1e-9, atol=1e-9)
 
 
 def test_yin_noise_stays_above_dip_threshold():
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        curve = yin_curve(rng.normal(0.0, 1.0, 2048), 8000.0, 20, 400)
-        assert curve.values.min() > 0.1
+        assert yin_curve(rng.normal(0.0, 1.0, 2048), 20, 400).min() > 0.1
 
 
 def test_yin_range_validation():
     frame = np.zeros(64)
     with pytest.raises(ValueError, match="lag range"):
-        yin_curve(frame, 8000.0, 1, 20)
+        yin_curve(frame, 1, 20)
     with pytest.raises(ValueError, match="lag range"):
-        yin_curve(frame, 8000.0, 4, 33)  # beyond frame_len // 2
+        yin_curve(frame, 4, 33)  # beyond frame_len // 2
     with pytest.raises(ValueError, match="lag range"):
-        yin_curve(frame, 8000.0, 10, 10)
+        yin_curve(frame, 10, 10)
 
 
 def test_cepstrum_peaks_at_period_in_samples():
-    curve = cepstrum_curve(harmonic_frame(), 8000.0, 20, 100)
-    assert curve.axis_type is AxisType.QUEFRENCY
-    assert curve.polarity is Polarity.SCORE
-    best = curve.axis[np.argmax(curve.values)]
+    best = 20 + np.argmax(cepstrum_curve(harmonic_frame(), 20, 100))
     assert abs(best - 40.0) <= 1.0
 
 
 def test_cepstrum_curve_owns_its_values():
     # a view into the (T, n) cepstrum would keep every quefrency alive with the curve
     frames = np.stack([harmonic_frame(), harmonic_frame(f0=250.0)])
-    curve = cepstrum_curve(frames, 8000.0, 20, 100)
-    assert curve.values.base is None and curve.values.shape == (2, 81)
-    assert np.array_equal(curve.values[1], cepstrum_curve(frames[1], 8000.0, 20, 100).values)
+    values = cepstrum_curve(frames, 20, 100)
+    assert values.base is None and values.shape == (2, 81)
+    assert np.array_equal(values[1], cepstrum_curve(frames[1], 20, 100))
 
 
 def test_cepstrum_finite_on_silence():
-    curve = cepstrum_curve(np.zeros(256), 8000.0, 4, 64)
-    assert np.all(np.isfinite(curve.values))
+    assert np.all(np.isfinite(cepstrum_curve(np.zeros(256), 4, 64)))
 
 
 def test_comb_peaks_at_fundamental():
     frame = harmonic_frame(n=4096)
-    curve = comb_curve(*magnitude_spectrum(frame), 8000.0, 50.0, 450.0, n_candidates=801,
-                       n_harmonics=5)
-    assert curve.axis_type is AxisType.HZ
-    best = curve.axis[np.argmax(curve.values)]
+    values = comb_curve(*magnitude_spectrum(frame), 8000.0, 50.0, 450.0, n_candidates=801,
+                        n_harmonics=5)
+    best = np.linspace(50.0, 450.0, 801)[np.argmax(values)]
     assert abs(best - 200.0) <= 4.0  # within 2%
 
 
 def test_comb_prefers_fundamental_over_half():
     frame = harmonic_frame(n=4096)
-    curve = comb_curve(*magnitude_spectrum(frame), 8000.0, 50.0, 450.0, n_candidates=801,
-                       n_harmonics=5)
-    at = lambda f: curve.values[np.argmin(np.abs(curve.axis - f))]
+    values = comb_curve(*magnitude_spectrum(frame), 8000.0, 50.0, 450.0, n_candidates=801,
+                        n_harmonics=5)
+    at = lambda f: values[np.argmin(np.abs(np.linspace(50.0, 450.0, 801) - f))]
     # 1/m amplitudes: h(200) ~ mean(1,1/2,..,1/5), h(100) ~ (1 + 1/2)/5, ratio 1.52
     assert at(200.0) > 1.3 * at(100.0)
 
@@ -196,9 +185,9 @@ def test_comb_is_flat_on_noise():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         frame = rng.normal(0.0, 1.0, 4096)
-        curve = comb_curve(*magnitude_spectrum(frame), 8000.0, 50.0, 450.0, n_candidates=801,
-                           n_harmonics=5)
-        assert curve.values.max() <= 3.0 * np.median(curve.values)
+        values = comb_curve(*magnitude_spectrum(frame), 8000.0, 50.0, 450.0, n_candidates=801,
+                            n_harmonics=5)
+        assert values.max() <= 3.0 * np.median(values)
 
 
 def test_comb_scales_linearly_and_zero_on_silence():
@@ -208,10 +197,10 @@ def test_comb_scales_linearly_and_zero_on_silence():
     doubled = 2.0 * frame
     b = comb_curve(*magnitude_spectrum(doubled), 8000.0, 50.0, 450.0, n_candidates=101,
                    n_harmonics=5)
-    assert np.allclose(b.values, 2.0 * a.values, rtol=1e-9, atol=1e-12)
+    assert np.allclose(b, 2.0 * a, rtol=1e-9, atol=1e-12)
     z = comb_curve(*magnitude_spectrum(np.zeros(2048)), 8000.0, 50.0, 450.0,
                    n_candidates=101, n_harmonics=5)
-    assert np.array_equal(z.values, np.zeros(101))
+    assert np.array_equal(z, np.zeros(101))
 
 
 def test_comb_nyquist_guard():
@@ -232,21 +221,23 @@ def test_block_rows_equal_one_frame_curves():
     block[1] = harmonic_frame(n=1024)
     block[3] = 0.0  # silent frame
     cases = [
-        lambda x: yin_curve(x, fs, 20, 400),
-        lambda x: cepstrum_curve(x, fs, 20, 400),
+        lambda x: yin_curve(x, 20, 400),
+        lambda x: cepstrum_curve(x, 20, 400),
         lambda x: comb_curve(*magnitude_spectrum(x), fs, 50.0, 450.0, n_candidates=301),
     ]
     for curve_of in cases:
-        curves = curve_of(block)
-        assert curves.values.shape == (5, len(curves.axis))
+        rows = curve_of(block)
+        assert rows.ndim == 2 and len(rows) == 5
         for t in range(5):
-            one = curve_of(block[t])
-            assert np.array_equal(one.axis, curves.axis)
-            assert np.allclose(one.values, curves.values[t], rtol=1e-12, atol=1e-12)
+            assert np.allclose(curve_of(block[t]), rows[t], rtol=1e-12, atol=1e-12)
 
 
 def test_block_with_a_non_finite_frame_names_the_estimator():
-    block = np.zeros((3, 256))
-    block[1, 7] = np.nan
-    with pytest.raises(ValueError, match="curve 'cepstrum' contains non-finite"):
-        cepstrum_curve(block, 8000.0, 4, 64)
+    # the estimators return what they compute; the pipeline checks each chunk's
+    # values once, naming the estimator, also when it only feeds a pick
+    frames = np.zeros((40, 8192))
+    frames[35, 7] = np.nan  # in the second chunk
+    for enabled, baselines in ((("cepstrum", "comb"), ()), (("yin",), ("cepstrum",))):
+        cfg = RunConfig(estimators=EstimatorSetConfig(enabled=enabled), baselines=baselines)
+        with pytest.raises(ValueError, match="curve 'cepstrum' contains non-finite"):
+            list(evidence_chunks(frames, 12800.0, cfg))

@@ -61,8 +61,11 @@ def test_config_from_partial_dicts():
                                "estimators": {"enabled": ["yin"]}, "baselines": ["comb"]})
     assert cfg.grid.n_points == 1201
     assert cfg.estimators.enabled == ("yin",) and cfg.baselines == ("comb",)
-    assert set(RunConfig().to_dict()["tracker"]) == {
-        "sigma_min_rpm", "sigma_max_rpm", "eps_c", "eps_log", "kernel_truncation_sigmas"}
+    assert set(RunConfig().to_dict()["tracker"]) == {"sigma_min_rpm", "sigma_max_rpm"}
+    assert set(RunConfig().to_dict()["alignment"]) == {"beta", "kernel_bandwidth_rpm"}
+    # the numeric guards are module constants, not config keys
+    with pytest.raises(ValueError, match=re.escape("config.tracker: unknown keys ['eps_c']")):
+        RunConfig.from_dict({"tracker": {"eps_c": 1e-12}})
 
 
 def test_config_validation_messages():
@@ -221,6 +224,49 @@ def test_streamed_analyze_equals_the_whole_array_path(overlap):
         assert streamed.tracked.frame_index.tolist() == list(range(1, 88))
         for a, b in zip(streamed.posteriors, posteriors, strict=True):
             assert np.array_equal(a, b)
+
+
+def test_estimator_rpm_points_are_fixed_once_per_run(monkeypatch):
+    # each axis maps to RPM once per run: lags and quefrencies by 60 * fs / tau,
+    # comb frequencies by 60 * f; every chunk aligns and picks on those points
+    seen = {"scatter": [], "pick": []}
+    scatter, pick = pipeline.kernel_scatter, pipeline.single_estimator_pick
+    monkeypatch.setattr(pipeline, "kernel_scatter",
+                        lambda rpm, *a: seen["scatter"].append(rpm) or scatter(rpm, *a))
+    monkeypatch.setattr(pipeline, "single_estimator_pick",
+                        lambda *a: seen["pick"].append(a[1:]) or pick(*a))
+    cfg = short_cfg(baselines=("yin", "cepstrum", "comb"))
+    fs = 12800.0
+    frames = np.random.default_rng(5).normal(0.0, 1.0, (40, 8192))  # two chunks
+    assert len(list(pipeline.evidence_chunks(frames, fs, cfg))) == 2
+    lags = np.array([60.0 * fs / tau for tau in range(426, 641)])  # 1800 .. 1200 RPM
+    comb = np.array([60.0 * f for f in np.linspace(1200.0 / 60.0, 1800.0 / 60.0, 2048)])
+    assert len(seen["scatter"]) == 3 and len(seen["pick"]) == 6
+    for name, rpm, got, picks in zip(("yin", "cepstrum", "comb"), (lags, lags, comb),
+                                     seen["scatter"], (seen["pick"][0::3], seen["pick"][1::3],
+                                                       seen["pick"][2::3])):
+        assert np.array_equal(got, rpm), name
+        for sign, pick_rpm, inside in picks:
+            assert sign == tacholess.SIGN[name]
+            assert pick_rpm is picks[0][1] and np.array_equal(pick_rpm, rpm)
+            assert np.array_equal(inside, (rpm >= 1200.0) & (rpm <= 1800.0))
+
+
+def test_a_pick_with_no_axis_point_inside_the_grid_is_refused():
+    # 60 * (r / 60) rounds to just below r_min = 488.1 and just above r_max =
+    # 490.6, so neither of two comb candidates lies inside the grid
+    cfg = RunConfig(grid=RpmGrid.from_step(488.1, 490.6, 0.5),
+                    estimators=EstimatorSetConfig(enabled=("comb",), comb_candidates=2),
+                    baselines=("comb",))
+    with pytest.raises(ValueError, match=r"'comb': no candidate maps inside \[488.1, 490.6\]"):
+        next(pipeline.evidence_chunks(np.zeros((2, 8192)), 12800.0, cfg))
+
+
+def test_star_import_gives_every_exported_name():
+    # a stale __all__ entry makes the star import itself raise AttributeError
+    namespace = {}
+    exec("from tacholess import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(tacholess.__all__)
 
 
 @pytest.mark.parametrize("overlap", [True, False])
@@ -596,7 +642,8 @@ def test_config_rejects_bad_keys_inside_a_section(tmp_path, capsys, section, val
     ({"framing": {"frame_len": 8192.0}}, "config.framing.frame_len: expected int, got 8192.0"),
     ({"viterbi": {"n_candidates_per_frame": 2.5}},
      "config.viterbi.n_candidates_per_frame: expected int, got 2.5"),
-    ({"tracker": {"eps_c": True}}, "config.tracker.eps_c: expected float, got True"),
+    ({"tracker": {"sigma_min_rpm": True}},
+     "config.tracker.sigma_min_rpm: expected float, got True"),
     ({"output": {"plot": 1}}, "config.output.plot: expected bool, got 1"),
     ({"baselines": "comb"}, "config.baselines: expected tuple[str, ...], got 'comb'"),
     ({"scenario": {"harmonic_amps": [1.0, "x"], "n_harmonics": 2}},
@@ -605,7 +652,8 @@ def test_config_rejects_bad_keys_inside_a_section(tmp_path, capsys, section, val
     # field's integer past 2**64 broke np.isfinite too
     ({"grid": {"r_min": 10**400, "r_max": 4000}}, "config.grid.r_min: expected float, got 1"),
     ({"framing": {"frame_len": 10**400}}, "config.framing.frame_len: expected int, got 1"),
-    ({"tracker": {"eps_c": 10**30}}, "config.tracker.eps_c: expected float, got 1"),
+    ({"tracker": {"sigma_min_rpm": 10**30}},
+     "config.tracker.sigma_min_rpm: expected float, got 1"),
 ])
 def test_config_rejects_values_of_the_wrong_json_type(tmp_path, capsys, d, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -36,17 +36,12 @@ def test_config_defaults_and_validation():
     cfg = TrackerConfig()
     assert cfg.sigma_min_rpm == 40.0
     assert cfg.sigma_max_rpm == 150.0
-    assert cfg.eps_c == 1e-12
-    assert cfg.eps_log == 1e-300
+    assert set(vars(cfg)) == {"sigma_min_rpm", "sigma_max_rpm"}
     with pytest.raises(ValueError):
         TrackerConfig(sigma_min_rpm=200.0, sigma_max_rpm=150.0)
 
 
-@pytest.mark.parametrize("name, value", [
-    ("kernel_truncation_sigmas", np.inf), ("sigma_max_rpm", np.inf),
-    ("sigma_min_rpm", np.nan), ("eps_c", np.inf), ("eps_log", 0.0),
-    ("kernel_truncation_sigmas", -1.0),
-])
+@pytest.mark.parametrize("name, value", [("sigma_max_rpm", np.inf), ("sigma_min_rpm", np.nan)])
 def test_config_rejects_non_finite_and_non_positive_values(name, value):
     with pytest.raises(ValueError, match=f"tracker.{name} must be positive and finite"):
         TrackerConfig(**{name: value})
@@ -220,25 +215,23 @@ def test_predict_mass_conservation_property():
 
 
 def test_update_with_flat_likelihood_is_identity():
-    cfg = TrackerConfig()
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
     rng = np.random.default_rng(33)
     predicted = rng.dirichlet(np.full(200, 0.9))
     flat = loglik_from_mass(np.full(200, 1.0 / 200))
-    mass = update(predicted, flat, cfg)
+    mass = update(predicted, flat)
     assert np.allclose(mass, predicted / predicted.sum(), rtol=1e-9)
 
 
 def test_update_gaussian_conjugacy():
     # grid Bayes update of Gaussian prior x Gaussian likelihood matches the
     # closed-form product (means and variances combine by precision weighting)
-    cfg = TrackerConfig()
     grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
     prior_mu, prior_s = 1500.0, 60.0
     lik_mu, lik_s = 1580.0, 80.0
     prior = discrete_gaussian_mass(grid, prior_mu, prior_s)
     lik = loglik_from_mass(discrete_gaussian_mass(grid, lik_mu, lik_s))
-    _, mmse_rpm, sigma_rpm, _ = estimate(update(prior, lik, cfg), grid)
+    _, mmse_rpm, sigma_rpm, _ = estimate(update(prior, lik), grid)
     w = (1.0 / prior_s**2) / (1.0 / prior_s**2 + 1.0 / lik_s**2)
     expect_mu = w * prior_mu + (1.0 - w) * lik_mu
     expect_s = np.sqrt(1.0 / (1.0 / prior_s**2 + 1.0 / lik_s**2))
@@ -251,11 +244,10 @@ def test_update_normalization_property():
 
 
 def test_update_shape_mismatch():
-    cfg = TrackerConfig()
     grid = RpmGrid(r_min=300.0, r_max=399.0, n_points=100)
     flat = loglik_from_mass(np.full(100, 0.01))
     with pytest.raises(ValueError, match="shape"):
-        update(np.full(99, 1.0 / 99), flat, cfg)
+        update(np.full(99, 1.0 / 99), flat)
 
 
 def test_track_is_online():
@@ -269,8 +261,7 @@ def test_track_single_frame_equals_manual_steps():
     points = track(lik[None], grid, cfg, times_s=[0.25])
     prior = uniform(grid)
     sig = curvature_sigma(prior, grid, cfg)
-    manual = estimate(update(predict(prior, sig, grid, cfg.kernel_truncation_sigmas), lik, cfg),
-                      grid)
+    manual = estimate(update(predict(prior, sig, grid), lik), grid)
     assert points.dtype.names == ("frame_index", "time_s", "map_rpm", "mmse_rpm",
                                   "sigma_rpm", "entropy_nats")
     assert points[0].tolist() == (1, 0.25, *manual)
