@@ -95,8 +95,8 @@ def yin_curve(frames: np.ndarray, tau_min: int, tau_max: int) -> np.ndarray:
     """Cumulative-mean-normalized difference d'(tau) at lags tau_min..tau_max (cost curve).
 
     d'(tau) = d(tau) * tau / sum_{j<=tau} d(j), with d'(tau) = 1 where the
-    running sum is zero (silent frame). Values are scale-invariant in the
-    frame amplitude.
+    running sum is zero (silent frame) and nan where it is not finite (an
+    overflowing frame). Values are scale-invariant in the frame amplitude.
     """
     _check_lag_range(tau_min, tau_max, frames.shape[-1], "yin lag range")
     d = difference_function(frames, tau_max)
@@ -104,6 +104,7 @@ def yin_curve(frames: np.ndarray, tau_min: int, tau_max: int) -> np.ndarray:
     running = np.cumsum(d[..., 1:], axis=-1)
     dprime = np.ones_like(d)
     np.divide(d[..., 1:] * taus, running, out=dprime[..., 1:], where=running > 0)
+    dprime[..., 1:][~np.isfinite(running)] = np.nan
     return dprime[..., tau_min : tau_max + 1]
 
 

@@ -4,16 +4,18 @@ A run is: resolve input (scenario synthesis or file) -> frame -> evidence
 curves -> grid log-likelihoods -> fused likelihood, chunk by chunk of frames
 -> tracked trajectory, plus any requested baselines, then metrics against
 the ground truth when one exists. The fused chunks stream into the tracker,
-which runs on one worker thread while the calling thread computes the next
-chunk, so memory is O(chunk x G) plus the per-frame outputs.
+so memory is O(chunk x G) plus the per-frame outputs. Two threads share the
+work: the calling thread computes evidence chunks in order, and a worker
+thread tracks them in order and, whenever its next chunk is not ready,
+computes a later chunk itself instead of waiting.
 """
 
 from __future__ import annotations
 
+import contextvars
 import inspect
 import itertools
 import json
-import queue
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -40,8 +42,18 @@ from .tracker import TrackerConfig, track
 
 ESTIMATOR_IDS = ("yin", "cepstrum", "comb")
 BASELINE_IDS = ("yin", "cepstrum", "comb", "framewise", "viterbi_stft")
-# frames per evidence/alignment/fusion step: working memory is O(CHUNK_FRAMES x G)
-CHUNK_FRAMES = 32
+# frames per evidence/alignment/fusion step: working memory is O(CHUNK_FRAMES x G).
+# Both threads compute chunks, and each thread's allocator arena keeps its own
+# chunk's temporaries: on a 2-core host, benchmark peak RSS read 115 MB on
+# narrowband-long and 100-105 MB on fullband-5s with 32-frame chunks, 94-97
+# and 86-89 MB with 16 at the same speed, and 96-98 and 89-91 MB when only the
+# calling thread computed chunks of 32
+CHUNK_FRAMES = 16
+# chunks claimed by either thread but not yet handed to the tracker. The
+# calling thread waits at this count while the worker computes a chunk: per
+# 20 s narrowband-long clip it waited 0.6 s at 2, 0.01-0.06 s at 3 and none
+# in four of five runs at 4, the smallest count that keeps both threads busy
+MAX_UNHANDED = 4
 
 
 def _require_known(section: str, kind: str, names: Iterable[str], known: Sequence[str]) -> None:
@@ -194,18 +206,12 @@ def _plain(value: Any) -> Any:
 # -- evidence computation ---------------------------------------------------
 
 
-def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
-                    cfg: RunConfig) -> Iterator[tuple[np.ndarray, dict[str, Any]]]:
-    """Fused grid log-likelihood of a (T, N) block of frames, CHUNK_FRAMES
-    frames at a time: yields each chunk's fused (n, G) rows and, for each
-    baseline in ``cfg.baselines`` read from the evidence, its part for the
-    chunk's frames: each pick's RPM per frame, and under ``viterbi_stft`` each
-    frame's (log-magnitude, RPM) peak candidates.
-
-    Each estimator's axis is the same in every frame, so its RPM points, its
-    scatter matrix and each pick's band mask are made once per run. A chunk's
-    magnitude spectrum is computed once, if the comb or ``viterbi_stft``
-    reads it; nothing else outlives its chunk.
+def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
+                    cfg: RunConfig) -> Callable[[int], tuple[np.ndarray, dict[str, Any]]]:
+    """The per-run setup of :func:`evidence_chunks`; returns the function of
+    the chunk index k that computes chunk k (frames ``k * CHUNK_FRAMES``
+    onwards) as :func:`evidence_chunks` yields it. Chunks may be computed in
+    any order and on any thread.
     """
     if len(frames) == 0:
         raise ValueError("no frames to analyze")
@@ -242,14 +248,15 @@ def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
                              f"[{grid.r_min}, {grid.r_max}] RPM")
     scatter = {eid: kernel_scatter(rpm[eid], grid, cfg.alignment, f"curve '{eid}'")
                for eid in est.enabled}
-    for start in range(0, len(frames), CHUNK_FRAMES):
-        block = frames[start:start + CHUNK_FRAMES]
+
+    def evidence(k: int) -> tuple[np.ndarray, dict[str, Any]]:
+        block = frames[k * CHUNK_FRAMES:(k + 1) * CHUNK_FRAMES]
         # made on first use and freed before alignment: held longer, it raised peak RSS
         spectrum = cache(partial(magnitude_spectrum, block))
         curves = {eid: evaluate[eid](block, spectrum)
                   for eid in dict.fromkeys([*est.enabled, *picked])}
         for eid, values in curves.items():
-            # a finite but huge recording can overflow the cepstrum and comb
+            # a finite but huge recording can overflow every estimator
             if not np.isfinite(values).all():
                 raise ValueError(f"curve '{eid}' contains non-finite entries")
         picks = {name: single_estimator_pick(curves[name], SIGN[name], rpm[name], inside[name])
@@ -260,46 +267,122 @@ def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
         del spectrum
         logliks = [aligned_loglik(curves[eid], SIGN[eid], scatter[eid], cfg.alignment)
                    for eid in est.enabled]
-        fused = pool_logliks(est.enabled, logliks, weights)
-        del curves, logliks  # not held while the next chunk is computed
-        yield fused, picks
+        return pool_logliks(est.enabled, logliks, weights), picks
+
+    return evidence
 
 
-def _consume_on_worker(consume: Callable[[Iterator[Any]], Any], items: Iterable[Any]) -> Any:
-    """``consume(iterator)`` run on one worker thread while this thread makes
-    ``items``, with at most one made item waiting for it; returns what
+def _n_chunks(n_frames: int) -> int:
+    return -(-n_frames // CHUNK_FRAMES)
+
+
+def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
+                    cfg: RunConfig) -> Iterator[tuple[np.ndarray, dict[str, Any]]]:
+    """Fused grid log-likelihood of a (T, N) block of frames, CHUNK_FRAMES
+    frames at a time: yields each chunk's fused (n, G) rows and, for each
+    baseline in ``cfg.baselines`` read from the evidence, its part for the
+    chunk's frames: each pick's RPM per frame, and under ``viterbi_stft`` each
+    frame's (log-magnitude, RPM) peak candidates.
+
+    Each estimator's axis is the same in every frame, so its RPM points, its
+    scatter matrix and each pick's band mask are made once per run. A chunk's
+    magnitude spectrum is computed once, if the comb or ``viterbi_stft``
+    reads it; nothing else outlives its chunk.
+    """
+    evidence = _chunk_evidence(frames, sample_rate_hz, cfg)
+    for k in range(_n_chunks(len(frames))):
+        yield evidence(k)
+
+
+class _Schedule:
+    """Chunks 0 .. n - 1 of ``compute``, each computed by whichever of two
+    threads claims it, and handed over in order.
+
+    A thread claims the lowest unclaimed chunk and computes it outside the
+    lock, so each thread computes one chunk at a time. No chunk is claimed
+    while MAX_UNHANDED chunks are claimed but not yet handed over.
+    """
+
+    def __init__(self, n: int, compute: Callable[[int], Any]):
+        self.n, self.compute = n, compute
+        self.cond = threading.Condition()
+        self.claimed = 0  # chunks 0 .. claimed - 1 are claimed
+        self.handed = 0  # and chunks 0 .. handed - 1 handed over
+        self.made: dict[int, Any] = {}  # computed and not yet handed over
+        self.stopped = False
+
+    def _compute(self, k: int) -> None:
+        item = self.compute(k)
+        with self.cond:
+            self.made[k] = item
+            self.cond.notify_all()
+
+    def _help_until(self, ready: Callable[[], bool]) -> bool:
+        """Claim and compute chunks on this thread until ``ready()`` holds
+        (under the lock, checked before each claim); False if stopped first."""
+        while True:
+            with self.cond:
+                self.cond.wait_for(lambda: self.stopped or ready() or (
+                    self.claimed < self.n and self.claimed - self.handed < MAX_UNHANDED))
+                if self.stopped:
+                    return False
+                if ready():
+                    return True
+                k = self.claimed
+                self.claimed += 1
+            self._compute(k)
+
+    def compute_all(self) -> None:
+        """Compute chunks in order until every chunk is claimed or the schedule stops."""
+        self._help_until(lambda: self.claimed == self.n)
+
+    def in_order(self) -> Iterator[Any]:
+        """The chunks in order. While the next one is not computed, this thread
+        computes a chunk it claims instead of waiting. Ends early once stopped."""
+        for k in range(self.n):
+            if not self._help_until(lambda: k in self.made):
+                return
+            with self.cond:
+                item = self.made.pop(k)
+                self.handed += 1
+                self.cond.notify_all()
+            yield item
+
+    def stop(self) -> None:
+        with self.cond:
+            self.stopped = True
+            self.cond.notify_all()
+
+
+def _track_while_computing(n_chunks: int, compute: Callable[[int], Any],
+                           consume: Callable[[Iterator[Any]], Any]) -> Any:
+    """``consume(chunks)`` run on one worker thread, where ``chunks`` yields
+    ``compute(k)`` for k = 0 .. n_chunks - 1 in order; returns what
     ``consume`` returns.
 
-    An error on either side is raised here, and the worker has finished when
-    this returns. The making side does the large allocations, so they reuse
-    this thread's heap: made on the worker instead, they kept about 10 MB
-    more resident in a second allocator arena on 20 s clips.
+    This thread computes chunks in order. When the worker's next chunk is not
+    computed yet, the worker claims a chunk and computes it itself rather than
+    wait, so both threads stay busy (a :class:`_Schedule`). An error on either
+    side stops both threads and is raised here, and the worker has finished
+    when this returns.
     """
-    slot = queue.Queue(maxsize=1)
-    gone = threading.Event()
-
-    def fed():
-        while (item := slot.get()) is not None:
-            yield item
+    schedule = _Schedule(n_chunks, compute)
 
     def run():
         try:
-            return consume(fed())
-        finally:
-            gone.set()
-            while not slot.empty():  # frees a put that waits for a consumer now gone
-                slot.get_nowait()
+            return consume(schedule.in_order())
+        finally:  # this thread may be waiting at the bound
+            schedule.stop()
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        consuming = pool.submit(run)
+        # in this thread's context, so that the caller's np.errstate holds there too
+        consuming = pool.submit(contextvars.copy_context().run, run)
         try:
-            for item in items:
-                if gone.is_set():  # the consumer stopped early, e.g. it raised
-                    break
-                slot.put(item)
-        finally:
-            if not gone.is_set():  # ends fed(), also when making an item raised
-                slot.put(None)
+            schedule.compute_all()
+        except BaseException:
+            # the worker's chunks end early; its error on that follows from this one
+            schedule.stop()
+            raise
         return consuming.result()
 
 
@@ -330,15 +413,17 @@ def _resolve_input(cfg: RunConfig) -> tuple[Signal, GroundTruth | None]:
 def analyze(cfg: RunConfig) -> AnalysisResult:
     """Run the full pipeline in memory (no files written).
 
-    The tracker filters the fused rows chunk by chunk as they are made, on
-    one worker thread while the calling thread computes the next chunk's
-    evidence. No (T, G) array of the recording is built.
+    The tracker filters the fused rows chunk by chunk, in order, on one
+    worker thread while the calling thread computes evidence chunks; when
+    its next chunk is not ready the worker computes a later one itself
+    rather than wait. No (T, G) array of the recording is built.
     """
     return _analyze(cfg, overlap=True)
 
 
 def _analyze(cfg: RunConfig, overlap: bool) -> AnalysisResult:
-    """``analyze``, with the tracker on the calling thread unless ``overlap``."""
+    """``analyze``; without ``overlap``, every chunk and the tracker run in order on
+    the calling thread."""
     signal, truth = _resolve_input(cfg)
     framing = cfg.framing
     times = frame_times(signal, framing)
@@ -347,33 +432,36 @@ def _analyze(cfg: RunConfig, overlap: bool) -> AnalysisResult:
                          f"{framing.frame_len}, hop {framing.hop}; need >= 2 frames, i.e. "
                          f">= {framing.frame_len + framing.hop} samples")
     frames = frame_signal(signal, framing)
-    per_frame = {name: [] for name in cfg.baselines}
+    evidence = _chunk_evidence(frames, signal.sample_rate_hz, cfg)
+    n_chunks = _n_chunks(len(frames))
+    parts: list[Any] = [None] * n_chunks  # each chunk's baseline parts, by chunk index
 
-    def fused_blocks():
-        done = 0
-        for fused, picks in evidence_chunks(frames, signal.sample_rate_hz, cfg):
-            for name, part in picks.items():
-                per_frame[name].append(part)
-            if "framewise" in per_frame:
-                block_times = times[done:done + len(fused)]
-                per_frame["framewise"].append(
-                    framewise_trajectory(fused, cfg.grid, block_times).rpm)
-            done += len(fused)
-            yield fused
+    def fused_rows(k):
+        fused, picks = evidence(k)
+        if "framewise" in cfg.baselines:
+            start = k * CHUNK_FRAMES
+            picks["framewise"] = framewise_trajectory(
+                fused, cfg.grid, times[start:start + len(fused)]).rpm
+        parts[k] = picks
+        return fused
 
     def filtered(blocks):
         return track(blocks, cfg.grid, cfg.tracker, times,
                      return_posteriors=cfg.output.dump_posteriors)
 
-    out = _consume_on_worker(filtered, fused_blocks()) if overlap else filtered(fused_blocks())
+    if overlap:
+        out = _track_while_computing(n_chunks, fused_rows, filtered)
+    else:
+        out = filtered(map(fused_rows, range(n_chunks)))
     tracked, posteriors = out if cfg.output.dump_posteriors else (out, None)
 
     baselines: dict[str, BaselineTrajectory] = {}
-    for name, parts in per_frame.items():
+    for name in cfg.baselines:
         if name == "viterbi_stft":
-            rpm = viterbi_stft([*itertools.chain(*parts)], cfg.viterbi.transition_penalty_per_rpm)
+            rpm = viterbi_stft([*itertools.chain.from_iterable(p[name] for p in parts)],
+                               cfg.viterbi.transition_penalty_per_rpm)
         else:
-            rpm = np.concatenate(parts)
+            rpm = np.concatenate([p[name] for p in parts])
         baselines[name] = BaselineTrajectory(
             method=name, frame_index=np.arange(1, len(frames) + 1), time_s=times.copy(), rpm=rpm)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import logsumexp
 
 from tacholess import (
@@ -12,7 +13,7 @@ from tacholess import (
     kernel_scatter,
     robust_standardize,
 )
-from tacholess.alignment import KERNEL_TRUNCATION_SIGMAS
+from tacholess.alignment import EPS_NORM, KERNEL_TRUNCATION_SIGMAS
 from oracles import AXIS_KINDS, axis_rpm, naive_curve_to_grid
 from props import check_curve_to_grid, check_standardize
 
@@ -49,6 +50,23 @@ def test_robust_standardize_affine_invariance(vals, scale, shift):
     base = robust_standardize(v)
     moved = robust_standardize(scale * v + shift)
     assert np.allclose(moved, base, rtol=1e-4, atol=1e-6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=70),
+              elements=st.one_of(st.floats(-1e5, 1e5), st.sampled_from([-1e-5, 0.0, 2.5]))))
+def test_robust_standardize_quartiles_equal_numpy_percentile(v):
+    # one sort per row and numpy's own lerp: the same quartiles as np.percentile,
+    # with ties, constant rows and rows of one value among the drawn arrays
+    q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0], axis=-1, keepdims=True)
+    assert np.array_equal(robust_standardize(v), (v - med) / ((q3 - q1) + EPS_NORM))
+
+
+def test_robust_standardize_of_constant_and_single_value_rows():
+    block = np.array([[3.0] * 5, [1.0, 1.0, 2.0, 2.0, 2.0]])
+    assert np.array_equal(robust_standardize(block)[0], np.zeros(5))
+    assert np.array_equal(robust_standardize(block)[1], (block[1] - 2.0) / (1.0 + EPS_NORM))
+    assert np.array_equal(robust_standardize(np.array([[7.0], [-2.0]])), np.zeros((2, 1)))
 
 
 def test_config_defaults_and_validation():

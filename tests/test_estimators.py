@@ -24,19 +24,25 @@ def harmonic_frame(n=1024, fs=8000.0, f0=200.0, n_harm=5):
 
 
 def test_evidence_curve_validation(tmp_path):
-    # the pipeline checks each chunk's curves once: finite samples of 1e305
-    # overflow the cepstrum's and the comb's spectra, and the run stops naming
-    # the estimator, whether it is fused or only picked
-    path = tmp_path / "huge.csv"
-    x = 1e305 * np.sin(2 * np.pi * 25.0 * np.arange(8192 + 3 * 128) / 12800.0)
-    save_signal(Signal(x, 12800.0), path)
-    for name in ("cepstrum", "comb"):
-        for enabled, baselines in (((name,), ()), (("yin",), (name,))):
-            cfg = RunConfig(scenario=None, input=InputConfig(path=str(path), sample_rate_hz=12800.0),
-                            estimators=EstimatorSetConfig(enabled=enabled), baselines=baselines)
-            with np.errstate(all="ignore"), \
-                    pytest.raises(ValueError, match=f"curve '{name}' contains non-finite"):
-                analyze(cfg)
+    # the pipeline checks each chunk's curves once, and the run stops naming
+    # the estimator, whether it is fused or only picked. Finite samples of
+    # 1e305 overflow every estimator; at 1e304 only YIN's frame energies
+    # overflow, so a picked YIN runs beside a fused estimator that stays finite
+    def recording(amplitude):
+        path = tmp_path / f"huge_{amplitude:g}.csv"
+        x = amplitude * np.sin(2 * np.pi * 25.0 * np.arange(8192 + 3 * 128) / 12800.0)
+        save_signal(Signal(x, 12800.0), path)
+        return InputConfig(path=str(path), sample_rate_hz=12800.0)
+
+    cases = [(1e305, (name,), (), name) for name in ("yin", "cepstrum", "comb")]
+    cases += [(1e305, ("yin",), ("yin",), "yin"), (1e304, ("cepstrum",), ("yin",), "yin"),
+              (1e304, ("comb",), ("yin",), "yin")]
+    for amplitude, enabled, baselines, name in cases:
+        cfg = RunConfig(scenario=None, input=recording(amplitude),
+                        estimators=EstimatorSetConfig(enabled=enabled), baselines=baselines)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=f"curve '{name}' contains non-finite"):
+            analyze(cfg)
 
 
 def test_lag_bounds_default_configuration():
@@ -234,10 +240,18 @@ def test_block_rows_equal_one_frame_curves():
 
 def test_block_with_a_non_finite_frame_names_the_estimator():
     # the estimators return what they compute; the pipeline checks each chunk's
-    # values once, naming the estimator, also when it only feeds a pick
-    frames = np.zeros((40, 8192))
-    frames[35, 7] = np.nan  # in the second chunk
-    for enabled, baselines in ((("cepstrum", "comb"), ()), (("yin",), ("cepstrum",))):
+    # values once, naming the estimator. A NaN sample makes every curve of its
+    # frame NaN, so the first estimator checked is named; a frame of 1e304
+    # overflows YIN alone, which is named also when it only feeds a pick
+    nan_frames = np.zeros((40, 8192))
+    nan_frames[35, 7] = np.nan  # in the third chunk
+    huge_frames = np.zeros((40, 8192))
+    huge_frames[35] = 1e304 * np.sin(2 * np.pi * 25.0 * np.arange(8192) / 12800.0)
+    for frames, enabled, baselines, name in (
+            (nan_frames, ("cepstrum", "comb"), (), "cepstrum"),
+            (nan_frames, ("yin",), ("cepstrum",), "yin"),
+            (huge_frames, ("comb",), ("yin",), "yin")):
         cfg = RunConfig(estimators=EstimatorSetConfig(enabled=enabled), baselines=baselines)
-        with pytest.raises(ValueError, match="curve 'cepstrum' contains non-finite"):
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=f"curve '{name}' contains non-finite"):
             list(evidence_chunks(frames, 12800.0, cfg))

@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -181,7 +182,7 @@ def test_analyze_on_a_grid_the_curves_cannot_reach_raises():
 
 @pytest.mark.parametrize("overlap", [True, False])
 def test_streamed_analyze_equals_the_whole_array_path(overlap):
-    # 87 frames: two full chunks and a partial one. The reference filters the
+    # 87 frames: five full chunks and a partial one. The reference filters the
     # whole (T, G) array on this thread; analyze switches between its two
     # threads as often as the interpreter allows, to expose any shared state.
     # The second run computes the chunk spectrum for viterbi_stft alone
@@ -237,11 +238,11 @@ def test_estimator_rpm_points_are_fixed_once_per_run(monkeypatch):
                         lambda *a: seen["pick"].append(a[1:]) or pick(*a))
     cfg = short_cfg(baselines=("yin", "cepstrum", "comb"))
     fs = 12800.0
-    frames = np.random.default_rng(5).normal(0.0, 1.0, (40, 8192))  # two chunks
-    assert len(list(pipeline.evidence_chunks(frames, fs, cfg))) == 2
+    frames = np.random.default_rng(5).normal(0.0, 1.0, (40, 8192))  # three chunks
+    assert len(list(pipeline.evidence_chunks(frames, fs, cfg))) == 3
     lags = np.array([60.0 * fs / tau for tau in range(426, 641)])  # 1800 .. 1200 RPM
     comb = np.array([60.0 * f for f in np.linspace(1200.0 / 60.0, 1800.0 / 60.0, 2048)])
-    assert len(seen["scatter"]) == 3 and len(seen["pick"]) == 6
+    assert len(seen["scatter"]) == 3 and len(seen["pick"]) == 9
     for name, rpm, got, picks in zip(("yin", "cepstrum", "comb"), (lags, lags, comb),
                                      seen["scatter"], (seen["pick"][0::3], seen["pick"][1::3],
                                                        seen["pick"][2::3])):
@@ -281,26 +282,28 @@ def test_errors_on_either_side_surface_from_analyze(monkeypatch, overlap):
         pipeline._analyze(cfg, overlap)
     assert threading.active_count() == threads
 
-    # chunk 3 (frames 65..96) fails on the evidence side, then arrives at the
-    # tracker with a NaN in its first row
+    # the chunk that starts at frame 33 fails on the evidence side, then
+    # arrives at the tracker with a NaN in its first row; chunks may be
+    # computed out of order and on either thread
     tracked_on = []
-    real_pool, real_track = pipeline.pool_logliks, pipeline.track
+    real_setup, real_track = pipeline._chunk_evidence, pipeline.track
 
     def recorded_track(*args, **kwargs):
         tracked_on.append(threading.get_ident())
         return real_track(*args, **kwargs)
 
-    def third_chunk(change):
-        calls = []
+    def at_frame_33(change):
+        def setup(*args):
+            evidence = real_setup(*args)
 
-        def pool(*args):
-            calls.append(args)
-            rows = real_pool(*args)
-            return change(rows) if len(calls) == 3 else rows
-        return pool
+            def chunk(k):
+                rows, picks = evidence(k)
+                return (change(rows) if k * pipeline.CHUNK_FRAMES + 1 == 33 else rows), picks
+            return chunk
+        return setup
 
     def fail(rows):
-        raise ValueError("evidence failed in chunk 3")
+        raise ValueError("evidence failed at frame 33")
 
     def spoil(rows):
         rows[0, 5] = np.nan
@@ -308,14 +311,85 @@ def test_errors_on_either_side_surface_from_analyze(monkeypatch, overlap):
 
     monkeypatch.setattr(pipeline, "track", recorded_track)
     short = short_cfg(scenario=ScenarioSpec(scenario="S0", duration_s=1.5, seed=1))
-    for change, message in ((fail, "evidence failed in chunk 3"),
-                            (spoil, "frame 65 log-likelihood has non-finite values")):
-        monkeypatch.setattr(pipeline, "pool_logliks", third_chunk(change))
+    for change, message in ((fail, "evidence failed at frame 33"),
+                            (spoil, "frame 33 log-likelihood has non-finite values")):
+        monkeypatch.setattr(pipeline, "_chunk_evidence", at_frame_33(change))
         with pytest.raises(ValueError, match=message):
             pipeline._analyze(short, overlap)
         assert threading.active_count() == threads
     assert len(tracked_on) == 2
     assert (threading.get_ident() in tracked_on) == (not overlap)
+
+
+def test_the_worker_computes_chunks_while_the_calling_thread_lags(monkeypatch):
+    # the calling thread's evidence sleeps, so the worker finds its next chunk
+    # not ready and computes chunks itself; results stay those of one thread
+    threads = threading.active_count()
+    caller = threading.get_ident()
+    cfg = short_cfg(scenario=ScenarioSpec(scenario="S3", duration_s=1.5, seed=2),
+                    baselines=pipeline.BASELINE_IDS, output=OutputConfig(dump_posteriors=True))
+    signal, _ = tacholess.synthesize(cfg.scenario, rpm_bounds=(cfg.grid.r_min, cfg.grid.r_max))
+    frames = tacholess.frame_signal(signal, cfg.framing)
+    times = tacholess.frame_times(signal, cfg.framing)
+    chunks = list(pipeline.evidence_chunks(frames, signal.sample_rate_hz, cfg))
+    fused = np.concatenate([rows for rows, _ in chunks])
+    tracked, posteriors = tacholess.track(fused, cfg.grid, cfg.tracker, times,
+                                          return_posteriors=True)
+    rpm = {name: np.concatenate([picks[name] for _, picks in chunks])
+           for name in pipeline.ESTIMATOR_IDS}
+    rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid, times).rpm
+    rpm["viterbi_stft"] = tacholess.viterbi_stft(
+        [c for _, picks in chunks for c in picks["viterbi_stft"]],
+        cfg.viterbi.transition_penalty_per_rpm)
+
+    real_yin = tacholess.estimators.yin_curve
+
+    def slow_yin(*args):
+        if threading.get_ident() == caller:
+            time.sleep(0.05)
+        return real_yin(*args)
+
+    lock = threading.Lock()
+    computing = []
+    seen = []  # per chunk: (thread, chunks computing, chunks claimed but not handed over)
+    real_compute = pipeline._Schedule._compute
+
+    def compute(schedule, k):
+        with lock:
+            computing.append(k)
+            seen.append((threading.get_ident(), len(computing),
+                         schedule.claimed - schedule.handed))
+        try:
+            real_compute(schedule, k)
+        finally:
+            with lock:
+                computing.remove(k)
+
+    monkeypatch.setattr(tacholess.estimators, "yin_curve", slow_yin)
+    monkeypatch.setattr(pipeline._Schedule, "_compute", compute)
+    result = analyze(cfg)
+
+    assert threading.active_count() == threads
+    assert len(seen) == len(chunks) == 6
+    assert any(thread != caller for thread, _, _ in seen)
+    assert max(n for _, n, _ in seen) <= 2
+    assert max(n for _, _, n in seen) <= pipeline.MAX_UNHANDED
+    assert np.array_equal(result.tracked, tracked)
+    for a, b in zip(result.posteriors, posteriors, strict=True):
+        assert np.array_equal(a, b)
+    assert set(result.baselines) == set(rpm)
+    for name, values in rpm.items():
+        assert np.array_equal(result.baselines[name].rpm, values), name
+
+
+def test_the_worker_runs_in_the_callers_numpy_error_state():
+    # chunks computed on the worker warn or raise as the caller asked
+    def consume(chunks):
+        return list(chunks), np.geterr()["over"], threading.get_ident()
+
+    with np.errstate(over="raise"):
+        chunks, over, thread = pipeline._track_while_computing(2, lambda k: k, consume)
+    assert chunks == [0, 1] and over == "raise" and thread != threading.get_ident()
 
 
 @pytest.mark.parametrize("dump_posteriors, bound", [(False, 0.5), (True, 1.5)])
