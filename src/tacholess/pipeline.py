@@ -7,7 +7,9 @@ the ground truth when one exists. The fused chunks stream into the tracker,
 so memory is O(chunk x G) plus the per-frame outputs. Two threads share the
 work: the calling thread computes evidence chunks in order, and a worker
 thread tracks them in order and, whenever its next chunk is not ready,
-computes a later chunk itself instead of waiting.
+computes a later chunk itself instead of waiting. Each chunk is a Future
+holding its rows or its error, and a semaphore bounds the chunks computed
+ahead of the tracker; a run raises the error of its earliest failing chunk.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import json
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
 from pathlib import Path
@@ -294,94 +296,74 @@ def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
         yield evidence(k)
 
 
-class _Schedule:
-    """Chunks 0 .. n - 1 of ``compute``, each computed by whichever of two
-    threads claims it, and handed over in order.
-
-    A thread claims the lowest unclaimed chunk and computes it outside the
-    lock, so each thread computes one chunk at a time. No chunk is claimed
-    while MAX_UNHANDED chunks are claimed but not yet handed over.
-    """
-
-    def __init__(self, n: int, compute: Callable[[int], Any]):
-        self.n, self.compute = n, compute
-        self.cond = threading.Condition()
-        self.claimed = 0  # chunks 0 .. claimed - 1 are claimed
-        self.handed = 0  # and chunks 0 .. handed - 1 handed over
-        self.made: dict[int, Any] = {}  # computed and not yet handed over
-        self.stopped = False
-
-    def _compute(self, k: int) -> None:
-        item = self.compute(k)
-        with self.cond:
-            self.made[k] = item
-            self.cond.notify_all()
-
-    def _help_until(self, ready: Callable[[], bool]) -> bool:
-        """Claim and compute chunks on this thread until ``ready()`` holds
-        (under the lock, checked before each claim); False if stopped first."""
-        while True:
-            with self.cond:
-                self.cond.wait_for(lambda: self.stopped or ready() or (
-                    self.claimed < self.n and self.claimed - self.handed < MAX_UNHANDED))
-                if self.stopped:
-                    return False
-                if ready():
-                    return True
-                k = self.claimed
-                self.claimed += 1
-            self._compute(k)
-
-    def compute_all(self) -> None:
-        """Compute chunks in order until every chunk is claimed or the schedule stops."""
-        self._help_until(lambda: self.claimed == self.n)
-
-    def in_order(self) -> Iterator[Any]:
-        """The chunks in order. While the next one is not computed, this thread
-        computes a chunk it claims instead of waiting. Ends early once stopped."""
-        for k in range(self.n):
-            if not self._help_until(lambda: k in self.made):
-                return
-            with self.cond:
-                item = self.made.pop(k)
-                self.handed += 1
-                self.cond.notify_all()
-            yield item
-
-    def stop(self) -> None:
-        with self.cond:
-            self.stopped = True
-            self.cond.notify_all()
-
-
 def _track_while_computing(n_chunks: int, compute: Callable[[int], Any],
                            consume: Callable[[Iterator[Any]], Any]) -> Any:
     """``consume(chunks)`` run on one worker thread, where ``chunks`` yields
     ``compute(k)`` for k = 0 .. n_chunks - 1 in order; returns what
     ``consume`` returns.
 
-    This thread computes chunks in order. When the worker's next chunk is not
-    computed yet, the worker claims a chunk and computes it itself rather than
-    wait, so both threads stay busy (a :class:`_Schedule`). An error on either
-    side stops both threads and is raised here, and the worker has finished
-    when this returns.
+    Both threads claim the lowest unclaimed chunk and compute it: this thread
+    one chunk after another, the worker whenever its next chunk is not
+    computed yet, so neither waits while there is a chunk to compute. At most
+    MAX_UNHANDED chunks are claimed and not yet handed to ``consume``. Each
+    chunk is a Future that holds its result or its error until it is handed
+    over, so a run raises the error of its earliest failing chunk, whichever
+    thread computed it. The worker has finished when this returns.
+
+    The evidence stays on this thread and ``consume`` on the worker: the other
+    way round (chunks queued on a pool, taken back with ``Future.cancel``), a
+    20 s narrowband analyze on a 2-core host read 112-117k minor page faults
+    against 16-32k, as glibc trims the evidence temporaries' non-main arena
+    and faults them in again (1.5k with MALLOC_ARENA_MAX=1).
     """
-    schedule = _Schedule(n_chunks, compute)
+    chunks = {k: Future() for k in range(n_chunks)}  # popped when handed over
+    unclaimed, claiming = iter(range(n_chunks)), threading.Lock()
+    room = threading.Semaphore(MAX_UNHANDED)  # taken by each claim, given back by each hand-over
+
+    def claim() -> int | None:
+        with claiming:
+            return next(unclaimed, None)
+
+    def drain() -> list[int]:
+        with claiming:
+            return list(unclaimed)
+
+    def make(k: int) -> None:
+        try:
+            chunks[k].set_result(compute(k))
+        except BaseException as exc:  # raised where chunk k is handed over
+            chunks[k].set_exception(exc)
+            drain()  # every earlier chunk is claimed, and no later one is needed
+            if not isinstance(exc, Exception):
+                raise
+
+    def in_order() -> Iterator[Any]:
+        for k in range(n_chunks):
+            # without room, chunk k is claimed already
+            while not chunks[k].done() and room.acquire(blocking=False):
+                if (j := claim()) is None:
+                    break
+                make(j)
+            item = chunks.pop(k).result()
+            room.release()
+            yield item
 
     def run():
         try:
-            return consume(schedule.in_order())
-        finally:  # this thread may be waiting at the bound
-            schedule.stop()
+            return consume(in_order())
+        finally:  # the calling thread claims no more chunks, nor waits for room
+            drain()
+            room.release()
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         # in this thread's context, so that the caller's np.errstate holds there too
         consuming = pool.submit(contextvars.copy_context().run, run)
         try:
-            schedule.compute_all()
-        except BaseException:
-            # the worker's chunks end early; its error on that follows from this one
-            schedule.stop()
+            while room.acquire() and (k := claim()) is not None:
+                make(k)
+        except BaseException as exc:  # an interrupt: the worker stops at the first unclaimed chunk
+            for k in drain():
+                chunks[k].set_exception(exc)
             raise
         return consuming.result()
 
@@ -416,7 +398,9 @@ def analyze(cfg: RunConfig) -> AnalysisResult:
     The tracker filters the fused rows chunk by chunk, in order, on one
     worker thread while the calling thread computes evidence chunks; when
     its next chunk is not ready the worker computes a later one itself
-    rather than wait. No (T, G) array of the recording is built.
+    rather than wait. An error is raised in frame order: that of the
+    earliest chunk whose evidence or tracking fails, whichever thread
+    computed it. No (T, G) array of the recording is built.
     """
     return _analyze(cfg, overlap=True)
 

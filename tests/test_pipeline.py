@@ -350,27 +350,41 @@ def test_the_worker_computes_chunks_while_the_calling_thread_lags(monkeypatch):
         return real_yin(*args)
 
     lock = threading.Lock()
-    computing = []
-    seen = []  # per chunk: (thread, chunks computing, chunks claimed but not handed over)
-    real_compute = pipeline._Schedule._compute
+    computing, computed, handed = [], [], []
+    seen = []  # per chunk: (thread, chunks computing, chunks started but not handed over)
+    real_setup, real_track = pipeline._chunk_evidence, pipeline.track
 
-    def compute(schedule, k):
-        with lock:
-            computing.append(k)
-            seen.append((threading.get_ident(), len(computing),
-                         schedule.claimed - schedule.handed))
-        try:
-            real_compute(schedule, k)
-        finally:
+    def setup(*args):
+        evidence = real_setup(*args)
+
+        def chunk(k):
             with lock:
-                computing.remove(k)
+                computing.append(k)
+                computed.append(k)
+                seen.append((threading.get_ident(), len(computing), len(computed) - len(handed)))
+            try:
+                return evidence(k)
+            finally:
+                with lock:
+                    computing.remove(k)
+        return chunk
+
+    def counted_track(blocks, *args, **kwargs):
+        def received():
+            for rows in blocks:
+                with lock:
+                    handed.append(len(rows))
+                yield rows
+        return real_track(received(), *args, **kwargs)
 
     monkeypatch.setattr(tacholess.estimators, "yin_curve", slow_yin)
-    monkeypatch.setattr(pipeline._Schedule, "_compute", compute)
+    monkeypatch.setattr(pipeline, "_chunk_evidence", setup)
+    monkeypatch.setattr(pipeline, "track", counted_track)
     result = analyze(cfg)
 
     assert threading.active_count() == threads
-    assert len(seen) == len(chunks) == 6
+    assert len(chunks) == 6 and sorted(computed) == list(range(6))  # each chunk once
+    assert handed == [len(rows) for rows, _ in chunks]
     assert any(thread != caller for thread, _, _ in seen)
     assert max(n for _, n, _ in seen) <= 2
     assert max(n for _, _, n in seen) <= pipeline.MAX_UNHANDED
@@ -380,6 +394,60 @@ def test_the_worker_computes_chunks_while_the_calling_thread_lags(monkeypatch):
     assert set(result.baselines) == set(rpm)
     for name, values in rpm.items():
         assert np.array_equal(result.baselines[name].rpm, values), name
+
+
+def test_a_run_raises_the_error_of_its_earliest_failing_chunk():
+    # chunk 0 fails late and chunk 1 at once, each on whichever thread claims it
+    threads = threading.active_count()
+    computed = []
+
+    def compute(k):
+        computed.append(k)
+        if k == 0:
+            time.sleep(0.3)
+        if k < 2:
+            raise ValueError(f"chunk {k} failed")
+        return k
+
+    with pytest.raises(ValueError, match="chunk 0 failed"):
+        pipeline._track_while_computing(6, compute, list)
+    assert threading.active_count() == threads
+    assert sorted(computed) == [0, 1]  # no chunk is claimed after a failure
+
+
+def test_an_interrupt_on_the_calling_thread_stops_both_threads():
+    threads = threading.active_count()
+    caller = threading.get_ident()
+    computed = []
+
+    def compute(k):
+        computed.append(k)
+        time.sleep(0.01)
+        if k >= 2 and threading.get_ident() == caller:
+            raise KeyboardInterrupt
+        return k
+
+    with pytest.raises(KeyboardInterrupt):
+        pipeline._track_while_computing(200, compute, list)
+    assert threading.active_count() == threads
+    assert len(computed) < 20  # of 200
+
+
+def test_each_chunk_is_computed_once_and_handed_over_in_order_under_fast_switching():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_chunks in (1, 2, 5, 200):
+            computed = []
+
+            def compute(k):
+                computed.append(k)
+                return k
+
+            assert pipeline._track_while_computing(n_chunks, compute, list) == list(range(n_chunks))
+            assert sorted(computed) == list(range(n_chunks))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_the_worker_runs_in_the_callers_numpy_error_state():
