@@ -316,7 +316,7 @@ def _track_while_computing(n_chunks: int, compute: Callable[[int], Any],
     against 16-32k, as glibc trims the evidence temporaries' non-main arena
     and faults them in again (1.5k with MALLOC_ARENA_MAX=1).
     """
-    chunks = {k: Future() for k in range(n_chunks)}  # popped when handed over
+    chunks = {k: Future() for k in range(n_chunks)}  # deleted once handed over
     unclaimed, claiming = iter(range(n_chunks)), threading.Lock()
     room = threading.Semaphore(MAX_UNHANDED)  # taken by each claim, given back by each hand-over
 
@@ -344,7 +344,8 @@ def _track_while_computing(n_chunks: int, compute: Callable[[int], Any],
                 if (j := claim()) is None:
                     break
                 make(j)
-            item = chunks.pop(k).result()
+            item = chunks[k].result()  # kept until done: the thread computing it sets it
+            del chunks[k]
             room.release()
             yield item
 

@@ -415,6 +415,33 @@ def test_a_run_raises_the_error_of_its_earliest_failing_chunk():
     assert sorted(computed) == [0, 1]  # no chunk is claimed after a failure
 
 
+def test_a_chunk_that_fails_while_the_worker_waits_for_it_is_raised():
+    # each thread claims one of two chunks; the calling thread's fails late,
+    # after the worker has handed over its own and waits for this one. The
+    # run is on a thread of its own, with a time limit
+    caller, outcome = [], []
+
+    def compute(k):
+        if threading.get_ident() != caller[0]:
+            time.sleep(0.1)
+            return k
+        time.sleep(0.3)
+        raise ValueError(f"chunk {k} failed")
+
+    def run():
+        caller.append(threading.get_ident())
+        try:
+            pipeline._track_while_computing(2, compute, list)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "the run hangs"
+    assert len(outcome) == 1 and str(outcome[0]) in ("chunk 0 failed", "chunk 1 failed"), outcome
+
+
 def test_an_interrupt_on_the_calling_thread_stops_both_threads():
     threads = threading.active_count()
     caller = threading.get_ident()
