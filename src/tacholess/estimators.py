@@ -22,11 +22,27 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 CEPSTRUM_LOG_EPS = 1e-12
 # +1 for a score (peaks mark the speed), -1 for a cost (dips mark it)
 SIGN = {"yin": -1.0, "cepstrum": 1.0, "comb": 1.0}
+
+
+def next_fast_len(n: int, real: bool = False) -> int:
+    """The smallest m >= n with no prime factor above 5 (``real``) or above 11:
+    the lengths pocketfft transforms fastest, as ``scipy.fft.next_fast_len``
+    picks them."""
+    bound = 1 << (n - 1).bit_length()  # a power of two is smooth
+    odd = [1]  # the odd smooth numbers up to bound
+    for p in (3, 5) if real else (3, 5, 7, 11):
+        grown = []
+        for m in odd:
+            while m <= bound:
+                grown.append(m)
+                m *= p
+        odd = grown
+    # each odd part times the least power of two that reaches n
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
 
 
 @lru_cache(maxsize=4)

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,8 @@ def frame_times(signal: Signal, framing: FramingConfig) -> np.ndarray:
 
 
 def _load_wav(path: Path) -> Signal:
+    from scipy.io import wavfile  # here, not at the top: only WAV input and output load it
+
     rate, data = wavfile.read(str(path))
     if data.ndim != 1:
         raise ValueError(
@@ -141,6 +142,8 @@ def save_signal(signal: Signal, path: str | Path, fmt: str | None = None) -> Non
     path = Path(path)
     fmt = (fmt or path.suffix.lstrip(".")).lower()
     if fmt == "wav":
+        from scipy.io import wavfile
+
         if not float(signal.sample_rate_hz).is_integer():
             raise ValueError(f"{path.name}: WAV needs an integer sample rate, got "
                              f"{signal.sample_rate_hz} Hz; write CSV instead")

@@ -4,7 +4,8 @@ A run is: resolve input (scenario synthesis or file) -> frame -> evidence
 curves -> grid log-likelihoods -> fused likelihood, chunk by chunk of frames
 -> tracked trajectory, plus any requested baselines, then metrics against
 the ground truth when one exists. The fused chunks stream into the tracker,
-so memory is O(chunk x G) plus the per-frame outputs. Two threads share the
+so memory is O(chunk x G) plus the per-frame outputs; `run_pipeline` spills
+the posterior rows to disk as the tracker makes them. Two threads share the
 work: the calling thread computes evidence chunks in order, and a worker
 thread tracks them in order and, whenever its next chunk is not ready,
 computes a later chunk itself instead of waiting. Each chunk is a Future
@@ -19,6 +20,7 @@ import inspect
 import itertools
 import json
 import sys
+import tempfile
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -383,6 +385,7 @@ class AnalysisResult:
     reference: np.ndarray | None
     metrics: dict[str, dict[str, float]]
     # the (G,) posterior mass row of each frame, with output.dump_posteriors
+    # (None from run_pipeline, which writes them to posteriors.csv instead)
     posteriors: list[np.ndarray] | None = None
 
 
@@ -406,9 +409,12 @@ def analyze(cfg: RunConfig) -> AnalysisResult:
     return _analyze(cfg, overlap=True)
 
 
-def _analyze(cfg: RunConfig, overlap: bool) -> AnalysisResult:
+def _analyze(cfg: RunConfig, overlap: bool,
+             posterior_sink: Callable[[np.ndarray], Any] | None = None) -> AnalysisResult:
     """``analyze``; without ``overlap``, every chunk and the tracker run in order on
-    the calling thread."""
+    the calling thread. Each frame's posterior row goes to ``posterior_sink``
+    when one is given, in frame order on the tracker's thread, and otherwise,
+    with ``output.dump_posteriors``, into the result's ``posteriors``."""
     signal, truth = _resolve_input(cfg)
     framing = cfg.framing
     times = frame_times(signal, framing)
@@ -420,6 +426,9 @@ def _analyze(cfg: RunConfig, overlap: bool) -> AnalysisResult:
     evidence = _chunk_evidence(frames, signal.sample_rate_hz, cfg)
     n_chunks = _n_chunks(len(frames))
     parts: list[Any] = [None] * n_chunks  # each chunk's baseline parts, by chunk index
+    posteriors = [] if cfg.output.dump_posteriors and posterior_sink is None else None
+    if posteriors is not None:
+        posterior_sink = posteriors.append
 
     def fused_rows(k):
         fused, picks = evidence(k)
@@ -431,14 +440,12 @@ def _analyze(cfg: RunConfig, overlap: bool) -> AnalysisResult:
         return fused
 
     def filtered(blocks):
-        return track(blocks, cfg.grid, cfg.tracker, times,
-                     return_posteriors=cfg.output.dump_posteriors)
+        return track(blocks, cfg.grid, cfg.tracker, times, posterior_sink=posterior_sink)
 
     if overlap:
-        out = _track_while_computing(n_chunks, fused_rows, filtered)
+        tracked = _track_while_computing(n_chunks, fused_rows, filtered)
     else:
-        out = filtered(map(fused_rows, range(n_chunks)))
-    tracked, posteriors = out if cfg.output.dump_posteriors else (out, None)
+        tracked = filtered(map(fused_rows, range(n_chunks)))
 
     baselines: dict[str, BaselineTrajectory] = {}
     for name in cfg.baselines:
@@ -506,7 +513,11 @@ def write_ground_truth(path: Path, times_s: np.ndarray, reference: np.ndarray) -
                        zip(range(1, len(times_s) + 1), times_s.tolist(), reference.tolist()))
 
 
-def write_outputs(result: AnalysisResult, out_dir: str | Path) -> dict[str, Path]:
+def write_outputs(result: AnalysisResult, out_dir: str | Path,
+                  posteriors: Iterable[np.ndarray] | None = None) -> dict[str, Path]:
+    """Write the run's tables, metrics, config and any plot into ``out_dir``.
+    ``posteriors.csv`` holds ``posteriors`` (the (G,) rows in frame order,
+    read one at a time) if given, else ``result.posteriors`` if set."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
@@ -533,9 +544,11 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path) -> dict[str, Path
     p.write_text(result.config.to_json())
     paths["config"] = p
 
-    if result.posteriors is not None:
+    if posteriors is None:
+        posteriors = result.posteriors
+    if posteriors is not None:
         grid = result.config.grid.values.tolist()  # the header row is the grid
-        rows = itertools.chain([grid], (mass.tolist() for mass in result.posteriors))
+        rows = itertools.chain([grid], (mass.tolist() for mass in posteriors))
         paths["posteriors"] = write_table(out / "posteriors.csv", None, ["%.9g"] * len(grid),
                                           rows, line_end="\n")
 
@@ -552,9 +565,30 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path) -> dict[str, Path
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
-    """analyze() plus the output files; returns the in-memory result."""
-    result = analyze(cfg)
-    write_outputs(result, out_dir)
+    """analyze() plus the output files; returns the in-memory result.
+
+    With ``output.dump_posteriors`` the tracker appends each frame's posterior
+    row, as its raw float64 bytes, to an unnamed spill file in ``out_dir`` as
+    it makes it, and ``write_outputs`` formats ``posteriors.csv`` by reading
+    the rows back one at a time, so the run holds no (T, G) array and the
+    result's ``posteriors`` is None. A failed run leaves no spill file.
+    """
+    if not cfg.output.dump_posteriors:
+        result = analyze(cfg)
+        write_outputs(result, out_dir)
+        return result
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    row_bytes = 8 * cfg.grid.n_points
+    # in out_dir, not the default temporary directory, which may be held in
+    # memory. A chunk's rows per write: the tracker's thread then gives up the
+    # GIL once per chunk, and its writes took 7-9 ms per 5 s clip against
+    # 16-31 ms with a write per row
+    with tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * row_bytes) as spill:
+        result = _analyze(cfg, overlap=True, posterior_sink=spill.write)
+        spill.seek(0)
+        rows = iter(partial(spill.read, row_bytes), b"")
+        write_outputs(result, out, (np.frombuffer(row) for row in rows))
     return result
 
 

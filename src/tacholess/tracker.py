@@ -7,15 +7,16 @@ per-column renormalized truncated Gaussians (mass stays on the bounded grid),
 multiplies in the fused frame likelihood, and reads MAP, MMSE, sigma and
 entropy off the result. Strictly online: outputs for frame t depend only on
 frames 1..t, so `track` takes the fused rows either as one (T, G) array or as
-an iterator of (n, G) blocks filtered as they arrive, and returns one record
-array row per frame.
+an iterator of (n, G) blocks filtered as they arrive, returns one record
+array row per frame, and hands each frame's posterior row to an optional sink
+as soon as it is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -220,15 +221,18 @@ def _checked_blocks(blocks: Iterable, grid: RpmGrid,
 
 
 def track(loglik: np.ndarray | Iterator[np.ndarray], grid: RpmGrid, cfg: TrackerConfig,
-          times_s: Sequence[float] | None = None, return_posteriors: bool = False):
+          times_s: Sequence[float] | None = None,
+          posterior_sink: Callable[[np.ndarray], Any] | None = None) -> np.recarray:
     """Run the filter over per-frame fused log-likelihoods: a (T, G) array
     (or anything ``np.asarray`` makes one of), checked whole before any
     filtering, or an iterator of (n, G) blocks in frame order, each checked
     and filtered as it arrives.
 
     Returns a record array with one row per frame and the columns of
-    ``TRACK_DTYPE`` (``time_s`` is nan without ``times_s``), plus the list of
-    per-frame (G,) posterior mass rows when ``return_posteriors`` is set.
+    ``TRACK_DTYPE`` (``time_s`` is nan without ``times_s``). Each frame's
+    (G,) posterior mass row, a new array that is never changed afterwards,
+    is passed to ``posterior_sink`` (if given) in frame order, on the thread
+    that runs ``track``, as soon as it is made.
     """
     n_times = None if times_s is None else len(times_s)
     if isinstance(loglik, Iterator):
@@ -237,16 +241,12 @@ def track(loglik: np.ndarray | Iterator[np.ndarray], grid: RpmGrid, cfg: Tracker
         blocks = list(_checked_blocks([loglik], grid, n_times))
     mass = np.full(grid.n_points, 1.0 / grid.n_points)  # uniform prior
     rows = []
-    posteriors = []
     for start, block in blocks:
         for t, row in enumerate(block, start=start + 1):
             sig = curvature_sigma(mass, grid, cfg)
             mass = update(predict(mass, sig, grid), row)
             when = float(times_s[t - 1]) if times_s is not None else float("nan")
             rows.append((t, when, *estimate(mass, grid)))
-            if return_posteriors:
-                posteriors.append(mass)
-    tracked = np.array(rows, dtype=TRACK_DTYPE).view(np.recarray)
-    if return_posteriors:
-        return tracked, posteriors
-    return tracked
+            if posterior_sink is not None:
+                posterior_sink(mass)
+    return np.array(rows, dtype=TRACK_DTYPE).view(np.recarray)

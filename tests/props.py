@@ -151,7 +151,8 @@ def check_track_causal(n_cases: int, seed: int = 808) -> None:
         t = int(rng.integers(2, 7))
         liks = np.array([_random_log_values(rng, grid) for _ in range(t)])
         times = [0.01 * k for k in range(t)]
-        full, masses = track(liks, grid, cfg, times_s=times, return_posteriors=True)
+        masses = []
+        full = track(liks, grid, cfg, times_s=times, posterior_sink=masses.append)
         cut = int(rng.integers(1, t))
         prefix = track(liks[:cut], grid, cfg, times_s=times[:cut])
         # bit-identical: later frames cannot touch earlier output
@@ -164,8 +165,9 @@ def check_track_causal(n_cases: int, seed: int = 808) -> None:
             assert abs(float(mass.sum()) - 1.0) <= 1e-9
         # the same frames streamed as row blocks split at random boundaries
         bounds = np.sort(rng.choice(np.arange(1, t), size=int(rng.integers(0, t)), replace=False))
-        streamed, streamed_masses = track(iter(np.split(liks, bounds)), grid, cfg, times_s=times,
-                                          return_posteriors=True)
+        streamed_masses = []
+        streamed = track(iter(np.split(liks, bounds)), grid, cfg, times_s=times,
+                         posterior_sink=streamed_masses.append)
         assert np.array_equal(streamed, full)
         assert all(np.array_equal(a, b) for a, b in zip(streamed_masses, masses, strict=True))
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.fft import next_fast_len
 
 from tacholess import (EstimatorSetConfig, InputConfig, RunConfig, Signal, analyze,
-                       evidence_chunks, save_signal)
+                       estimators, evidence_chunks, save_signal)
 from tacholess.estimators import (
     cepstrum_curve,
     comb_curve,
@@ -90,6 +90,12 @@ def test_difference_function_on_a_block_matches_direct_sum():
     fast = difference_function(block, tau_max)
     for row, got in zip(block, fast):
         assert np.allclose(got, naive_difference(row, tau_max), rtol=1e-9, atol=1e-8)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_next_fast_len_equals_scipys(real):
+    want = [next_fast_len(n, real=real) for n in range(1, 70001)]
+    assert [estimators.next_fast_len(n, real) for n in range(1, 70001)] == want
 
 
 def test_difference_function_rejects_tau_max_outside_the_frame():

@@ -1,8 +1,11 @@
 import ast
 import csv
 import json
+import os
 import re
+import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -205,8 +208,8 @@ def test_streamed_analyze_equals_the_whole_array_path(overlap):
         times = tacholess.frame_times(signal, cfg.framing)
         chunks = list(pipeline.evidence_chunks(frames, signal.sample_rate_hz, cfg))
         fused = np.concatenate([rows for rows, _ in chunks])
-        tracked, posteriors = tacholess.track(fused, cfg.grid, cfg.tracker, times,
-                                              return_posteriors=True)
+        posteriors = []
+        tracked = tacholess.track(fused, cfg.grid, cfg.tracker, times, posteriors.append)
         rpm = {name: np.concatenate([picks[name] for _, picks in chunks])
                for name in pipeline.ESTIMATOR_IDS if name in baselines}
         rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid, times).rpm
@@ -261,6 +264,15 @@ def test_a_pick_with_no_axis_point_inside_the_grid_is_refused():
                     baselines=("comb",))
     with pytest.raises(ValueError, match=r"'comb': no candidate maps inside \[488.1, 490.6\]"):
         next(pipeline.evidence_chunks(np.zeros((2, 8192)), 12800.0, cfg))
+
+
+def test_importing_the_package_loads_no_scipy_fft():
+    # scipy.fft (and scipy.special with it) took about 40 % of the import time
+    code = ("import sys, tacholess; "
+            "print(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout == "[]\n"
 
 
 def test_star_import_gives_every_exported_name():
@@ -333,8 +345,8 @@ def test_the_worker_computes_chunks_while_the_calling_thread_lags(monkeypatch):
     times = tacholess.frame_times(signal, cfg.framing)
     chunks = list(pipeline.evidence_chunks(frames, signal.sample_rate_hz, cfg))
     fused = np.concatenate([rows for rows, _ in chunks])
-    tracked, posteriors = tacholess.track(fused, cfg.grid, cfg.tracker, times,
-                                          return_posteriors=True)
+    posteriors = []
+    tracked = tacholess.track(fused, cfg.grid, cfg.tracker, times, posteriors.append)
     rpm = {name: np.concatenate([picks[name] for _, picks in chunks])
            for name in pipeline.ESTIMATOR_IDS}
     rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid, times).rpm
@@ -505,6 +517,65 @@ def test_analyze_holds_no_recording_sized_array(dump_posteriors, bound):
     assert (result.posteriors is not None) == dump_posteriors
 
 
+def test_run_pipeline_streams_the_posteriors_instead_of_holding_them(monkeypatch, tmp_path):
+    # the 437 x 3701 posterior rows are 12.9 MB; held in memory until written
+    # they raised the peak to 2.6 times that of the same run without them.
+    # Chunks and tracker run in order on this thread, where the peak does not
+    # depend on how two threads interleave, after a run that fills the caches
+    monkeypatch.setattr(pipeline, "_track_while_computing",
+                        lambda n_chunks, compute, consume: consume(map(compute, range(n_chunks))))
+    cfgs = {dump: RunConfig(scenario=ScenarioSpec(scenario="S1", duration_s=5.0, seed=1),
+                            output=OutputConfig(dump_posteriors=dump))
+            for dump in (False, True)}
+    run_pipeline(cfgs[True], tmp_path / "warm")
+    peaks = {}
+    for dump, cfg in cfgs.items():
+        tracemalloc.start()
+        try:
+            result = run_pipeline(cfg, tmp_path / str(dump))
+            peaks[dump] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.tracked) == 437 and result.posteriors is None
+    assert (tmp_path / "True" / "posteriors.csv").read_bytes() == (
+        tmp_path / "warm" / "posteriors.csv").read_bytes()
+    assert peaks[True] <= 1.1 * peaks[False], peaks
+
+
+def test_a_failed_run_leaves_no_posteriors_behind(monkeypatch, tmp_path):
+    # chunk 2 fails on whichever thread computes it: run_pipeline raises what
+    # analyze raises, writes no posteriors.csv and closes its spill file
+    real_setup = pipeline._chunk_evidence
+
+    def setup(*args):
+        evidence = real_setup(*args)
+
+        def chunk(k):
+            if k == 2:
+                raise ValueError("evidence failed in chunk 2")
+            return evidence(k)
+        return chunk
+
+    spills = []
+    real_spill = tempfile.TemporaryFile
+
+    def recorded_spill(*args, **kwargs):
+        spills.append((kwargs.get("dir"), real_spill(*args, **kwargs)))
+        return spills[-1][1]
+
+    monkeypatch.setattr(pipeline, "_chunk_evidence", setup)
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded_spill)
+    cfg = short_cfg(scenario=ScenarioSpec(scenario="S0", duration_s=1.5, seed=1),
+                    output=OutputConfig(dump_posteriors=True))
+    with pytest.raises(ValueError) as in_memory:
+        analyze(cfg)
+    with pytest.raises(ValueError) as written:
+        run_pipeline(cfg, tmp_path / "run")
+    assert str(written.value) == str(in_memory.value) == "evidence failed in chunk 2"
+    assert list((tmp_path / "run").iterdir()) == []
+    assert len(spills) == 1 and spills[0][0] == tmp_path / "run" and spills[0][1].closed
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
@@ -563,8 +634,11 @@ def test_output_tables_equal_the_csv_writer_rendering(tmp_path):
     cfg = short_cfg(scenario=ScenarioSpec(scenario="S5", duration_s=1.0, jump_time_s=0.5, seed=2),
                     grid=RpmGrid.from_step(1200.0, 2400.0, 1.0), baselines=pipeline.BASELINE_IDS,
                     output=OutputConfig(dump_posteriors=True, plot=True))
+    # run_pipeline streams the posterior rows through a spill file; the
+    # oracle renders those of the in-memory analyze
     result = run_pipeline(cfg, tmp_path / "run")
-    naive_write_tables(result, tmp_path / "oracle")
+    assert result.posteriors is None
+    naive_write_tables(analyze(cfg), tmp_path / "oracle")
     names = sorted(p.name for p in (tmp_path / "oracle").iterdir())
     assert names == sorted(["trajectory.csv", "ground_truth.csv", "posteriors.csv",
                             *(f"baseline_{b}.csv" for b in pipeline.BASELINE_IDS)])

@@ -322,11 +322,12 @@ def test_track_names_the_global_frame_of_a_bad_streamed_block():
         track(iter([flat[:2]]), grid, cfg, times_s=[0.1, 0.2, 0.3])
 
 
-def test_track_returns_posteriors_on_request():
+def test_track_hands_each_posterior_row_to_the_sink():
     cfg = TrackerConfig()
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
     lik = loglik_from_mass(discrete_gaussian_mass(grid, 1100.0, 12.0))
-    points, masses = track(np.stack([lik, lik]), grid, cfg, return_posteriors=True)
+    masses = []
+    points = track(np.stack([lik, lik]), grid, cfg, posterior_sink=masses.append)
     assert len(points) == len(masses) == 2
     assert points.frame_index.tolist() == [1, 2]
     assert masses[1].shape == (200,)
