@@ -6,11 +6,10 @@ log-linearly, and tracked by a curvature-adaptive recursive grid filter.
 """
 
 from .alignment import CurveToGridConfig, aligned_loglik, kernel_scatter, robust_standardize
-from .baselines import (BaselineTrajectory, framewise_trajectory,
-                        single_estimator_pick, viterbi_path, viterbi_stft)
+from .baselines import framewise_trajectory, single_estimator_pick, viterbi_path, viterbi_stft
 from .estimators import (SIGN, cepstrum_curve, comb_curve, difference_function, lag_bounds,
                          magnitude_spectrum, yin_curve)
-from .fusion import FusionWeights, mass_entropy, pool_logliks
+from .fusion import mass_entropy, pool_logliks
 from .grid import RpmGrid
 from .ingest import (FramingConfig, Signal, frame_signal, frame_times,
                      load_signal, n_frames, save_signal)
@@ -25,9 +24,8 @@ from .tracker import TrackerConfig, curvature_sigma, estimate, predict, track, u
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisResult", "BaselineTrajectory", "CurveToGridConfig",
-    "EstimatorSetConfig", "FramingConfig",
-    "FusionWeights", "GroundTruth", "InputConfig", "OutputConfig",
+    "AnalysisResult", "CurveToGridConfig", "EstimatorSetConfig", "FramingConfig",
+    "GroundTruth", "InputConfig", "OutputConfig",
     "RpmGrid", "RunConfig", "SCENARIOS", "SIGN", "ScenarioSpec", "Signal", "TrackerConfig",
     "ViterbiConfig", "aligned_loglik", "analyze", "cepstrum_curve", "comb_curve",
     "compute_metrics", "curvature_sigma",

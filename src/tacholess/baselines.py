@@ -3,7 +3,6 @@ each read from what ``pipeline.evidence_chunks`` computes per chunk of frames.""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -11,18 +10,6 @@ import numpy as np
 from .grid import RpmGrid
 
 PEAK_LOG_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class BaselineTrajectory:
-    method: str
-    frame_index: np.ndarray
-    time_s: np.ndarray
-    rpm: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.frame_index) == len(self.time_s) == len(self.rpm)):
-            raise ValueError(f"baseline '{self.method}': column lengths differ")
 
 
 def single_estimator_pick(values: np.ndarray, sign: float, rpm: np.ndarray,
@@ -36,20 +23,13 @@ def single_estimator_pick(values: np.ndarray, sign: float, rpm: np.ndarray,
     return rpm[np.argmax(np.where(inside, sign * values, -np.inf), axis=-1)]
 
 
-def framewise_trajectory(loglik: np.ndarray, grid: RpmGrid,
-                         times_s: Sequence[float]) -> BaselineTrajectory:
-    """Per-frame MMSE of the fused (T, G) log-likelihood, no recursion (ablation baseline)."""
-    if len(loglik) != len(times_s):
-        raise ValueError(f"{len(times_s)} times for {len(loglik)} frames")
+def framewise_trajectory(loglik: np.ndarray, grid: RpmGrid) -> np.ndarray:
+    """Per-frame MMSE RPM of the fused (T, G) log-likelihood, no recursion
+    (ablation baseline). Row by row: one (T, G) @ (G,) product rounds
+    differently, by up to 3e-12 RPM."""
     if len(loglik) == 0:
         raise ValueError("framewise baseline needs at least one frame")
-    rpm = np.array([np.exp(row) @ grid.values for row in loglik])
-    return BaselineTrajectory(
-        method="framewise",
-        frame_index=np.arange(1, len(loglik) + 1),
-        time_s=np.asarray(times_s, dtype=np.float64),
-        rpm=rpm,
-    )
+    return np.array([np.exp(row) @ grid.values for row in loglik])
 
 
 def frame_peaks(mag: np.ndarray, nfft: int, sample_rate_hz: float,

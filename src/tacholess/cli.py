@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import pipeline
@@ -86,7 +87,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         out / f"ground_truth_{spec.scenario}_seed{spec.seed}.csv",
         frame_times(signal, cfg.framing), truth.frame_references(cfg.framing))
     spec_path = out / f"scenario_{spec.scenario}_seed{spec.seed}.json"
-    spec_path.write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
+    spec_path.write_text(json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n")
     print(f"wrote {sig_path}, {truth_path}, {spec_path}")
     return 0
 

@@ -33,10 +33,9 @@ import numpy as np
 
 from . import estimators
 from .alignment import CurveToGridConfig, aligned_loglik, kernel_scatter
-from .baselines import (BaselineTrajectory, frame_peaks, framewise_trajectory,
-                        single_estimator_pick, viterbi_stft)
+from .baselines import frame_peaks, framewise_trajectory, single_estimator_pick, viterbi_stft
 from .estimators import SIGN, lag_bounds, magnitude_spectrum
-from .fusion import FusionWeights, pool_logliks
+from .fusion import pool_logliks
 from .grid import RpmGrid
 from .ingest import FramingConfig, Signal, frame_signal, frame_times, load_signal
 from .metrics import compute_metrics, stability_metrics
@@ -126,7 +125,13 @@ class RunConfig:
         _require_known("baselines", "method", self.baselines, BASELINE_IDS)
         object.__setattr__(self, "baselines", tuple(dict.fromkeys(self.baselines)))
         _require_known("fusion_weights", "estimator", self.fusion_weights, ESTIMATOR_IDS)
-        FusionWeights(self.fusion_weights)  # validates values
+        for eid, w in self.fusion_weights.items():
+            if not 0 <= w < np.inf:
+                raise ValueError(f"fusion_weights: weight for '{eid}' must be finite and >= 0, "
+                                 f"got {w}")
+        if not any(self.fusion_weights.get(eid, 1.0) > 0 for eid in self.estimators.enabled):
+            raise ValueError("fusion_weights: every enabled estimator ("
+                             + ", ".join(self.estimators.enabled) + ") has weight 0")
 
     # -- JSON round trip ----------------------------------------------------
 
@@ -242,7 +247,7 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
     lag_rpm = 60.0 * fs / np.arange(tau_min, tau_max + 1, dtype=np.float64)
     rpm = {"yin": lag_rpm, "cepstrum": lag_rpm,
            "comb": 60.0 * np.linspace(f_lo, f_hi, est.comb_candidates)}
-    weights = FusionWeights(cfg.fusion_weights)
+    weights = [cfg.fusion_weights.get(eid, 1.0) for eid in est.enabled]
     picked = [name for name in cfg.baselines if name in ESTIMATOR_IDS]
     inside = {}
     for name in picked:
@@ -271,7 +276,7 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
         del spectrum
         logliks = [aligned_loglik(curves[eid], SIGN[eid], scatter[eid], cfg.alignment)
                    for eid in est.enabled]
-        return pool_logliks(est.enabled, logliks, weights), picks
+        return pool_logliks(logliks, weights), picks
 
     return evidence
 
@@ -381,12 +386,10 @@ class AnalysisResult:
     # one row per frame: frame_index, time_s, map_rpm, mmse_rpm, sigma_rpm,
     # entropy_nats; read a column (tracked.mmse_rpm) or a row (tracked[-1])
     tracked: np.recarray
-    baselines: dict[str, BaselineTrajectory]
+    # per method, one row per frame: frame_index, time_s, rpm
+    baselines: dict[str, np.recarray]
     reference: np.ndarray | None
     metrics: dict[str, dict[str, float]]
-    # the (G,) posterior mass row of each frame, with output.dump_posteriors
-    # (None from run_pipeline, which writes them to posteriors.csv instead)
-    posteriors: list[np.ndarray] | None = None
 
 
 def _resolve_input(cfg: RunConfig) -> tuple[Signal, GroundTruth | None]:
@@ -396,7 +399,8 @@ def _resolve_input(cfg: RunConfig) -> tuple[Signal, GroundTruth | None]:
     return sig, None
 
 
-def analyze(cfg: RunConfig) -> AnalysisResult:
+def analyze(cfg: RunConfig,
+            posterior_sink: Callable[[np.ndarray], Any] | None = None) -> AnalysisResult:
     """Run the full pipeline in memory (no files written).
 
     The tracker filters the fused rows chunk by chunk, in order, on one
@@ -404,17 +408,17 @@ def analyze(cfg: RunConfig) -> AnalysisResult:
     its next chunk is not ready the worker computes a later one itself
     rather than wait. An error is raised in frame order: that of the
     earliest chunk whose evidence or tracking fails, whichever thread
-    computed it. No (T, G) array of the recording is built.
+    computed it. No (T, G) array of the recording is built. Each frame's
+    (G,) posterior row goes to ``posterior_sink``, if given, in frame order
+    on the tracker's thread.
     """
-    return _analyze(cfg, overlap=True)
+    return _analyze(cfg, overlap=True, posterior_sink=posterior_sink)
 
 
 def _analyze(cfg: RunConfig, overlap: bool,
              posterior_sink: Callable[[np.ndarray], Any] | None = None) -> AnalysisResult:
     """``analyze``; without ``overlap``, every chunk and the tracker run in order on
-    the calling thread. Each frame's posterior row goes to ``posterior_sink``
-    when one is given, in frame order on the tracker's thread, and otherwise,
-    with ``output.dump_posteriors``, into the result's ``posteriors``."""
+    the calling thread."""
     signal, truth = _resolve_input(cfg)
     framing = cfg.framing
     times = frame_times(signal, framing)
@@ -426,16 +430,11 @@ def _analyze(cfg: RunConfig, overlap: bool,
     evidence = _chunk_evidence(frames, signal.sample_rate_hz, cfg)
     n_chunks = _n_chunks(len(frames))
     parts: list[Any] = [None] * n_chunks  # each chunk's baseline parts, by chunk index
-    posteriors = [] if cfg.output.dump_posteriors and posterior_sink is None else None
-    if posteriors is not None:
-        posterior_sink = posteriors.append
 
     def fused_rows(k):
         fused, picks = evidence(k)
         if "framewise" in cfg.baselines:
-            start = k * CHUNK_FRAMES
-            picks["framewise"] = framewise_trajectory(
-                fused, cfg.grid, times[start:start + len(fused)]).rpm
+            picks["framewise"] = framewise_trajectory(fused, cfg.grid)
         parts[k] = picks
         return fused
 
@@ -447,22 +446,20 @@ def _analyze(cfg: RunConfig, overlap: bool,
     else:
         tracked = filtered(map(fused_rows, range(n_chunks)))
 
-    baselines: dict[str, BaselineTrajectory] = {}
+    baselines = {}
     for name in cfg.baselines:
         if name == "viterbi_stft":
             rpm = viterbi_stft([*itertools.chain.from_iterable(p[name] for p in parts)],
                                cfg.viterbi.transition_penalty_per_rpm)
         else:
             rpm = np.concatenate([p[name] for p in parts])
-        baselines[name] = BaselineTrajectory(
-            method=name, frame_index=np.arange(1, len(frames) + 1), time_s=times.copy(), rpm=rpm)
+        baselines[name] = np.rec.fromarrays([tracked.frame_index, tracked.time_s, rpm],
+                                            names=("frame_index", "time_s", "rpm"))
 
     reference = truth.frame_references(cfg.framing) if truth is not None else None
 
     metrics: dict[str, dict[str, float]] = {}
-    series = {"tracked": tracked.mmse_rpm}
-    for name, traj in baselines.items():
-        series[name] = traj.rpm
+    series = {"tracked": tracked.mmse_rpm, **{name: b.rpm for name, b in baselines.items()}}
     for name, rpm in series.items():
         if reference is not None:
             metrics[name] = compute_metrics(rpm, reference)
@@ -470,8 +467,7 @@ def _analyze(cfg: RunConfig, overlap: bool,
             metrics[name] = stability_metrics(rpm)
 
     return AnalysisResult(config=cfg, times_s=times, tracked=tracked,
-                          baselines=baselines, reference=reference,
-                          metrics=metrics, posteriors=posteriors)
+                          baselines=baselines, reference=reference, metrics=metrics)
 
 
 # -- output files -----------------------------------------------------------
@@ -515,22 +511,19 @@ def write_ground_truth(path: Path, times_s: np.ndarray, reference: np.ndarray) -
 
 def write_outputs(result: AnalysisResult, out_dir: str | Path,
                   posteriors: Iterable[np.ndarray] | None = None) -> dict[str, Path]:
-    """Write the run's tables, metrics, config and any plot into ``out_dir``.
-    ``posteriors.csv`` holds ``posteriors`` (the (G,) rows in frame order,
-    read one at a time) if given, else ``result.posteriors`` if set."""
+    """Write the run's tables, metrics, config and any plot into ``out_dir``;
+    ``posteriors.csv`` too if ``posteriors`` (the (G,) rows in frame order,
+    read one at a time) are given."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
     tracked = result.tracked
-    paths["trajectory"] = write_table(out / "trajectory.csv", tracked.dtype.names,
-                                      ["%d"] + ["%.9g"] * 5, tracked.tolist())
-
-    for name, traj in result.baselines.items():
-        paths[f"baseline_{name}"] = write_table(
-            out / f"baseline_{name}.csv", ["frame_index", "time_s", "rpm"],
-            ["%d", "%.9g", "%.9g"],
-            zip(traj.frame_index.tolist(), traj.time_s.tolist(), traj.rpm.tolist()))
+    tables = {"trajectory": tracked,
+              **{f"baseline_{name}": rows for name, rows in result.baselines.items()}}
+    for key, rows in tables.items():  # an int frame_index, then floats
+        paths[key] = write_table(out / f"{key}.csv", rows.dtype.names,
+                                 ["%d"] + ["%.9g"] * (len(rows.dtype.names) - 1), rows.tolist())
 
     if result.reference is not None:
         paths["ground_truth"] = write_ground_truth(out / "ground_truth.csv",
@@ -544,8 +537,6 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path,
     p.write_text(result.config.to_json())
     paths["config"] = p
 
-    if posteriors is None:
-        posteriors = result.posteriors
     if posteriors is not None:
         grid = result.config.grid.values.tolist()  # the header row is the grid
         rows = itertools.chain([grid], (mass.tolist() for mass in posteriors))
@@ -554,9 +545,8 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path,
 
     if result.config.output.plot:
         p = out / "trajectory.svg"
-        series = {"tracked": tracked.mmse_rpm}
-        for name, traj in result.baselines.items():
-            series[name] = traj.rpm
+        series = {"tracked": tracked.mmse_rpm,
+                  **{name: b.rpm for name, b in result.baselines.items()}}
         band = (tracked.mmse_rpm - tracked.sigma_rpm, tracked.mmse_rpm + tracked.sigma_rpm)
         write_trajectory_svg(p, result.times_s, series, band=band, reference=result.reference)
         paths["plot"] = p
@@ -570,8 +560,8 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
     With ``output.dump_posteriors`` the tracker appends each frame's posterior
     row, as its raw float64 bytes, to an unnamed spill file in ``out_dir`` as
     it makes it, and ``write_outputs`` formats ``posteriors.csv`` by reading
-    the rows back one at a time, so the run holds no (T, G) array and the
-    result's ``posteriors`` is None. A failed run leaves no spill file.
+    the rows back one at a time, so the run holds no (T, G) array. A failed
+    run leaves no spill file.
     """
     if not cfg.output.dump_posteriors:
         result = analyze(cfg)
@@ -585,7 +575,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
     # GIL once per chunk, and its writes took 7-9 ms per 5 s clip against
     # 16-31 ms with a write per row
     with tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * row_bytes) as spill:
-        result = _analyze(cfg, overlap=True, posterior_sink=spill.write)
+        result = analyze(cfg, posterior_sink=spill.write)
         spill.seek(0)
         rows = iter(partial(spill.read, row_bytes), b"")
         write_outputs(result, out, (np.frombuffer(row) for row in rows))
@@ -617,8 +607,12 @@ def run_benchmark(cfg: RunConfig, scenarios: Sequence[str], seeds: Sequence[int]
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # pool workers keep the CPUs busy on their own: a tracker thread in each
-    # as well made `--jobs 2` on two CPUs about 10 % slower
+    # pool workers run their chunks and tracker in order on one thread. On a
+    # 2-core host, `--scenarios S0,S1,S2,S3 --seeds 1..3 --duration 5` took
+    # 7.67 s at --jobs 2 against 7.68 s with workers on analyze's two threads
+    # (medians of 12 pairs), and 6.83 against 7.75 s at --jobs 4 (7 of 8
+    # pairs won); one analyze on one pinned CPU took 0.856 against 0.917 s on
+    # S3 5 s, but 1.773 against 1.709 s on narrowband S2 20 s
     work = [(cfg, sc, int(seed), jobs == 1) for sc in scenarios for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -16,8 +16,7 @@ varies across seeds; noise (when enabled) is drawn after the phases.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,13 +92,6 @@ class ScenarioSpec:
         out[:take] = src[:take]
         return out
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)  # tuples, which json writes as lists
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ScenarioSpec":
-        return cls(**d)  # __post_init__ makes the JSON lists tuples
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -112,11 +104,6 @@ class GroundTruth:
         r = np.asarray(self.rpm_samples, dtype=np.float64)
         r.flags.writeable = False
         object.__setattr__(self, "rpm_samples", r)
-
-    def rpm_at(self, time_s: float) -> float:
-        idx = int(round(time_s * self.sample_rate_hz))
-        idx = min(max(idx, 0), len(self.rpm_samples) - 1)
-        return float(self.rpm_samples[idx])
 
     def frame_references(self, framing: FramingConfig) -> np.ndarray:
         """Reference speed at each frame center."""

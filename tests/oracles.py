@@ -184,8 +184,9 @@ def csv_writer_table(path: Path, header, rows) -> None:
             w.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in row])
 
 
-def naive_write_tables(result, out_dir: Path) -> None:
-    """The CSV files of ``write_outputs``, one f-string per number."""
+def naive_write_tables(result, out_dir: Path, posteriors=None) -> None:
+    """The CSV files of ``write_outputs``, one f-string per number;
+    ``posteriors.csv`` too if the (G,) ``posteriors`` rows are given."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trajectory.csv", "w", newline="") as fh:
@@ -208,8 +209,8 @@ def naive_write_tables(result, out_dir: Path) -> None:
             w.writerow(["frame_index", "time_s", "rpm_ref"])
             for i, (t, r) in enumerate(zip(result.times_s, result.reference), start=1):
                 w.writerow([i, f"{t:.9g}", f"{r:.9g}"])
-    if result.posteriors is not None:
+    if posteriors is not None:
         with open(out / "posteriors.csv", "w", newline="") as fh:
             fh.write(",".join(f"{v:.9g}" for v in result.config.grid.values) + "\n")
-            for mass in result.posteriors:
+            for mass in posteriors:
                 fh.write(",".join(f"{m:.9g}" for m in mass) + "\n")

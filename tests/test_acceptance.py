@@ -221,7 +221,7 @@ def test_c08_corrupted_burst_recovery():
         fused[idx] = _loglik(bogus)
 
     tracked_rpm = track(fused, GRID, cfg.tracker, times).mmse_rpm
-    frame_rpm = framewise_trajectory(fused, GRID, times).rpm
+    frame_rpm = framewise_trajectory(fused, GRID)
     ref = np.full(len(fused), 1500.0)
     m_tracked = compute_metrics(tracked_rpm, ref)
     m_frame = compute_metrics(frame_rpm, ref)

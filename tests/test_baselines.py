@@ -55,14 +55,11 @@ def test_framewise_is_per_frame_mmse():
     for mu in (1050.0, 1100.0, 1150.0):
         lv = np.log(discrete_gaussian_mass(grid, mu, 10.0) + 1e-300)
         rows.append(lv - logsumexp(lv))
-    traj = framewise_trajectory(np.array(rows), grid, [0.1, 0.2, 0.3])
-    assert traj.method == "framewise"
-    assert np.array_equal(traj.frame_index, [1, 2, 3])
-    assert np.allclose(traj.rpm, [1050.0, 1100.0, 1150.0], atol=0.5)
+    rpm = framewise_trajectory(np.array(rows), grid)
+    assert rpm.shape == (3,)
+    assert np.allclose(rpm, [1050.0, 1100.0, 1150.0], atol=0.5)
     with pytest.raises(ValueError):
-        framewise_trajectory(np.array(rows), grid, [0.1, 0.2])
-    with pytest.raises(ValueError):
-        framewise_trajectory(np.empty((0, 200)), grid, [])
+        framewise_trajectory(np.empty((0, 200)), grid)
 
 
 def test_viterbi_zero_penalty_is_framewise_argmax():
@@ -107,7 +104,7 @@ def test_viterbi_stft_tracks_a_clean_tone():
                     baselines=("viterbi_stft",))
     result = analyze(cfg)
     traj, refs = result.baselines["viterbi_stft"], result.reference
-    assert traj.method == "viterbi_stft"
+    assert traj.dtype.names == ("frame_index", "time_s", "rpm")
     assert len(traj.rpm) == len(refs)
     assert np.max(np.abs(traj.rpm - refs)) < 2.0  # sub-bin via peak interpolation
 

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from tacholess import (
-    FusionWeights,
-    RpmGrid,
-    mass_entropy,
-    pool_logliks,
-)
+from tacholess import RpmGrid, mass_entropy, pool_logliks
 from oracles import discrete_gaussian_mass
 from props import check_entropy, check_fusion
 
@@ -22,18 +17,9 @@ def gaussian_loglik(grid, centers, sigma):
 
 
 def fuse(rows, weights=None):
-    """Pool a {estimator id: log-likelihood row} mapping."""
-    return pool_logliks(list(rows), list(rows.values()), weights or FusionWeights())
-
-
-def test_weights_default_to_one():
-    w = FusionWeights({"yin": 0.5})
-    assert w.weight_for("yin") == 0.5
-    assert w.weight_for("comb") == 1.0
-    with pytest.raises(ValueError):
-        FusionWeights({"yin": -0.1})
-    with pytest.raises(ValueError):
-        FusionWeights({"yin": np.nan})
+    """Pool a {estimator id: log-likelihood row} mapping; estimators missing
+    from ``weights`` get 1.0."""
+    return pool_logliks(list(rows.values()), [(weights or {}).get(eid, 1.0) for eid in rows])
 
 
 def test_fusion_normalizes_and_pools():
@@ -51,7 +37,7 @@ def test_zero_weight_drops_estimator_exactly():
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
     a = gaussian_loglik(grid, [1050.0], 15.0)
     b = gaussian_loglik(grid, [1150.0], 15.0)
-    with_b_off = fuse({"a": a, "b": b}, FusionWeights({"b": 0.0}))
+    with_b_off = fuse({"a": a, "b": b}, {"b": 0.0})
     alone = fuse({"a": a})
     assert np.array_equal(with_b_off, alone)
 
@@ -88,7 +74,7 @@ def test_unequal_weights_tilt_the_pool():
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
     a = gaussian_loglik(grid, [1050.0], 10.0)
     b = gaussian_loglik(grid, [1150.0], 10.0)
-    fused = fuse({"a": a, "b": b}, FusionWeights({"a": 3.0, "b": 1.0}))
+    fused = fuse({"a": a, "b": b}, {"a": 3.0, "b": 1.0})
     assert grid.values[int(np.argmax(fused))] < 1100.0
 
 
@@ -99,21 +85,21 @@ def test_fusion_errors():
     b = gaussian_loglik(other, [1050.0], 10.0)
     with pytest.raises(ValueError, match=r"shapes \[\(200,\), \(100,\)\]"):
         fuse({"a": a, "b": b})
-    with pytest.raises(ValueError, match="one array per estimator"):
-        pool_logliks(["a", "b"], [a], FusionWeights({"a": 0.0}))
+    with pytest.raises(ValueError, match="one array per weight"):
+        pool_logliks([a], [0.0, 1.0])
     with pytest.raises(ValueError, match="weights are zero"):
         fuse({})
     with pytest.raises(ValueError, match="weights are zero"):
-        fuse({"a": a}, FusionWeights({"a": 0.0}))
+        fuse({"a": a}, {"a": 0.0})
 
 
 def test_pool_rejects_a_block_pooled_with_a_row():
     # a (3, 4) block and a (4,) row would broadcast into a (3, 4) result
     block = np.full((3, 4), -np.log(4.0))
     row = np.full(4, -np.log(4.0))
-    with pytest.raises(ValueError, match=r"shapes \[\(3, 4\), \(4,\)\] for estimators"):
-        pool_logliks(["yin", "comb"], [block, row], FusionWeights())
-    pooled = pool_logliks(["yin", "comb"], [block, block], FusionWeights())
+    with pytest.raises(ValueError, match=r"shapes \[\(3, 4\), \(4,\)\] with weights"):
+        pool_logliks([block, row], [1.0, 1.0])
+    pooled = pool_logliks([block, block], [1.0, 1.0])
     assert pooled.shape == (3, 4)
 
 

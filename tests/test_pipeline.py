@@ -95,6 +95,44 @@ def test_config_rejects_unknown_fusion_weight_ids():
     assert RunConfig(fusion_weights={"yin": 0.0}).fusion_weights == {"yin": 0.0}
 
 
+@pytest.mark.parametrize("weights, enabled, message", [
+    ({"yin": -0.1}, pipeline.ESTIMATOR_IDS, "weight for 'yin' must be finite and >= 0, got -0.1"),
+    ({"comb": np.nan}, pipeline.ESTIMATOR_IDS, "weight for 'comb' must be finite and >= 0, got nan"),
+    ({"comb": np.inf}, pipeline.ESTIMATOR_IDS, "weight for 'comb' must be finite and >= 0, got inf"),
+    ({"yin": 0.0, "cepstrum": 0, "comb": 0.0}, pipeline.ESTIMATOR_IDS,
+     "every enabled estimator (yin, cepstrum, comb) has weight 0"),
+    ({"yin": 0.0, "comb": 2.0}, ("yin",), "every enabled estimator (yin) has weight 0"),
+])
+def test_config_refuses_bad_fusion_weights(tmp_path, capsys, weights, enabled, message):
+    message = "fusion_weights: " + message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(fusion_weights=weights, estimators=EstimatorSetConfig(enabled=enabled))
+    # refused as the config is built, before any synthesis
+    cfg_path = tmp_path / "weights.json"
+    cfg_path.write_text(json.dumps({"fusion_weights": weights,
+                                    "estimators": {"enabled": list(enabled)}}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_fusion_weights_default_to_one():
+    # an estimator left out of fusion_weights pools at weight 1.0, so zero
+    # weights for some estimators leave the rest to carry the run
+    frames = np.random.default_rng(3).normal(0.0, 1.0, (4, 8192))
+
+    def fused(weights):
+        cfg = short_cfg(fusion_weights=weights, baselines=())
+        return next(pipeline.evidence_chunks(frames, 12800.0, cfg))[0]
+
+    assert np.array_equal(fused({"yin": 1.0, "cepstrum": 1.0, "comb": 1.0}), fused({}))
+    assert np.array_equal(fused({"yin": 0.5, "comb": 1.0}), fused({"yin": 0.5}))
+    assert not np.array_equal(fused({"yin": 0.5}), fused({}))
+    assert RunConfig(fusion_weights={"yin": 0.0, "cepstrum": 0.0}).fusion_weights["yin"] == 0.0
+    comb_only = EstimatorSetConfig(enabled=("comb",))
+    assert RunConfig(fusion_weights={"yin": 0.0}, estimators=comb_only).estimators == comb_only
+
+
 def test_lag_estimators_need_a_frame_that_covers_r_min():
     # 2048 samples at 12.8 kHz reach lag 1024, i.e. 750 RPM, above the 300 RPM
     # grid edge; lag 2560 is needed
@@ -193,12 +231,15 @@ def test_streamed_analyze_equals_the_whole_array_path(overlap):
                                   (EstimatorSetConfig(enabled=("yin",)),
                                    ("yin", "framewise", "viterbi_stft"))):
         cfg = short_cfg(scenario=ScenarioSpec(scenario="S3", duration_s=1.5, seed=2),
-                        estimators=estimators, baselines=baselines,
-                        output=OutputConfig(dump_posteriors=True))
+                        estimators=estimators, baselines=baselines)
+        rows = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            streamed = pipeline._analyze(cfg, overlap)
+            if overlap:
+                streamed = analyze(cfg, posterior_sink=rows.append)
+            else:
+                streamed = pipeline._analyze(cfg, False, posterior_sink=rows.append)
         finally:
             sys.setswitchinterval(interval)
 
@@ -212,7 +253,7 @@ def test_streamed_analyze_equals_the_whole_array_path(overlap):
         tracked = tacholess.track(fused, cfg.grid, cfg.tracker, times, posteriors.append)
         rpm = {name: np.concatenate([picks[name] for _, picks in chunks])
                for name in pipeline.ESTIMATOR_IDS if name in baselines}
-        rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid, times).rpm
+        rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid)
         rpm["viterbi_stft"] = naive_viterbi_stft(
             signal, cfg.framing, cfg.grid, cfg.viterbi.transition_penalty_per_rpm,
             cfg.viterbi.n_candidates_per_frame)
@@ -222,11 +263,14 @@ def test_streamed_analyze_equals_the_whole_array_path(overlap):
         assert set(streamed.baselines) == set(baselines) == set(rpm)
         for name, values in rpm.items():
             traj = streamed.baselines[name]
+            assert traj.dtype.names == ("frame_index", "time_s", "rpm"), name
             assert np.array_equal(traj.rpm, values), name
-            assert np.array_equal(traj.time_s, times)
-            assert list(traj.frame_index) == list(range(1, 88))
+            assert np.array_equal(traj.time_s, streamed.tracked.time_s)
+            assert np.array_equal(traj.frame_index, streamed.tracked.frame_index)
         assert streamed.tracked.frame_index.tolist() == list(range(1, 88))
-        for a, b in zip(streamed.posteriors, posteriors, strict=True):
+        assert np.array_equal(streamed.tracked.time_s, times)
+        assert len(rows) == 87
+        for a, b in zip(rows, posteriors, strict=True):
             assert np.array_equal(a, b)
 
 
@@ -339,7 +383,7 @@ def test_the_worker_computes_chunks_while_the_calling_thread_lags(monkeypatch):
     threads = threading.active_count()
     caller = threading.get_ident()
     cfg = short_cfg(scenario=ScenarioSpec(scenario="S3", duration_s=1.5, seed=2),
-                    baselines=pipeline.BASELINE_IDS, output=OutputConfig(dump_posteriors=True))
+                    baselines=pipeline.BASELINE_IDS)
     signal, _ = tacholess.synthesize(cfg.scenario, rpm_bounds=(cfg.grid.r_min, cfg.grid.r_max))
     frames = tacholess.frame_signal(signal, cfg.framing)
     times = tacholess.frame_times(signal, cfg.framing)
@@ -349,7 +393,7 @@ def test_the_worker_computes_chunks_while_the_calling_thread_lags(monkeypatch):
     tracked = tacholess.track(fused, cfg.grid, cfg.tracker, times, posteriors.append)
     rpm = {name: np.concatenate([picks[name] for _, picks in chunks])
            for name in pipeline.ESTIMATOR_IDS}
-    rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid, times).rpm
+    rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid)
     rpm["viterbi_stft"] = tacholess.viterbi_stft(
         [c for _, picks in chunks for c in picks["viterbi_stft"]],
         cfg.viterbi.transition_penalty_per_rpm)
@@ -392,7 +436,8 @@ def test_the_worker_computes_chunks_while_the_calling_thread_lags(monkeypatch):
     monkeypatch.setattr(tacholess.estimators, "yin_curve", slow_yin)
     monkeypatch.setattr(pipeline, "_chunk_evidence", setup)
     monkeypatch.setattr(pipeline, "track", counted_track)
-    result = analyze(cfg)
+    rows = []
+    result = analyze(cfg, posterior_sink=rows.append)
 
     assert threading.active_count() == threads
     assert len(chunks) == 6 and sorted(computed) == list(range(6))  # each chunk once
@@ -401,7 +446,7 @@ def test_the_worker_computes_chunks_while_the_calling_thread_lags(monkeypatch):
     assert max(n for _, n, _ in seen) <= 2
     assert max(n for _, _, n in seen) <= pipeline.MAX_UNHANDED
     assert np.array_equal(result.tracked, tracked)
-    for a, b in zip(result.posteriors, posteriors, strict=True):
+    for a, b in zip(rows, posteriors, strict=True):
         assert np.array_equal(a, b)
     assert set(result.baselines) == set(rpm)
     for name, values in rpm.items():
@@ -501,20 +546,21 @@ def test_the_worker_runs_in_the_callers_numpy_error_state():
 
 @pytest.mark.parametrize("dump_posteriors, bound", [(False, 0.5), (True, 1.5)])
 def test_analyze_holds_no_recording_sized_array(dump_posteriors, bound):
-    # the posterior rows are T x G x 8 bytes themselves; held once they read
-    # about 1.3 of it at the peak, and a second stacked copy would read >= 2
-    cfg = RunConfig(scenario=ScenarioSpec(scenario="S1", duration_s=20.0, seed=1),
-                    output=OutputConfig(dump_posteriors=dump_posteriors))
+    # the posterior rows are T x G x 8 bytes themselves; a sink that keeps them
+    # reads about 1.3 of it at the peak, and a second stacked copy would read
+    # >= 2. With the rows dropped, analyze stays under half the fused array
+    cfg = RunConfig(scenario=ScenarioSpec(scenario="S1", duration_s=20.0, seed=1))
+    kept = []
     tracemalloc.start()
     try:
-        result = analyze(cfg)
+        result = analyze(cfg, posterior_sink=kept.append if dump_posteriors else lambda row: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     fused_bytes = len(result.tracked) * cfg.grid.n_points * 8
     assert len(result.tracked) == 1937
     assert peak < bound * fused_bytes, (peak, fused_bytes)
-    assert (result.posteriors is not None) == dump_posteriors
+    assert len(kept) == (len(result.tracked) if dump_posteriors else 0)
 
 
 def test_run_pipeline_streams_the_posteriors_instead_of_holding_them(monkeypatch, tmp_path):
@@ -536,7 +582,7 @@ def test_run_pipeline_streams_the_posteriors_instead_of_holding_them(monkeypatch
             peaks[dump] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(result.tracked) == 437 and result.posteriors is None
+        assert len(result.tracked) == 437
     assert (tmp_path / "True" / "posteriors.csv").read_bytes() == (
         tmp_path / "warm" / "posteriors.csv").read_bytes()
     assert peaks[True] <= 1.1 * peaks[False], peaks
@@ -635,10 +681,10 @@ def test_output_tables_equal_the_csv_writer_rendering(tmp_path):
                     grid=RpmGrid.from_step(1200.0, 2400.0, 1.0), baselines=pipeline.BASELINE_IDS,
                     output=OutputConfig(dump_posteriors=True, plot=True))
     # run_pipeline streams the posterior rows through a spill file; the
-    # oracle renders those of the in-memory analyze
-    result = run_pipeline(cfg, tmp_path / "run")
-    assert result.posteriors is None
-    naive_write_tables(analyze(cfg), tmp_path / "oracle")
+    # oracle renders those that the in-memory analyze hands to a list
+    run_pipeline(cfg, tmp_path / "run")
+    rows = []
+    naive_write_tables(analyze(cfg, posterior_sink=rows.append), tmp_path / "oracle", rows)
     names = sorted(p.name for p in (tmp_path / "oracle").iterdir())
     assert names == sorted(["trajectory.csv", "ground_truth.csv", "posteriors.csv",
                             *(f"baseline_{b}.csv" for b in pipeline.BASELINE_IDS)])
