@@ -33,35 +33,40 @@ def framewise_trajectory(loglik: np.ndarray, grid: RpmGrid) -> np.ndarray:
 
 
 def frame_peaks(mag: np.ndarray, nfft: int, sample_rate_hz: float,
-                f_lo: float, f_hi: float, top_k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per row of a chunk's :func:`magnitude_spectrum` ``mag``, the (log-magnitude,
-    RPM) of its top-k local maxima in [f_lo, f_hi] Hz, refined by 3-point parabolic
-    interpolation of the log-magnitude and clamped to the band. A row with no
-    local maximum in the band (silence, or a tone's faded tail) gets its largest
-    in-band bin, the first on ties, as its one candidate."""
+                f_lo: float, f_hi: float, top_k: int) -> np.ndarray:
+    """The STFT peak candidates of a chunk's :func:`magnitude_spectrum` ``mag``:
+    an (n, k) structured array of fields ``log_mag`` and ``rpm``, a row per frame
+    holding its top-k local maxima in [f_lo, f_hi] Hz, strongest first (the
+    higher bin first on ties), refined by 3-point parabolic interpolation of
+    the log-magnitude and clamped to the band. k is ``top_k``, or the band's
+    bin count if smaller. A row with no local maximum in the band (silence,
+    or a tone's faded tail) gets its largest in-band bin, the first on ties,
+    as its one candidate. A row with fewer than k candidates is padded with
+    in-band bins of ``log_mag`` -inf, which no Viterbi path takes; their
+    ``rpm`` is finite, so a transition penalty to them stays finite."""
     df = sample_rate_hz / nfft
     lo = max(1, int(np.ceil(f_lo / df)))
     hi = min(mag.shape[-1] - 2, int(np.floor(f_hi / df)))
     if hi < lo:
         raise ValueError(f"band [{f_lo:.3g}, {f_hi:.3g}] Hz holds no spectral bins")
-    candidates = []
-    for row in mag:
-        seg = row[lo : hi + 1]
-        is_peak = (seg > row[lo - 1 : hi]) & (seg >= row[lo + 1 : hi + 2])
-        peak_idx = np.nonzero(is_peak)[0] + lo
-        if peak_idx.size == 0:
-            peak_idx = np.array([lo + np.argmax(seg)])
-        order = np.argsort(row[peak_idx])[::-1][:top_k]
-        peak_idx = peak_idx[order]
-        logm = np.log(row + PEAK_LOG_FLOOR)
-        a, b, c = logm[peak_idx - 1], logm[peak_idx], logm[peak_idx + 1]
-        denom = a - 2.0 * b + c
-        shift = np.where(np.abs(denom) > 0, 0.5 * (a - c) / np.where(denom == 0, 1.0, denom),
-                         0.0)
-        shift = np.clip(shift, -0.5, 0.5)
-        freqs = np.clip((peak_idx + shift) * df, f_lo, f_hi)
-        candidates.append((np.log(row[peak_idx] + PEAK_LOG_FLOOR), 60.0 * freqs))
-    return candidates
+    seg = mag[:, lo:hi + 1]
+    is_peak = (seg > mag[:, lo - 1:hi]) & (seg >= mag[:, lo + 1:hi + 2])
+    peakless = ~is_peak.any(axis=1)
+    is_peak[peakless, np.argmax(seg[peakless], axis=1)] = True
+    # a stable ascending sort of the negated, bin-reversed magnitudes: strongest
+    # first, the higher bin first on ties, and the non-peaks (+inf) last
+    order = np.argsort(np.where(is_peak, -seg, np.inf)[:, ::-1], axis=1, kind="stable")
+    idx = hi - order[:, :top_k]
+    a, b, c = (np.log(np.take_along_axis(mag, idx + d, axis=1) + PEAK_LOG_FLOOR)
+               for d in (-1, 0, 1))
+    denom = a - 2.0 * b + c
+    shift = np.where(np.abs(denom) > 0, 0.5 * (a - c) / np.where(denom == 0, 1.0, denom), 0.0)
+    shift = np.clip(shift, -0.5, 0.5)
+    out = np.empty(idx.shape, dtype=[("log_mag", np.float64), ("rpm", np.float64)])
+    out["log_mag"] = np.where(np.arange(idx.shape[1]) < is_peak.sum(axis=1, keepdims=True),
+                              b, -np.inf)
+    out["rpm"] = 60.0 * np.clip((idx + shift) * df, f_lo, f_hi)
+    return out
 
 
 def viterbi_path(scores: Sequence[np.ndarray], rpms: Sequence[np.ndarray],
@@ -69,9 +74,10 @@ def viterbi_path(scores: Sequence[np.ndarray], rpms: Sequence[np.ndarray],
     """Max-sum dynamic program over per-frame candidate sets.
 
     Maximizes sum_t scores[t][c_t] - penalty * sum_t |rpm_t - rpm_{t-1}|;
-    returns one candidate index per frame.
+    returns one candidate index per frame. ``scores`` and ``rpms`` are
+    sequences of per-frame rows, such as (T, K) arrays.
     """
-    if len(scores) != len(rpms) or not scores:
+    if len(scores) != len(rpms) or len(scores) == 0:
         raise ValueError("scores and rpms must be equal-length and non-empty")
     best = np.asarray(scores[0], dtype=np.float64).copy()
     parents: list[np.ndarray] = []
@@ -90,11 +96,10 @@ def viterbi_path(scores: Sequence[np.ndarray], rpms: Sequence[np.ndarray],
     return path
 
 
-def viterbi_stft(candidates: Sequence[tuple[np.ndarray, np.ndarray]],
-                 transition_penalty_per_rpm: float) -> np.ndarray:
-    """STFT peak tracking: the RPM per frame of the Viterbi path through each
-    frame's (log-magnitude, RPM) peak candidates (:func:`frame_peaks`), which
-    trades peak magnitude against RPM jumps."""
-    scores, rpms = zip(*candidates)
-    path = viterbi_path(scores, rpms, transition_penalty_per_rpm)
-    return np.array([rpms[t][c] for t, c in enumerate(path)])
+def viterbi_stft(candidates: np.ndarray, transition_penalty_per_rpm: float) -> np.ndarray:
+    """STFT peak tracking: the RPM per frame of the Viterbi path through the
+    (T, k) peak candidates of :func:`frame_peaks`, which trades peak
+    magnitude against RPM jumps."""
+    rpms = candidates["rpm"]
+    path = viterbi_path(candidates["log_mag"], rpms, transition_penalty_per_rpm)
+    return rpms[np.arange(len(rpms)), path]

@@ -48,7 +48,9 @@ class RpmGrid:
     def from_step(cls, r_min: float, r_max: float, step_rpm: float = 1.0) -> "RpmGrid":
         """Build a grid from a step size, holding r_min and the step exact.
 
-        r_max is snapped to the nearest whole number of steps.
+        r_max is snapped to the nearest whole number of steps, unless the
+        grid's step already computes back to ``step_rpm``: then it is kept, so
+        a grid written as its (r_min, r_max, step) rebuilds equal.
         """
         for name, value in (("r_min", r_min), ("r_max", r_max), ("step_rpm", step_rpm)):
             if not np.isfinite(value):
@@ -58,7 +60,9 @@ class RpmGrid:
         n = int(round((r_max - r_min) / step_rpm)) + 1
         if n < 2:
             raise ValueError(f"grid [{r_min}, {r_max}] step {step_rpm} has fewer than 2 points")
-        return cls(r_min, r_min + (n - 1) * step_rpm, n)
+        if (r_max - r_min) / (n - 1) != step_rpm:
+            r_max = r_min + (n - 1) * step_rpm
+        return cls(r_min, r_max, n)
 
     @property
     def step(self) -> float:

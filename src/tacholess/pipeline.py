@@ -83,7 +83,8 @@ class EstimatorSetConfig:
         if not self.enabled:
             raise ValueError("estimators.enabled: at least one estimator is required")
         _require_known("estimators.enabled", "estimator", self.enabled, ESTIMATOR_IDS)
-        object.__setattr__(self, "enabled", tuple(self.enabled))
+        # a repeated id would weigh its estimator twice in the fusion
+        object.__setattr__(self, "enabled", tuple(dict.fromkeys(self.enabled)))
 
 
 @dataclass(frozen=True)
@@ -226,27 +227,26 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
         raise ValueError("no frames to analyze")
     grid, fs, est = cfg.grid, sample_rate_hz, cfg.estimators
     frame_len = frames.shape[1]
-    lagged = [eid for eid in ("yin", "cepstrum") if eid in (*est.enabled, *cfg.baselines)]
-    need = int(np.ceil(60.0 * fs / grid.r_min))
-    if lagged and need > frame_len // 2:
-        raise ValueError(
-            f"lag estimators {', '.join(lagged)} cannot cover grid r_min {grid.r_min} RPM "
-            f"(lag {need} at fs={fs} Hz) with frame_len {frame_len}, which reaches lag "
-            f"{frame_len // 2}; use frame_len >= {2 * need} or grid r_min >= "
-            f"{int(np.ceil(60.0 * fs / (frame_len // 2)))}"
-        )
-    tau_min, tau_max = lag_bounds(fs, grid.r_min, grid.r_max, frame_len)
     f_lo, f_hi = grid.r_min / 60.0, grid.r_max / 60.0
     # called through the module, where a profiler can wrap them
-    evaluate = {
-        "yin": lambda x, _: estimators.yin_curve(x, tau_min, tau_max),
-        "cepstrum": lambda x, _: estimators.cepstrum_curve(x, tau_min, tau_max),
-        "comb": lambda _, spectrum: estimators.comb_curve(
-            *spectrum(), fs, f_lo, f_hi, est.comb_candidates, est.comb_harmonics),
-    }
-    lag_rpm = 60.0 * fs / np.arange(tau_min, tau_max + 1, dtype=np.float64)
-    rpm = {"yin": lag_rpm, "cepstrum": lag_rpm,
-           "comb": 60.0 * np.linspace(f_lo, f_hi, est.comb_candidates)}
+    evaluate = {"comb": lambda _, spectrum: estimators.comb_curve(
+        *spectrum(), fs, f_lo, f_hi, est.comb_candidates, est.comb_harmonics)}
+    rpm = {"comb": 60.0 * np.linspace(f_lo, f_hi, est.comb_candidates)}
+    lagged = [eid for eid in ("yin", "cepstrum") if eid in (*est.enabled, *cfg.baselines)]
+    if lagged:
+        need = int(np.ceil(60.0 * fs / grid.r_min))
+        if need > frame_len // 2:
+            raise ValueError(
+                f"lag estimators {', '.join(lagged)} cannot cover grid r_min {grid.r_min} RPM "
+                f"(lag {need} at fs={fs} Hz) with frame_len {frame_len}, which reaches lag "
+                f"{frame_len // 2}; use frame_len >= {2 * need} or grid r_min >= "
+                f"{int(np.ceil(60.0 * fs / (frame_len // 2)))}"
+            )
+        tau_min, tau_max = lag_bounds(fs, grid.r_min, grid.r_max, frame_len)
+        evaluate["yin"] = lambda x, _: estimators.yin_curve(x, tau_min, tau_max)
+        evaluate["cepstrum"] = lambda x, _: estimators.cepstrum_curve(x, tau_min, tau_max)
+        rpm["yin"] = rpm["cepstrum"] = 60.0 * fs / np.arange(tau_min, tau_max + 1,
+                                                             dtype=np.float64)
     weights = [cfg.fusion_weights.get(eid, 1.0) for eid in est.enabled]
     picked = [name for name in cfg.baselines if name in ESTIMATOR_IDS]
     inside = {}
@@ -268,15 +268,18 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
             # a finite but huge recording can overflow every estimator
             if not np.isfinite(values).all():
                 raise ValueError(f"curve '{eid}' contains non-finite entries")
-        picks = {name: single_estimator_pick(curves[name], SIGN[name], rpm[name], inside[name])
+        parts = {name: single_estimator_pick(curves[name], SIGN[name], rpm[name], inside[name])
                  for name in picked}
         if "viterbi_stft" in cfg.baselines:
-            picks["viterbi_stft"] = frame_peaks(*spectrum(), fs, f_lo, f_hi,
+            parts["viterbi_stft"] = frame_peaks(*spectrum(), fs, f_lo, f_hi,
                                                 cfg.viterbi.n_candidates_per_frame)
         del spectrum
         logliks = [aligned_loglik(curves[eid], SIGN[eid], scatter[eid], cfg.alignment)
                    for eid in est.enabled]
-        return pool_logliks(logliks, weights), picks
+        fused = pool_logliks(logliks, weights)
+        if "framewise" in cfg.baselines:
+            parts["framewise"] = framewise_trajectory(fused, grid)
+        return fused, parts
 
     return evidence
 
@@ -289,9 +292,9 @@ def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
                     cfg: RunConfig) -> Iterator[tuple[np.ndarray, dict[str, Any]]]:
     """Fused grid log-likelihood of a (T, N) block of frames, CHUNK_FRAMES
     frames at a time: yields each chunk's fused (n, G) rows and, for each
-    baseline in ``cfg.baselines`` read from the evidence, its part for the
-    chunk's frames: each pick's RPM per frame, and under ``viterbi_stft`` each
-    frame's (log-magnitude, RPM) peak candidates.
+    baseline in ``cfg.baselines``, its part for the chunk's frames, an array
+    with a row per frame: the RPM of each pick and of ``framewise``, and
+    under ``viterbi_stft`` the (n, k) peak candidates of :func:`frame_peaks`.
 
     Each estimator's axis is the same in every frame, so its RPM points, its
     scatter matrix and each pick's band mask are made once per run. A chunk's
@@ -432,10 +435,7 @@ def _analyze(cfg: RunConfig, overlap: bool,
     parts: list[Any] = [None] * n_chunks  # each chunk's baseline parts, by chunk index
 
     def fused_rows(k):
-        fused, picks = evidence(k)
-        if "framewise" in cfg.baselines:
-            picks["framewise"] = framewise_trajectory(fused, cfg.grid)
-        parts[k] = picks
+        fused, parts[k] = evidence(k)
         return fused
 
     def filtered(blocks):
@@ -448,11 +448,9 @@ def _analyze(cfg: RunConfig, overlap: bool,
 
     baselines = {}
     for name in cfg.baselines:
+        rpm = np.concatenate([p[name] for p in parts])
         if name == "viterbi_stft":
-            rpm = viterbi_stft([*itertools.chain.from_iterable(p[name] for p in parts)],
-                               cfg.viterbi.transition_penalty_per_rpm)
-        else:
-            rpm = np.concatenate([p[name] for p in parts])
+            rpm = viterbi_stft(rpm, cfg.viterbi.transition_penalty_per_rpm)
         baselines[name] = np.rec.fromarrays([tracked.frame_index, tracked.time_s, rpm],
                                             names=("frame_index", "time_s", "rpm"))
 
@@ -510,48 +508,37 @@ def write_ground_truth(path: Path, times_s: np.ndarray, reference: np.ndarray) -
 
 
 def write_outputs(result: AnalysisResult, out_dir: str | Path,
-                  posteriors: Iterable[np.ndarray] | None = None) -> dict[str, Path]:
+                  posteriors: Iterable[np.ndarray] | None = None) -> None:
     """Write the run's tables, metrics, config and any plot into ``out_dir``;
     ``posteriors.csv`` too if ``posteriors`` (the (G,) rows in frame order,
     read one at a time) are given."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
 
     tracked = result.tracked
     tables = {"trajectory": tracked,
               **{f"baseline_{name}": rows for name, rows in result.baselines.items()}}
     for key, rows in tables.items():  # an int frame_index, then floats
-        paths[key] = write_table(out / f"{key}.csv", rows.dtype.names,
-                                 ["%d"] + ["%.9g"] * (len(rows.dtype.names) - 1), rows.tolist())
+        write_table(out / f"{key}.csv", rows.dtype.names,
+                    ["%d"] + ["%.9g"] * (len(rows.dtype.names) - 1), rows.tolist())
 
     if result.reference is not None:
-        paths["ground_truth"] = write_ground_truth(out / "ground_truth.csv",
-                                                   result.times_s, result.reference)
+        write_ground_truth(out / "ground_truth.csv", result.times_s, result.reference)
 
-    p = out / "metrics.json"
-    p.write_text(metrics_json(result))
-    paths["metrics"] = p
-
-    p = out / "config.json"
-    p.write_text(result.config.to_json())
-    paths["config"] = p
+    (out / "metrics.json").write_text(metrics_json(result))
+    (out / "config.json").write_text(result.config.to_json())
 
     if posteriors is not None:
         grid = result.config.grid.values.tolist()  # the header row is the grid
         rows = itertools.chain([grid], (mass.tolist() for mass in posteriors))
-        paths["posteriors"] = write_table(out / "posteriors.csv", None, ["%.9g"] * len(grid),
-                                          rows, line_end="\n")
+        write_table(out / "posteriors.csv", None, ["%.9g"] * len(grid), rows, line_end="\n")
 
     if result.config.output.plot:
-        p = out / "trajectory.svg"
         series = {"tracked": tracked.mmse_rpm,
                   **{name: b.rpm for name, b in result.baselines.items()}}
         band = (tracked.mmse_rpm - tracked.sigma_rpm, tracked.mmse_rpm + tracked.sigma_rpm)
-        write_trajectory_svg(p, result.times_s, series, band=band, reference=result.reference)
-        paths["plot"] = p
-
-    return paths
+        write_trajectory_svg(out / "trajectory.svg", result.times_s, series, band=band,
+                             reference=result.reference)
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:

@@ -79,11 +79,11 @@ def curvature_sigma(mass: np.ndarray, grid: RpmGrid, cfg: TrackerConfig) -> np.n
     return np.sqrt(var)
 
 
-def _kernel(s: float, dr: float, truncation_sigmas: float):
+def _kernel(s: float, dr: float):
     """Half-width in bins, taps, and [0, cumsum] of the truncated Gaussian of scale s."""
-    half = int(np.ceil(truncation_sigmas * s / dr))
+    half = int(np.ceil(KERNEL_TRUNCATION_SIGMAS * s / dr))
     u = np.arange(-half, half + 1) * (dr / s)
-    kern = np.where(np.abs(u) <= truncation_sigmas, np.exp(-0.5 * u * u), 0.0)
+    kern = np.where(np.abs(u) <= KERNEL_TRUNCATION_SIGMAS, np.exp(-0.5 * u * u), 0.0)
     return half, kern, np.concatenate(([0.0], np.cumsum(kern)))
 
 
@@ -95,14 +95,14 @@ def _column_norms(cols: np.ndarray, half: int, csum: np.ndarray, g: int) -> np.n
 
 
 @lru_cache(maxsize=8)
-def _block_operator(s: float, dr: float, truncation_sigmas: float, g: int):
+def _block_operator(s: float, dr: float, g: int):
     """(half, per-bin column norms, Toeplitz blocks) of one sigma on one grid.
 
     ``blocks[lags + i]`` is the (B, B) matrix that carries input block q + i
     to output block q, for block lags |i| <= lags. Lags past the grid's
     block count carry nothing, so the blocks never outgrow the grid.
     """
-    half, kern, csum = _kernel(s, dr, truncation_sigmas)
+    half, kern, csum = _kernel(s, dr)
     norm = _column_norms(np.arange(g), half, csum, g)
     lags = min(-(-half // _BLOCK), -(-g // _BLOCK) - 1)
     # entry [l, a, c] is the kernel at offset c - a - (l - lags) * B; with the
@@ -120,12 +120,11 @@ def _block_operator(s: float, dr: float, truncation_sigmas: float, g: int):
     return half, norm, blocks
 
 
-def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid,
-            truncation_sigmas: float = KERNEL_TRUNCATION_SIGMAS) -> np.ndarray:
+def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
     """Diffuse posterior mass with per-bin Gaussian transition columns.
 
     Column j spreads mass[j] as a Gaussian of scale sigmas[j] truncated at
-    ``truncation_sigmas``, renormalized over the bounded grid so no mass
+    KERNEL_TRUNCATION_SIGMAS, renormalized over the bounded grid so no mass
     leaks off the ends. The columns sharing a sigma are one convolution of
     their scaled masses over the span they cover. A sigma shared by at least
     ``_BLOCK`` columns (in practice the two clip values) convolves in
@@ -151,7 +150,7 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid,
             continue
         first, last = cols[0], cols[-1]
         if cols.size < _BLOCK:
-            half, kern, csum = _kernel(s, dr, truncation_sigmas)
+            half, kern, csum = _kernel(s, dr)
             span = np.zeros(last - first + 1)
             span[cols - first] = mass[cols] / _column_norms(cols, half, csum, g)
             # spread[k] lands on bin first - half + k; keep the part on the grid
@@ -159,7 +158,7 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid,
             lo, hi = max(0, first - half), min(g, last + half + 1)
             out[lo:hi] += spread[lo - first + half : hi - first + half]
             continue
-        half, norm, blocks = _block_operator(float(s), dr, float(truncation_sigmas), g)
+        half, norm, blocks = _block_operator(float(s), dr, g)
         lo, hi = max(0, first - half), min(g, last + half + 1)
         n_out = -(-(hi - lo) // _BLOCK)
         # output block q sums input blocks q - reach .. q + reach; blocks

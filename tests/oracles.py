@@ -138,11 +138,11 @@ def exhaustive_best_score(scores, rpms, penalty: float) -> float:
     return float(total.max())
 
 
-def naive_viterbi_stft(signal, framing, grid: RpmGrid, penalty: float, k: int) -> np.ndarray:
-    """STFT peak tracking one frame at a time: each frame's Hann-windowed
+def naive_frame_peaks(signal, framing, grid: RpmGrid, k: int) -> tuple[list, list]:
+    """STFT peak candidates one frame at a time: each frame's Hann-windowed
     ``rfft`` at ``next_fast_len(2N)``, its top-k local maxima in the grid's band
-    with parabolic refinement of the log-magnitude, then ``viterbi_path``
-    over every frame's (log-magnitude, RPM) candidates; the RPM per frame."""
+    with parabolic refinement of the log-magnitude; per frame, the (k,) or
+    fewer log-magnitudes and RPMs, strongest first."""
     fs = signal.sample_rate_hz
     f_lo, f_hi = grid.r_min / 60.0, grid.r_max / 60.0
     n = framing.frame_len
@@ -165,6 +165,13 @@ def naive_viterbi_stft(signal, framing, grid: RpmGrid, penalty: float, k: int) -
             freqs.append(np.clip((i + shift) * df, f_lo, f_hi))
         scores.append(np.log(mag[peaks] + PEAK_LOG_FLOOR))
         rpms.append(60.0 * np.array(freqs))
+    return scores, rpms
+
+
+def naive_viterbi_stft(signal, framing, grid: RpmGrid, penalty: float, k: int) -> np.ndarray:
+    """STFT peak tracking: ``viterbi_path`` over every frame's (log-magnitude,
+    RPM) candidates of :func:`naive_frame_peaks`; the RPM per frame."""
+    scores, rpms = naive_frame_peaks(signal, framing, grid, k)
     path = viterbi_path(scores, rpms, penalty)
     return np.array([rpms[t][c] for t, c in enumerate(path)])
 

@@ -101,7 +101,7 @@ def test_c02_oracle_equivalence():
         sig = rng.uniform(40.0, 150.0, g)
         if rng.integers(2):
             sig = np.full(g, float(rng.uniform(40.0, 150.0)))  # one sigma group
-        out = predict(mass, sig, grid, truncation_sigmas=6.0)
+        out = predict(mass, sig, grid)
         ref = naive_predict(mass, sig, grid, 6.0)
         scale = np.maximum(np.abs(ref), 1e-300)
         worst_pred = max(worst_pred, float(np.max(np.abs(out - ref) / scale)))

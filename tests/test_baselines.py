@@ -3,6 +3,7 @@ import pytest
 from scipy.special import logsumexp
 
 from tacholess import (
+    FramingConfig,
     InputConfig,
     RpmGrid,
     RunConfig,
@@ -10,15 +11,19 @@ from tacholess import (
     Signal,
     ViterbiConfig,
     analyze,
+    frame_signal,
     framewise_trajectory,
     load_signal,
+    magnitude_spectrum,
     save_signal,
     single_estimator_pick,
     viterbi_path,
 )
+from tacholess.baselines import frame_peaks
 from oracles import (
     brute_force_path_score,
     discrete_gaussian_mass,
+    naive_frame_peaks,
     naive_viterbi_stft,
     path_score,
 )
@@ -68,6 +73,7 @@ def test_viterbi_zero_penalty_is_framewise_argmax():
     rpms = [np.sort(rng.uniform(300.0, 4000.0, 6)) for _ in range(8)]
     path = viterbi_path(scores, rpms, 0.0)
     assert path == [int(np.argmax(s)) for s in scores]
+    assert viterbi_path(np.array(scores), np.array(rpms), 0.0) == path  # (T, K) arrays
 
 
 def test_viterbi_large_penalty_prefers_still_paths():
@@ -77,6 +83,7 @@ def test_viterbi_large_penalty_prefers_still_paths():
     rpms = [np.array([1000.0, 2000.0])] * 3
     path = viterbi_path(scores, rpms, 1e6)
     assert path == [0, 0, 0]  # staying put at 6.0 total beats 5.0 at the middle
+    assert viterbi_path(np.array(scores), np.array(rpms), 1e6) == path
 
 
 def test_viterbi_matches_exhaustive_enumeration():
@@ -95,8 +102,47 @@ def test_viterbi_matches_exhaustive_enumeration():
 def test_viterbi_validation():
     with pytest.raises(ValueError):
         viterbi_path([], [], 0.02)
+    with pytest.raises(ValueError, match="non-empty"):
+        viterbi_path(np.empty((0, 3)), np.empty((0, 3)), 0.02)
     with pytest.raises(ValueError):
         viterbi_path([np.zeros(3)], [np.zeros(3), np.zeros(3)], 0.02)
+
+
+def tone_then_silence(fs=12800):
+    """1 s of a 3600 RPM (60 Hz) tone, then 1 s of zeros."""
+    tone = np.sin(2 * np.pi * 60.0 * np.arange(fs) / fs)
+    return Signal(np.concatenate([tone, np.zeros(fs)]), float(fs))
+
+
+def test_frame_peaks_pads_rows_with_fewer_than_top_k_maxima():
+    # two equal maxima and a smaller one, then a row without any: the equal
+    # pair goes higher bin first, and each row pads with -inf log-magnitudes
+    mag = np.zeros((2, 64))
+    mag[0, [10, 20, 30]] = [1.0, 0.5, 1.0]
+    got = frame_peaks(mag, 126, 126.0, 5.0, 40.0, 5)  # 1 Hz bins: band bins 5 .. 40
+    assert got.shape == (2, 5) and got.dtype.names == ("log_mag", "rpm")
+    assert np.array_equal(got["rpm"][0, :3], [1800.0, 600.0, 1200.0])
+    assert np.array_equal(got["log_mag"][0, :3], np.log(np.array([1.0, 1.0, 0.5]) + 1e-300))
+    assert np.array_equal(got["rpm"][1, :1], [300.0])  # the band's first bin: all tie at 0
+    assert np.all(got["log_mag"][0, 3:] == -np.inf) and np.all(got["log_mag"][1, 1:] == -np.inf)
+    assert np.all((got["rpm"] >= 300.0) & (got["rpm"] <= 2400.0))  # finite, in band
+
+    # a tone's frames, its faded tail and silence: each row's real candidates
+    # are the oracle's, the rest padding
+    signal, framing, grid = tone_then_silence(), FramingConfig(), RunConfig().grid
+    mag, nfft = magnitude_spectrum(frame_signal(signal, framing))
+    got = frame_peaks(mag, nfft, signal.sample_rate_hz, grid.r_min / 60.0,
+                      grid.r_max / 60.0, 10)
+    scores, rpms = naive_frame_peaks(signal, framing, grid, 10)
+    counts = [len(s) for s in scores]
+    assert got.shape == (len(scores), 10) and min(counts) == 1 and max(counts) == 10
+    assert any(1 < n < 10 for n in counts)
+    for row, score, rpm in zip(got, scores, rpms):
+        n = len(score)
+        assert np.array_equal(row["log_mag"][:n], score) and np.array_equal(row["rpm"][:n], rpm)
+        assert np.all(row["log_mag"][n:] == -np.inf)
+        # 60 * (the band edge in Hz) may round an ulp past r_max
+        assert np.all((row["rpm"] >= grid.r_min) & (row["rpm"] <= grid.r_max * (1 + 1e-15)))
 
 
 def test_viterbi_stft_tracks_a_clean_tone():
@@ -115,10 +161,8 @@ def test_viterbi_stft_takes_the_band_maximum_of_a_peakless_frame(tmp_path):
     # last 128 samples, where the Hann window is below 0.0025, and later frames
     # are silent. Such a frame's one candidate is its largest in-band bin, the
     # first on ties: bin 7 of 0.78125 Hz (328.125 RPM) in a silent frame
-    fs = 12800
-    tone = np.sin(2 * np.pi * 60.0 * np.arange(fs) / fs)
     path = tmp_path / "tail.wav"
-    save_signal(Signal(np.concatenate([tone, np.zeros(fs)]), float(fs)), path)
+    save_signal(tone_then_silence(), path)
     cfg = RunConfig(scenario=None, input=InputConfig(path=str(path)),
                     baselines=("viterbi_stft",))
     rpm = analyze(cfg).baselines["viterbi_stft"].rpm

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tacholess import (
     EstimatorSetConfig,
@@ -57,6 +57,22 @@ def test_config_json_round_trip_is_a_fixed_point():
     assert RunConfig.from_json(default_text).to_json() == default_text
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1.0, 5000.0), st.floats(0.05, 10.0), st.floats(1.5, 20000.0), st.booleans())
+@example(304.6, 1.03, 1797.2, True)  # --grid 304.6:2155.7:1.03
+def test_config_json_replays_the_grid_exactly(r_min, step, n_steps, one_decimal):
+    # config.json holds the derived step (r_max - r_min) / (n - 1), so
+    # rebuilding the grid from it must keep r_max, not move it by an ulp
+    r_max = r_min + n_steps * step
+    if one_decimal:
+        r_min, r_max, step = round(r_min, 1), round(r_max, 1), round(step, 2)
+        assume(round((r_max - r_min) / step) >= 1)
+    cfg = RunConfig(grid=RpmGrid.from_step(r_min, r_max, step))
+    again = RunConfig.from_json(cfg.to_json())
+    assert again == cfg
+    assert np.array_equal(again.grid.values, cfg.grid.values)
+
+
 def test_config_from_partial_dicts():
     assert RunConfig.from_dict({}) == RunConfig()
     only_input = RunConfig.from_dict({"input": {"path": "a.csv", "sample_rate_hz": 10.0}})
@@ -86,6 +102,8 @@ def test_config_validation_messages():
     with pytest.raises(ValueError, match="unknown keys"):
         RunConfig.from_json('{"bogus": 1}')
     assert RunConfig(baselines=("framewise", "framewise")).baselines == ("framewise",)
+    # a repeated estimator would pool twice, as if its weight were doubled
+    assert EstimatorSetConfig(enabled=("yin", "yin", "comb")).enabled == ("yin", "comb")
 
 
 def test_config_rejects_unknown_fusion_weight_ids():
@@ -145,6 +163,10 @@ def test_lag_estimators_need_a_frame_that_covers_r_min():
     assert len(analyze(comb_only).tracked) == 35
     with pytest.raises(ValueError, match="lag estimators cepstrum cannot cover"):
         analyze(replace(comb_only, baselines=("cepstrum",)))
+    # the comb needs no lag range, which 256 samples at 12.8 kHz leave empty
+    # on the default grid: lags 192 (4000 RPM) to 128
+    tiny = replace(comb_only, framing=FramingConfig(frame_len=256, hop=128), baselines=("comb",))
+    assert len(analyze(tiny).baselines["comb"]) == 49
 
 
 def test_analyze_produces_aligned_series_and_metrics():
@@ -258,6 +280,9 @@ def test_streamed_analyze_equals_the_whole_array_path(overlap):
             signal, cfg.framing, cfg.grid, cfg.viterbi.transition_penalty_per_rpm,
             cfg.viterbi.n_candidates_per_frame)
 
+        for block, parts in chunks:
+            assert np.array_equal(parts["framewise"],
+                                  tacholess.framewise_trajectory(block, cfg.grid))
         assert len(streamed.tracked) == 87 and np.array_equal(streamed.tracked, tracked)
         assert np.array_equal(streamed.times_s, times)
         assert set(streamed.baselines) == set(baselines) == set(rpm)
@@ -395,7 +420,7 @@ def test_the_worker_computes_chunks_while_the_calling_thread_lags(monkeypatch):
            for name in pipeline.ESTIMATOR_IDS}
     rpm["framewise"] = tacholess.framewise_trajectory(fused, cfg.grid)
     rpm["viterbi_stft"] = tacholess.viterbi_stft(
-        [c for _, picks in chunks for c in picks["viterbi_stft"]],
+        np.concatenate([parts["viterbi_stft"] for _, parts in chunks]),
         cfg.viterbi.transition_penalty_per_rpm)
 
     real_yin = tacholess.estimators.yin_curve

@@ -119,7 +119,7 @@ def test_predict_delta_becomes_discrete_gaussian():
 
 def test_predict_keeps_uniform_interior_exactly_uniform():
     grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
-    out = predict(uniform(grid), np.full(200, 5.0), grid, truncation_sigmas=6.0)
+    out = predict(uniform(grid), np.full(200, 5.0), grid)
     # beyond twice the kernel reach from either edge the column renormalization
     # cancels exactly and the uniform prior is a fixed point
     reach = int(np.ceil(6.0 * 5.0 / grid.step))
@@ -169,7 +169,7 @@ def test_predict_matches_column_oracle():
     cases.append((grid, discrete_gaussian_mass(grid, 640.0, 30.0) + 1e-250, sig))
     for grid, mass, sig in cases:
         mass = mass / mass.sum()
-        out = predict(mass, sig, grid, truncation_sigmas=6.0)
+        out = predict(mass, sig, grid)
         ref = naive_predict(mass, sig, grid, 6.0)
         assert np.allclose(out, ref, rtol=1e-9, atol=1e-300)
 
