@@ -33,18 +33,19 @@ def framewise_trajectory(loglik: np.ndarray, grid: RpmGrid) -> np.ndarray:
 
 
 def frame_peaks(mag: np.ndarray, nfft: int, sample_rate_hz: float,
-                f_lo: float, f_hi: float, top_k: int) -> np.ndarray:
+                r_min: float, r_max: float, top_k: int) -> np.ndarray:
     """The STFT peak candidates of a chunk's :func:`magnitude_spectrum` ``mag``:
     an (n, k) structured array of fields ``log_mag`` and ``rpm``, a row per frame
-    holding its top-k local maxima in [f_lo, f_hi] Hz, strongest first (the
+    holding its top-k local maxima in [r_min, r_max] RPM, strongest first (the
     higher bin first on ties), refined by 3-point parabolic interpolation of
-    the log-magnitude and clamped to the band. k is ``top_k``, or the band's
-    bin count if smaller. A row with no local maximum in the band (silence,
-    or a tone's faded tail) gets its largest in-band bin, the first on ties,
-    as its one candidate. A row with fewer than k candidates is padded with
+    the log-magnitude and clamped to the band in RPM, so that no candidate
+    leaves it by a rounding. k is ``top_k``, or the band's bin count if
+    smaller. A row with no local maximum in the band (silence, or a tone's
+    faded tail) gets its largest in-band bin, the first on ties, as its one
+    candidate. A row with fewer than k candidates is padded with
     in-band bins of ``log_mag`` -inf, which no Viterbi path takes; their
     ``rpm`` is finite, so a transition penalty to them stays finite."""
-    df = sample_rate_hz / nfft
+    f_lo, f_hi, df = r_min / 60.0, r_max / 60.0, sample_rate_hz / nfft
     lo = max(1, int(np.ceil(f_lo / df)))
     hi = min(mag.shape[-1] - 2, int(np.floor(f_hi / df)))
     if hi < lo:
@@ -65,7 +66,7 @@ def frame_peaks(mag: np.ndarray, nfft: int, sample_rate_hz: float,
     out = np.empty(idx.shape, dtype=[("log_mag", np.float64), ("rpm", np.float64)])
     out["log_mag"] = np.where(np.arange(idx.shape[1]) < is_peak.sum(axis=1, keepdims=True),
                               b, -np.inf)
-    out["rpm"] = 60.0 * np.clip((idx + shift) * df, f_lo, f_hi)
+    out["rpm"] = np.clip(60.0 * ((idx + shift) * df), r_min, r_max)
     return out
 
 

@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scenarios", default="S1,S2,S3,S4", help="comma list (default S1..S4)")
     bench.add_argument("--seeds", default="1..20", help="seed or inclusive range a..b")
     bench.add_argument("--duration", type=float, help="per-run duration in seconds")
-    bench.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    bench.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPUs")
     bench.set_defaults(func=_cmd_benchmark)
 
     return parser

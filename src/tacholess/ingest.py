@@ -123,15 +123,19 @@ def load_signal(path: str | Path, fmt: str | None = None,
                 sample_rate_hz: float | None = None) -> Signal:
     """Load a mono signal from WAV or CSV (one sample per line, '#' comments).
 
-    fmt defaults to the file suffix. WAV carries its own rate; CSV requires
-    sample_rate_hz.
+    fmt defaults to the file suffix. WAV carries its own rate, which a given
+    sample_rate_hz must equal; CSV requires sample_rate_hz.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
     fmt = (fmt or path.suffix.lstrip(".")).lower()
     if fmt == "wav":
-        return _load_wav(path)
+        signal = _load_wav(path)
+        if sample_rate_hz is not None and sample_rate_hz != signal.sample_rate_hz:
+            raise ValueError(f"{path.name}: sample_rate_hz {sample_rate_hz} differs from "
+                             f"the WAV header's {signal.sample_rate_hz} Hz")
+        return signal
     if fmt == "csv":
         return _load_csv(path, sample_rate_hz)
     raise ValueError(f"unsupported input format '{fmt}' (expected wav or csv)")
@@ -150,9 +154,7 @@ def save_signal(signal: Signal, path: str | Path, fmt: str | None = None) -> Non
         wavfile.write(str(path), int(signal.sample_rate_hz),
                       signal.samples.astype(np.float32))
     elif fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write(f"# sample_rate_hz={signal.sample_rate_hz!r}\n")
-            for v in signal.samples:
-                fh.write(f"{v:.17g}\n")
+        np.savetxt(path, signal.samples, fmt="%.17g",
+                   header=f"sample_rate_hz={signal.sample_rate_hz!r}")
     else:
         raise ValueError(f"unsupported output format '{fmt}' (expected wav or csv)")

@@ -203,13 +203,11 @@ def _fits(value: Any, hint: Any) -> bool:
 
 
 def _plain(value: Any) -> Any:
-    """A config value as JSON data: dataclasses as dicts, tuples as lists, dicts sorted."""
+    """A config value as JSON data: dataclasses as dicts, tuples as lists."""
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return list(value)
-    if isinstance(value, dict):
-        return dict(sorted(value.items()))
     return value
 
 
@@ -271,7 +269,7 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
         parts = {name: single_estimator_pick(curves[name], SIGN[name], rpm[name], inside[name])
                  for name in picked}
         if "viterbi_stft" in cfg.baselines:
-            parts["viterbi_stft"] = frame_peaks(*spectrum(), fs, f_lo, f_hi,
+            parts["viterbi_stft"] = frame_peaks(*spectrum(), fs, grid.r_min, grid.r_max,
                                                 cfg.viterbi.n_candidates_per_frame)
         del spectrum
         logliks = [aligned_loglik(curves[eid], SIGN[eid], scatter[eid], cfg.alignment)
@@ -415,13 +413,6 @@ def analyze(cfg: RunConfig,
     (G,) posterior row goes to ``posterior_sink``, if given, in frame order
     on the tracker's thread.
     """
-    return _analyze(cfg, overlap=True, posterior_sink=posterior_sink)
-
-
-def _analyze(cfg: RunConfig, overlap: bool,
-             posterior_sink: Callable[[np.ndarray], Any] | None = None) -> AnalysisResult:
-    """``analyze``; without ``overlap``, every chunk and the tracker run in order on
-    the calling thread."""
     signal, truth = _resolve_input(cfg)
     framing = cfg.framing
     times = frame_times(signal, framing)
@@ -438,13 +429,9 @@ def _analyze(cfg: RunConfig, overlap: bool,
         fused, parts[k] = evidence(k)
         return fused
 
-    def filtered(blocks):
-        return track(blocks, cfg.grid, cfg.tracker, times, posterior_sink=posterior_sink)
-
-    if overlap:
-        tracked = _track_while_computing(n_chunks, fused_rows, filtered)
-    else:
-        tracked = filtered(map(fused_rows, range(n_chunks)))
+    tracked = _track_while_computing(
+        n_chunks, fused_rows,
+        lambda blocks: track(blocks, cfg.grid, cfg.tracker, times, posterior_sink=posterior_sink))
 
     baselines = {}
     for name in cfg.baselines:
@@ -473,8 +460,7 @@ def _analyze(cfg: RunConfig, overlap: bool,
 
 def metrics_json(result: AnalysisResult) -> str:
     payload = {
-        "methods": {m: {k: v for k, v in sorted(vals.items())}
-                    for m, vals in sorted(result.metrics.items())},
+        "methods": result.metrics,
         "n_frames": len(result.times_s),
         "has_reference": result.reference is not None,
     }
@@ -572,12 +558,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
 # -- benchmark sweep --------------------------------------------------------
 
 
-def _benchmark_worker(args: tuple[RunConfig, str, int, bool]) -> tuple[str, int, dict]:
-    cfg, scenario, seed, overlap = args
+def _benchmark_worker(args: tuple[RunConfig, str, int]) -> dict[str, dict[str, float]]:
+    cfg, scenario, seed = args
     template = cfg.scenario if cfg.scenario is not None else ScenarioSpec()
     cfg = replace(cfg, scenario=replace(template, scenario=scenario, seed=seed), input=None,
                   baselines=BASELINE_IDS, output=OutputConfig())
-    return scenario, seed, _analyze(cfg, overlap).metrics
+    return analyze(cfg).metrics
 
 
 def run_benchmark(cfg: RunConfig, scenarios: Sequence[str], seeds: Sequence[int],
@@ -587,26 +573,24 @@ def run_benchmark(cfg: RunConfig, scenarios: Sequence[str], seeds: Sequence[int]
     The ``framewise`` rows are the ablation: the same fused evidence without
     the tracker's temporal propagation. Returns {scenario: {method: {key:
     mean over seeds}}} for the keys of benchmark_runs.csv (one row per run
-    and method), and writes the mean RMSE/P95 per scenario to benchmark.csv
-    (wide table) and benchmark.txt.
+    and method, scenario by scenario, then seed by seed in the order given),
+    and writes the mean RMSE/P95 per scenario to benchmark.csv (wide table)
+    and benchmark.txt. A repeated scenario or seed runs once. With ``jobs``
+    > 1 the runs share that many worker processes, each running
+    :func:`analyze` on two threads; more jobs than CPUs only adds contention.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    scenarios, seeds = list(dict.fromkeys(scenarios)), list(dict.fromkeys(map(int, seeds)))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # pool workers run their chunks and tracker in order on one thread. On a
-    # 2-core host, `--scenarios S0,S1,S2,S3 --seeds 1..3 --duration 5` took
-    # 7.67 s at --jobs 2 against 7.68 s with workers on analyze's two threads
-    # (medians of 12 pairs), and 6.83 against 7.75 s at --jobs 4 (7 of 8
-    # pairs won); one analyze on one pinned CPU took 0.856 against 0.917 s on
-    # S3 5 s, but 1.773 against 1.709 s on narrowband S2 20 s
-    work = [(cfg, sc, int(seed), jobs == 1) for sc in scenarios for seed in seeds]
+    work = [(cfg, sc, seed) for sc in scenarios for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_benchmark_worker, work))
+            results = list(pool.map(_benchmark_worker, work))
     else:
-        raw = [_benchmark_worker(item) for item in work]
-    raw.sort(key=lambda r: (scenarios.index(r[0]), r[1]))
+        results = list(map(_benchmark_worker, work))
+    raw = [(sc, seed, metrics) for (_, sc, seed), metrics in zip(work, results)]
 
     methods = (*BASELINE_IDS, "tracked")
     keys = ("rmse", "p95", "jitter", "max_jump")

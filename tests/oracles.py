@@ -141,8 +141,8 @@ def exhaustive_best_score(scores, rpms, penalty: float) -> float:
 def naive_frame_peaks(signal, framing, grid: RpmGrid, k: int) -> tuple[list, list]:
     """STFT peak candidates one frame at a time: each frame's Hann-windowed
     ``rfft`` at ``next_fast_len(2N)``, its top-k local maxima in the grid's band
-    with parabolic refinement of the log-magnitude; per frame, the (k,) or
-    fewer log-magnitudes and RPMs, strongest first."""
+    with parabolic refinement of the log-magnitude, clamped to the grid in
+    RPM; per frame, the (k,) or fewer log-magnitudes and RPMs, strongest first."""
     fs = signal.sample_rate_hz
     f_lo, f_hi = grid.r_min / 60.0, grid.r_max / 60.0
     n = framing.frame_len
@@ -162,9 +162,9 @@ def naive_frame_peaks(signal, framing, grid: RpmGrid, k: int) -> tuple[list, lis
             a, b, c = logm[i - 1], logm[i], logm[i + 1]
             denom = a - 2.0 * b + c
             shift = np.clip(0.5 * (a - c) / denom, -0.5, 0.5) if abs(denom) > 0 else 0.0
-            freqs.append(np.clip((i + shift) * df, f_lo, f_hi))
+            freqs.append((i + shift) * df)
         scores.append(np.log(mag[peaks] + PEAK_LOG_FLOOR))
-        rpms.append(60.0 * np.array(freqs))
+        rpms.append(np.clip(60.0 * np.array(freqs), grid.r_min, grid.r_max))
     return scores, rpms
 
 

@@ -119,7 +119,7 @@ def test_frame_peaks_pads_rows_with_fewer_than_top_k_maxima():
     # pair goes higher bin first, and each row pads with -inf log-magnitudes
     mag = np.zeros((2, 64))
     mag[0, [10, 20, 30]] = [1.0, 0.5, 1.0]
-    got = frame_peaks(mag, 126, 126.0, 5.0, 40.0, 5)  # 1 Hz bins: band bins 5 .. 40
+    got = frame_peaks(mag, 126, 126.0, 300.0, 2400.0, 5)  # 1 Hz bins: band bins 5 .. 40
     assert got.shape == (2, 5) and got.dtype.names == ("log_mag", "rpm")
     assert np.array_equal(got["rpm"][0, :3], [1800.0, 600.0, 1200.0])
     assert np.array_equal(got["log_mag"][0, :3], np.log(np.array([1.0, 1.0, 0.5]) + 1e-300))
@@ -131,8 +131,7 @@ def test_frame_peaks_pads_rows_with_fewer_than_top_k_maxima():
     # are the oracle's, the rest padding
     signal, framing, grid = tone_then_silence(), FramingConfig(), RunConfig().grid
     mag, nfft = magnitude_spectrum(frame_signal(signal, framing))
-    got = frame_peaks(mag, nfft, signal.sample_rate_hz, grid.r_min / 60.0,
-                      grid.r_max / 60.0, 10)
+    got = frame_peaks(mag, nfft, signal.sample_rate_hz, grid.r_min, grid.r_max, 10)
     scores, rpms = naive_frame_peaks(signal, framing, grid, 10)
     counts = [len(s) for s in scores]
     assert got.shape == (len(scores), 10) and min(counts) == 1 and max(counts) == 10
@@ -141,8 +140,9 @@ def test_frame_peaks_pads_rows_with_fewer_than_top_k_maxima():
         n = len(score)
         assert np.array_equal(row["log_mag"][:n], score) and np.array_equal(row["rpm"][:n], rpm)
         assert np.all(row["log_mag"][n:] == -np.inf)
-        # 60 * (the band edge in Hz) may round an ulp past r_max
-        assert np.all((row["rpm"] >= grid.r_min) & (row["rpm"] <= grid.r_max * (1 + 1e-15)))
+        # clamped in RPM: 60 * (the band edge in Hz) used to round an ulp past r_max
+        assert np.all((row["rpm"] >= grid.r_min) & (row["rpm"] <= grid.r_max))
+    assert np.any(got["rpm"] == grid.r_max)  # the faded tail's peaks clamp at the edge
 
 
 def test_viterbi_stft_tracks_a_clean_tone():

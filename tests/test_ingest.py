@@ -113,6 +113,16 @@ def test_wav_rejects_a_non_integer_sample_rate(tmp_path):
     assert not path.exists()
 
 
+def test_wav_refuses_a_given_rate_that_differs_from_its_header(tmp_path):
+    # the header's rate used to win silently, while config.json recorded the given one
+    path = tmp_path / "sig.wav"
+    save_signal(Signal(samples=np.zeros(64), sample_rate_hz=12800.0), path)
+    with pytest.raises(ValueError, match="sample_rate_hz 8000.0 differs from the WAV "
+                                         "header's 12800.0 Hz"):
+        load_signal(path, None, 8000.0)
+    assert load_signal(path, None, 12800.0).sample_rate_hz == 12800.0
+
+
 def test_wav_int16_scaling(tmp_path):
     from scipy.io import wavfile
     data = np.array([0, 16384, -16384, 32767, -32768], dtype=np.int16)
@@ -165,6 +175,8 @@ def test_csv_round_trip_is_exact(tmp_path):
     save_signal(sig, path)
     back = load_signal(path, sample_rate_hz=1234.5)
     assert np.array_equal(back.samples, sig.samples)  # %.17g preserves float64
+    assert path.read_text() == ("# sample_rate_hz=1234.5\n"
+                                + "".join(f"{v:.17g}\n" for v in sig.samples))
 
 
 def test_csv_requires_rate_and_numbers(tmp_path):

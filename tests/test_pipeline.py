@@ -243,8 +243,7 @@ def test_analyze_on_a_grid_the_curves_cannot_reach_raises():
         analyze(cfg)
 
 
-@pytest.mark.parametrize("overlap", [True, False])
-def test_streamed_analyze_equals_the_whole_array_path(overlap):
+def test_streamed_analyze_equals_the_whole_array_path():
     # 87 frames: five full chunks and a partial one. The reference filters the
     # whole (T, G) array on this thread; analyze switches between its two
     # threads as often as the interpreter allows, to expose any shared state.
@@ -258,10 +257,7 @@ def test_streamed_analyze_equals_the_whole_array_path(overlap):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            if overlap:
-                streamed = analyze(cfg, posterior_sink=rows.append)
-            else:
-                streamed = pipeline._analyze(cfg, False, posterior_sink=rows.append)
+            streamed = analyze(cfg, posterior_sink=rows.append)
         finally:
             sys.setswitchinterval(interval)
 
@@ -351,8 +347,7 @@ def test_star_import_gives_every_exported_name():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(tacholess.__all__)
 
 
-@pytest.mark.parametrize("overlap", [True, False])
-def test_errors_on_either_side_surface_from_analyze(monkeypatch, overlap):
+def test_errors_on_either_side_surface_from_analyze(monkeypatch):
     threads = threading.active_count()
     # evidence side: no lag maps into the grid (see the test above)
     cfg = RunConfig(scenario=ScenarioSpec(scenario="S0", duration_s=1.0, sample_rate_hz=1000.0,
@@ -360,7 +355,7 @@ def test_errors_on_either_side_surface_from_analyze(monkeypatch, overlap):
                     framing=FramingConfig(frame_len=256, hop=128),
                     grid=RpmGrid.from_step(2900.0, 2950.0, 1.0))
     with pytest.raises(ValueError, match="curve 'yin' disjoint from grid"):
-        pipeline._analyze(cfg, overlap)
+        analyze(cfg)
     assert threading.active_count() == threads
 
     # the chunk that starts at frame 33 fails on the evidence side, then
@@ -396,10 +391,10 @@ def test_errors_on_either_side_surface_from_analyze(monkeypatch, overlap):
                             (spoil, "frame 33 log-likelihood has non-finite values")):
         monkeypatch.setattr(pipeline, "_chunk_evidence", at_frame_33(change))
         with pytest.raises(ValueError, match=message):
-            pipeline._analyze(short, overlap)
+            analyze(short)
         assert threading.active_count() == threads
     assert len(tracked_on) == 2
-    assert (threading.get_ident() in tracked_on) == (not overlap)
+    assert threading.get_ident() not in tracked_on  # the tracker runs on the worker
 
 
 def test_the_worker_computes_chunks_while_the_calling_thread_lags(monkeypatch):
@@ -779,9 +774,29 @@ def test_benchmark_table_layout(tmp_path):
 def test_benchmark_is_deterministic(tmp_path):
     cfg = short_cfg(scenario=ScenarioSpec(scenario="S1", duration_s=1.0, seed=1))
     run_benchmark(cfg, ["S1"], [1, 2], tmp_path / "a")
-    run_benchmark(cfg, ["S1"], [1, 2], tmp_path / "b", jobs=2)  # pool workers filter inline
+    run_benchmark(cfg, ["S1"], [1, 2], tmp_path / "b", jobs=2)  # each pool worker runs analyze
     for name in ("benchmark.csv", "benchmark_runs.csv", "benchmark.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_benchmark_runs_a_repeated_scenario_or_seed_once(tmp_path):
+    # repeats used to run twice and give benchmark.csv two equal S1_* column pairs
+    cfg = short_cfg(scenario=ScenarioSpec(scenario="S1", duration_s=1.0, seed=1))
+    once = run_benchmark(cfg, ["S1"], [1], tmp_path / "once")
+    assert run_benchmark(cfg, ["S1", "S1"], [1, 1], tmp_path / "twice") == once
+    for name in ("benchmark.csv", "benchmark_runs.csv", "benchmark.txt"):
+        assert ((tmp_path / "once" / name).read_bytes()
+                == (tmp_path / "twice" / name).read_bytes()), name
+
+
+def test_benchmark_rows_follow_the_order_given(tmp_path):
+    cfg = short_cfg(scenario=ScenarioSpec(scenario="S0", duration_s=0.7, seed=1))
+    run_benchmark(cfg, ["S1", "S0"], [2, 1], tmp_path)
+    runs = read_csv(tmp_path / "benchmark_runs.csv")[1:]
+    assert list(dict.fromkeys((r[0], r[1]) for r in runs)) == [
+        ("S1", "2"), ("S1", "1"), ("S0", "2"), ("S0", "1")]
+    assert read_csv(tmp_path / "benchmark.csv")[0] == ["method", "S1_rmse", "S1_p95",
+                                                       "S0_rmse", "S0_p95"]
 
 
 def test_benchmark_rows_match_analyze_with_framewise_only(tmp_path):
@@ -852,6 +867,12 @@ def test_cli_synth_then_run_wav(tmp_path, capsys):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["has_reference"] is False
     assert set(metrics["methods"]) == {"tracked", "framewise"}
+    capsys.readouterr()
+    # a rate other than the header's is refused, not recorded in config.json
+    assert main(["run", "--out", str(tmp_path / "other"), "--input", str(wav),
+                 "--sample-rate", "8000", "--grid", "1200:1800:1"]) == 2
+    assert "differs from the WAV header's 12800.0 Hz" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists()
 
 
 def test_cli_synth_csv_format(tmp_path):
