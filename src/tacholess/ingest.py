@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,28 +77,77 @@ def frame_times(signal: Signal, framing: FramingConfig) -> np.ndarray:
     return (starts + framing.frame_len / 2.0) / signal.sample_rate_hz
 
 
-def _load_wav(path: Path) -> Signal:
-    from scipy.io import wavfile  # here, not at the top: only WAV input and output load it
+# WAVE format tags: integer PCM, IEEE float, and the extensible header whose
+# sub-format GUID carries the real tag in its first four bytes
+_PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# the last eight bytes of the GUID of every standard sub-format
+_GUID_TAIL = b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
-    rate, data = wavfile.read(str(path))
-    if data.ndim != 1:
-        raise ValueError(
-            f"{path.name}: multi-channel WAV not supported (shape {data.shape}); supply mono"
-        )
-    if data.size == 0:
-        raise ValueError(f"{path.name}: empty signal")
-    if data.dtype == np.int16:
-        x = data / 2.0**15
-    elif data.dtype == np.int32:
-        # scipy returns 24-bit PCM MSB-justified in int32, so one scale covers 24/32-bit
-        x = data / 2.0**31
-    elif data.dtype in (np.float32, np.float64):
-        x = data.astype(np.float64)
+
+def _wav_chunks(path: Path, buf: bytes, end: str):
+    """(id, offset, size) of each chunk of a RIFF/RIFX body, in file order."""
+    pos = 12
+    while pos + 8 <= len(buf):
+        cid = buf[pos:pos + 4]
+        (size,) = struct.unpack_from(end + "I", buf, pos + 4)
+        if pos + 8 + size > len(buf):
+            raise ValueError(f"{path.name}: truncated WAV: chunk {cid!r} declares {size} "
+                             f"bytes, the file holds {len(buf) - pos - 8}")
+        yield cid, pos + 8, size
+        pos += 8 + size + size % 2  # an odd-sized chunk is followed by a pad byte
+
+
+def _load_wav(path: Path) -> Signal:
+    """Mono 16/24/32-bit PCM or 32/64-bit float from a RIFF (little-endian) or
+    RIFX (big-endian) WAVE file, plain or WAVE_FORMAT_EXTENSIBLE; chunks other
+    than ``fmt `` and ``data`` are skipped."""
+    buf = path.read_bytes()
+    if len(buf) < 12 or buf[:4] not in (b"RIFF", b"RIFX") or buf[8:12] != b"WAVE":
+        raise ValueError(f"{path.name}: not a RIFF or RIFX WAVE file")
+    end = "<" if buf[:4] == b"RIFF" else ">"
+    fmt = None
+    for cid, at, size in _wav_chunks(path, buf, end):
+        if cid == b"fmt ":
+            if size < 16:
+                raise ValueError(f"{path.name}: WAV fmt chunk of {size} bytes, need 16")
+            tag, channels, rate, _, align, bits = struct.unpack_from(end + "HHIIHH", buf, at)
+            if tag == _EXTENSIBLE and size >= 40:
+                sub, d2, d3 = struct.unpack_from(end + "IHH", buf, at + 24)
+                if (d2, d3) == (0, 0x10) and buf[at + 32:at + 40] == _GUID_TAIL:
+                    tag = sub
+            fmt = tag, channels, rate, align, bits
+        elif cid == b"data":
+            if fmt is None:
+                raise ValueError(f"{path.name}: WAV data chunk comes before its fmt chunk")
+            break
     else:
+        raise ValueError(f"{path.name}: WAV file has no data chunk")
+    tag, channels, rate, align, bits = fmt
+    if tag not in (_PCM, _FLOAT):
+        raise ValueError(f"{path.name}: unsupported WAV format tag {tag:#06x}; "
+                         "expected PCM or IEEE float")
+    n = size // align if align else 0
+    if channels > 1:
         raise ValueError(
-            f"{path.name}: unsupported WAV sample format {data.dtype}; "
-            "expected 16/24/32-bit PCM or 32-bit float"
+            f"{path.name}: multi-channel WAV not supported (shape {(n, channels)}); supply mono"
         )
+    if n == 0:
+        raise ValueError(f"{path.name}: empty signal")
+    if tag == _PCM and align == 3:
+        # 24-bit PCM widened MSB-justified to int32, so one scale covers 24/32-bit
+        wide = np.zeros((n, 4), dtype=np.uint8)
+        (wide[:, 1:] if end == "<" else wide[:, :3])[:] = (
+            np.frombuffer(buf, np.uint8, 3 * n, at).reshape(n, 3))
+        x = wide.view(end + "i4")[:, 0] / 2.0**31
+    elif tag == _PCM and align in (2, 4):
+        x = np.frombuffer(buf, f"{end}i{align}", n, at) / 2.0 ** (8 * align - 1)
+    elif tag == _FLOAT and bits == 8 * align in (32, 64):
+        x = np.frombuffer(buf, f"{end}f{align}", n, at).astype(np.float64)
+    else:
+        kind = ({1: "uint8", 8: "int64"}.get(align, f"{8 * align}-bit PCM") if tag == _PCM
+                else f"{bits}-bit float")
+        raise ValueError(f"{path.name}: unsupported WAV sample format {kind}; "
+                         "expected 16/24/32-bit PCM or 32-bit float")
     return Signal(x, float(rate))
 
 
@@ -142,17 +192,32 @@ def load_signal(path: str | Path, fmt: str | None = None,
 
 
 def save_signal(signal: Signal, path: str | Path, fmt: str | None = None) -> None:
-    """Write a signal to WAV (32-bit float, integer rate) or CSV (one '%.17g' sample per line)."""
+    """Write a signal to WAV (32-bit float, integer rate) or CSV (one '%.17g' sample per line).
+
+    A sample beyond the float32 range is refused before anything is written:
+    stored as inf, the file would not load again."""
     path = Path(path)
     fmt = (fmt or path.suffix.lstrip(".")).lower()
     if fmt == "wav":
-        from scipy.io import wavfile
-
         if not float(signal.sample_rate_hz).is_integer():
             raise ValueError(f"{path.name}: WAV needs an integer sample rate, got "
                              f"{signal.sample_rate_hz} Hz; write CSV instead")
-        wavfile.write(str(path), int(signal.sample_rate_hz),
-                      signal.samples.astype(np.float32))
+        with np.errstate(over="ignore"):
+            data = signal.samples.astype("<f4")
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            raise ValueError(f"{path.name}: sample {float(signal.samples[bad[0]])!r} at index "
+                             f"{bad[0]} is beyond the float32 range of WAV; write CSV instead")
+        rate, n = int(signal.sample_rate_hz), len(data)
+        # RIFF, an 18-byte fmt chunk (IEEE float, mono, cbSize 0), a fact chunk
+        # holding the sample count, then the samples, as scipy.io.wavfile writes it
+        header = (b"RIFF" + struct.pack("<I", 50 + data.nbytes) + b"WAVE"
+                  + b"fmt " + struct.pack("<IHHIIHHH", 18, _FLOAT, 1, rate, 4 * rate, 4, 32, 0)
+                  + b"fact" + struct.pack("<II", 4, n)
+                  + b"data" + struct.pack("<I", data.nbytes))
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(data)
     elif fmt == "csv":
         np.savetxt(path, signal.samples, fmt="%.17g",
                    header=f"sample_rate_hz={signal.sample_rate_hz!r}")

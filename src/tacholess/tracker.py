@@ -14,11 +14,13 @@ as soon as it is made.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fusion import mass_entropy
 from .grid import RpmGrid
@@ -96,11 +98,14 @@ def _column_norms(cols: np.ndarray, half: int, csum: np.ndarray, g: int) -> np.n
 
 @lru_cache(maxsize=8)
 def _block_operator(s: float, dr: float, g: int):
-    """(half, per-bin column norms, Toeplitz blocks) of one sigma on one grid.
+    """(half, per-bin column norms, Toeplitz blocks, product buffers) of one
+    sigma on one grid.
 
     ``blocks[lags + i]`` is the (B, B) matrix that carries input block q + i
     to output block q, for block lags |i| <= lags. Lags past the grid's
-    block count carry nothing, so the blocks never outgrow the grid.
+    block count carry nothing, so the blocks never outgrow the grid. The
+    buffers are thread-local: each thread that applies the operator gets one
+    (2 * lags + 1, blocks of the grid, B) array for its products.
     """
     half, kern, csum = _kernel(s, dr)
     norm = _column_norms(np.arange(g), half, csum, g)
@@ -113,11 +118,11 @@ def _block_operator(s: float, dr: float, g: int):
     padded[pad:pad + kern.size] = kern
     base = pad + half + lags * _BLOCK
     rows = base - np.arange((2 * lags + 1) * _BLOCK)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, _BLOCK)
+    windows = sliding_window_view(padded, _BLOCK)
     blocks = windows[rows].reshape(2 * lags + 1, _BLOCK, _BLOCK)
     norm.flags.writeable = False
     blocks.flags.writeable = False
-    return half, norm, blocks
+    return half, norm, blocks, threading.local()
 
 
 def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
@@ -129,8 +134,9 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
     their scaled masses over the span they cover. A sigma shared by at least
     ``_BLOCK`` columns (in practice the two clip values) convolves in
     block-Toeplitz form: its span is cut into blocks of ``_BLOCK`` bins and
-    each output block sums one matrix product per block lag, with the
-    blocks and column norms cached per sigma and grid. Smaller groups run
+    each output block sums one matrix product per block lag, all of them
+    made by one batched matmul, with the blocks, column norms and a product
+    buffer cached per sigma and grid. Smaller groups run
     one direct convolution over their span.
     """
     g = grid.n_points
@@ -158,7 +164,7 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
             lo, hi = max(0, first - half), min(g, last + half + 1)
             out[lo:hi] += spread[lo - first + half : hi - first + half]
             continue
-        half, norm, blocks = _block_operator(float(s), dr, g)
+        half, norm, blocks, buffers = _block_operator(float(s), dr, g)
         lo, hi = max(0, first - half), min(g, last + half + 1)
         n_out = -(-(hi - lo) // _BLOCK)
         # output block q sums input blocks q - reach .. q + reach; blocks
@@ -167,11 +173,15 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
         x = np.zeros((n_out + 2 * reach) * _BLOCK)
         x[reach * _BLOCK + cols - lo] = mass[cols] / norm[cols]
         x = x.reshape(-1, _BLOCK)
+        if not hasattr(buffers, "products"):
+            buffers.products = np.empty((len(blocks), -(-g // _BLOCK), _BLOCK))
+        # lag i's product x[i:i + n_out] @ blocks[skip + i], all in one matmul,
+        # then summed over the lags in order
         skip = len(blocks) // 2 - reach
-        y = x[:n_out] @ blocks[skip]
-        for i in range(1, 2 * reach + 1):
-            y += x[i:i + n_out] @ blocks[skip + i]
-        out[lo:hi] += y.ravel()[:hi - lo]
+        products = np.matmul(sliding_window_view(x, n_out, axis=0).transpose(0, 2, 1),
+                             blocks[skip:skip + 2 * reach + 1],
+                             out=buffers.products[:2 * reach + 1, :n_out])
+        out[lo:hi] += products.sum(axis=0).ravel()[:hi - lo]
     return out
 
 

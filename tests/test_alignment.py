@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,8 +15,9 @@ from tacholess import (
     kernel_scatter,
     robust_standardize,
 )
-from tacholess.alignment import EPS_NORM, KERNEL_TRUNCATION_SIGMAS
-from oracles import AXIS_KINDS, axis_rpm, naive_curve_to_grid
+from tacholess import FramingConfig, RunConfig, pipeline
+from tacholess.alignment import BLOCK, EPS_NORM, KERNEL_TRUNCATION_SIGMAS, scatter_mass
+from oracles import AXIS_KINDS, axis_rpm, csr_kernel, naive_curve_to_grid
 from props import check_curve_to_grid, check_standardize
 
 
@@ -243,3 +246,84 @@ def test_disjoint_curve_raises():
         one_frame([200.0, 250.0, 4500.0], [1.0, 2.0, 3.0], grid, cfg)
     with pytest.raises(ValueError, match="evidence disjoint from grid: all 3 points"):
         kernel_scatter(np.array([200.0, 250.0, 4500.0]), grid, cfg)
+
+
+class _Recorded(Exception):
+    pass
+
+
+def pipeline_axes(cfg: RunConfig, frame_len: int) -> dict[str, np.ndarray]:
+    """The RPM points of every estimator axis of a run, as the pipeline maps them."""
+    seen = {}
+
+    def record(rpm, grid, alignment, label):
+        seen[label.split("'")[1]] = rpm
+        if len(seen) == len(cfg.estimators.enabled):
+            raise _Recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "kernel_scatter", record)
+        with pytest.raises(_Recorded):
+            next(pipeline.evidence_chunks(np.zeros((2, frame_len)), 12800.0, cfg))
+    return seen
+
+
+@pytest.mark.parametrize("workload", ["fullband", "narrowband"])
+def test_block_scatter_equals_a_csr_product_on_the_pipelines_axes(workload):
+    # the lag axis (YIN and the cepstrum) is dense at low RPM and sparse at
+    # high RPM, so its blocks fall into several row-count classes; the comb's
+    # evenly spaced axis is one class
+    cfg = RunConfig() if workload == "fullband" else RunConfig(
+        framing=FramingConfig(frame_len=16384, hop=256),
+        grid=RpmGrid.from_step(1200.0, 2400.0, 1.0))
+    axes = pipeline_axes(cfg, cfg.framing.frame_len)
+    assert set(axes) == {"yin", "cepstrum", "comb"}
+    rng = np.random.default_rng(41)
+    for eid, rpm in axes.items():
+        scatter = kernel_scatter(rpm, cfg.grid, cfg.alignment)
+        oracle = csr_kernel(rpm, cfg.grid, cfg.alignment)
+        n_columns, classes = scatter
+        assert n_columns == cfg.grid.n_points
+        for blocks, rows, taps in classes:
+            assert taps.shape == (len(blocks), BLOCK, rows.shape[1])
+        if eid == "comb":
+            assert len(classes) == 1
+        weights = np.exp(rng.normal(0.0, 2.0, (16, len(rpm))))
+        assert np.allclose(scatter_mass(weights, scatter), weights @ oracle, rtol=1e-12, atol=0.0)
+        assert np.allclose(scatter_mass(weights[3], scatter), weights[3] @ oracle,
+                           rtol=1e-12, atol=0.0)
+    lag = axes["yin"]
+    assert len(kernel_scatter(lag, cfg.grid, cfg.alignment)[1]) > 1
+
+
+def test_block_scatter_on_a_non_monotone_axis_and_unreached_columns():
+    # points in random order, repeated, off the grid and in two clusters, so
+    # whole blocks, and columns within reached blocks, get no kernel mass
+    cfg = CurveToGridConfig(kernel_bandwidth_rpm=1.5)
+    grid = RpmGrid.from_step(600.0, 1100.0, 0.5)
+    rng = np.random.default_rng(42)
+    rpm = np.concatenate([rng.uniform(640.0, 660.0, 30), rng.uniform(900.0, 905.0, 7),
+                          [700.0, 700.0, 1099.9, 590.0, 2000.0]])
+    rng.shuffle(rpm)
+    scatter = kernel_scatter(rpm, grid, cfg)
+    oracle = csr_kernel(rpm, grid, cfg)
+    weights = np.exp(rng.normal(0.0, 1.0, (5, len(rpm))))
+    mass = scatter_mass(weights, scatter)
+    assert mass.shape == (5, grid.n_points)
+    assert np.allclose(mass, weights @ oracle, rtol=1e-12, atol=0.0)
+    unreached = oracle.sum(axis=0) == 0.0
+    assert unreached.mean() > 0.5 and np.all(mass[:, unreached] == 0.0)
+    assert np.allclose(scatter_mass(weights[0], scatter), weights[0] @ oracle, rtol=1e-12, atol=0.0)
+
+
+def test_block_scatter_builds_no_dense_kernel_matrix():
+    # the fullband lag axis has 2369 points on 3701 columns: a dense K is 70 MB
+    cfg = RunConfig()
+    rpm = pipeline_axes(cfg, cfg.framing.frame_len)["yin"]
+    tracemalloc.start()
+    try:
+        kernel_scatter(rpm, cfg.grid, cfg.alignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6

@@ -168,6 +168,115 @@ def test_wav_rejects_unsupported_and_stereo(tmp_path):
         load_signal(path2)
 
 
+def riff(chunks, big_endian=False) -> bytes:
+    """A WAVE file of (id, payload) chunks, each odd-sized one followed by a pad byte."""
+    end = ">" if big_endian else "<"
+    body = b"WAVE" + b"".join(cid + struct.pack(end + "I", len(data)) + data
+                              + b"\0" * (len(data) % 2) for cid, data in chunks)
+    return (b"RIFX" if big_endian else b"RIFF") + struct.pack(end + "I", len(body)) + body
+
+
+def fmt_chunk(tag, width, rate=8000, big_endian=False, sub_tag=None) -> bytes:
+    """A mono fmt chunk; with ``sub_tag`` a 40-byte WAVE_FORMAT_EXTENSIBLE one."""
+    end = ">" if big_endian else "<"
+    head = struct.pack(end + "HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
+    if sub_tag is None:
+        return head
+    guid = struct.pack(end + "IHH", sub_tag, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return head + struct.pack(end + "HHI", 22, 8 * width, 4) + guid
+
+
+@pytest.mark.parametrize("n", [1, 4, 321])
+def test_wav_write_is_byte_identical_to_scipy(tmp_path, n):
+    from scipy.io import wavfile
+    sig = Signal(samples=np.random.default_rng(n).normal(0.0, 0.3, n), sample_rate_hz=12800.0)
+    save_signal(sig, tmp_path / "ours.wav")
+    wavfile.write(str(tmp_path / "scipy.wav"), 12800, sig.samples.astype(np.float32))
+    ours = (tmp_path / "ours.wav").read_bytes()
+    assert ours == (tmp_path / "scipy.wav").read_bytes()
+    assert len(ours) == 58 + 4 * n
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float32, np.float64])
+def test_wav_read_equals_scipys(tmp_path, dtype):
+    from scipy.io import wavfile
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, 200)
+    if np.dtype(dtype).kind == "i":
+        x = x * np.iinfo(dtype).max
+    path = tmp_path / "x.wav"
+    wavfile.write(str(path), 44100, x.astype(dtype))
+    rate, data = wavfile.read(str(path))
+    scale = {np.int16: 2.0**15, np.int32: 2.0**31}.get(dtype, 1.0)
+    sig = load_signal(path)
+    assert sig.sample_rate_hz == rate == 44100
+    assert np.array_equal(sig.samples, data / scale)
+
+
+@pytest.mark.parametrize("big_endian", [False, True])
+def test_wav_extensible_rifx_and_skipped_chunks(tmp_path, big_endian):
+    # EXTENSIBLE headers name PCM or float in their sub-format GUID; LIST and
+    # fact chunks of odd size, each with its pad byte, come before the data
+    from scipy.io import wavfile
+    end = ">" if big_endian else "<"
+    vals = np.array([0.0, 0.5, -0.25, 0.75, -1.0])
+    pcm = (vals * 2**15).clip(-2**15, 2**15 - 1).astype(end + "i2")
+    cases = {
+        "pcm16": (fmt_chunk(0xFFFE, 2, 11025, big_endian, sub_tag=1), pcm.tobytes(),
+                  pcm / 2.0**15),
+        "float32": (fmt_chunk(0xFFFE, 4, 11025, big_endian, sub_tag=3),
+                    vals.astype(end + "f4").tobytes(), vals),
+        "float64": (fmt_chunk(3, 8, 11025, big_endian), vals.astype(end + "f8").tobytes(), vals),
+        "pcm24": (fmt_chunk(1, 3, 11025, big_endian),
+                  b"".join(struct.pack(end + "i", int(v * 2**23) << 8)[slice(0, 3) if big_endian
+                                                                     else slice(1, 4)]
+                           for v in vals.clip(-1.0, 1.0 - 2**-23)),
+                  (vals * 2**23).clip(-2**23, 2**23 - 1).astype(int) / 2.0**23),
+    }
+    for name, (fmt, data, want) in cases.items():
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(riff([(b"LIST", b"INFOxyz"), (b"fmt ", fmt), (b"fact", b"\0" * 5),
+                               (b"data", data)], big_endian))
+        sig = load_signal(path)
+        assert sig.sample_rate_hz == 11025.0, name
+        assert np.array_equal(sig.samples, want), name
+        rate, ref = wavfile.read(str(path))
+        scale = {"i2": 2.0**15, "i4": 2.0**31}.get(ref.dtype.str[1:], 1.0)
+        assert np.array_equal(sig.samples, ref / scale), name
+
+
+def test_wav_refuses_a_truncated_data_chunk_and_other_bad_files(tmp_path):
+    path = tmp_path / "cut.wav"
+    whole = riff([(b"fmt ", fmt_chunk(3, 4)), (b"data", np.zeros(8, "<f4").tobytes())])
+    path.write_bytes(whole[:-6])
+    with pytest.raises(ValueError, match="truncated WAV: chunk b'data' declares 32 bytes, "
+                                         "the file holds 26"):
+        load_signal(path)
+    for body, message in [(b"RIFF\0\0\0\0AVI ", "not a RIFF or RIFX WAVE file"),
+                          (riff([(b"fmt ", fmt_chunk(3, 4))]), "no data chunk"),
+                          (riff([(b"data", b"\0" * 8), (b"fmt ", fmt_chunk(3, 4))]),
+                           "data chunk comes before its fmt chunk"),
+                          (riff([(b"fmt ", fmt_chunk(2, 2)), (b"data", b"\0" * 8)]),
+                           "unsupported WAV format tag 0x0002"),
+                          (riff([(b"fmt ", fmt_chunk(3, 2)), (b"data", b"\0" * 8)]),
+                           "unsupported WAV sample format 16-bit float"),
+                          (riff([(b"fmt ", fmt_chunk(1, 4)), (b"data", b"")]), "empty signal")]:
+        path.write_bytes(body)
+        with pytest.raises(ValueError, match=message):
+            load_signal(path)
+
+
+def test_wav_write_refuses_a_sample_beyond_float32(tmp_path):
+    # stored as inf, it used to make a file that load_signal refuses
+    path = tmp_path / "big.wav"
+    sig = Signal(samples=np.array([0.5, 1e39, 0.25, -1e40]), sample_rate_hz=100.0)
+    with pytest.raises(ValueError, match=r"sample 1e\+39 at index 1 is beyond the float32 range"):
+        save_signal(sig, path)
+    assert not path.exists()
+    save_signal(Signal(samples=np.array([0.5, 3.4e38]), sample_rate_hz=100.0), path)
+    assert np.array_equal(load_signal(path).samples, np.float32([0.5, 3.4e38]))
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(7)
     sig = Signal(samples=rng.normal(0.0, 1.0, 64), sample_rate_hz=1234.5)

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,10 @@ from scipy.special import logsumexp
 
 from tacholess import (
     RpmGrid,
+    RunConfig,
+    ScenarioSpec,
     TrackerConfig,
+    analyze,
     curvature_sigma,
     estimate,
     predict,
@@ -14,7 +19,7 @@ from tacholess import (
     update,
 )
 from tacholess import tracker
-from oracles import discrete_gaussian_mass, naive_predict
+from oracles import discrete_gaussian_mass, loop_predict, naive_predict
 from props import (
     check_predict_mass,
     check_sigma_bounds,
@@ -184,6 +189,57 @@ def test_predict_grouped_convolution_path_matches_oracle():
     out = predict(mass, sig, grid)
     ref = naive_predict(mass, sig, grid, 6.0)
     assert np.allclose(out, ref, rtol=1e-9, atol=1e-300)
+
+
+def test_predict_is_bit_identical_to_the_per_lag_loop():
+    # one batched matmul over the block lags, summed over them in the loop's
+    # order: on the sigma layouts of a real run (each posterior row of a
+    # fullband S3 clip) and on a random layout of many sigma groups
+    cfg = RunConfig(scenario=ScenarioSpec(scenario="S3", duration_s=1.5, seed=1))
+    grid = cfg.grid
+    rows = []
+    analyze(cfg, posterior_sink=rows.append)
+    assert len(rows) == 87
+    for mass in rows:
+        sig = curvature_sigma(mass, grid, cfg.tracker)
+        assert np.array_equal(predict(mass, sig, grid), loop_predict(mass, sig, grid))
+    rng = np.random.default_rng(35)
+    g = grid.n_points
+    sig = rng.choice([40.0, 47.5, 63.0, 88.0, 120.0, 150.0], g)
+    sig[rng.choice(g, 9, replace=False)] = rng.uniform(40.0, 150.0, 9)
+    sig[1500:1700] = 150.0  # a contiguous run beside the interleaved groups
+    mass = rng.dirichlet(np.full(g, 0.7))
+    assert np.array_equal(predict(mass, sig, grid), loop_predict(mass, sig, grid))
+
+
+def test_predict_on_many_threads_at_once_equals_one_thread():
+    # the cached product buffer of a sigma is thread-local: predicts of one
+    # sigma on other threads must not write into each other's products
+    grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
+    rng = np.random.default_rng(36)
+    cases = [(m / m.sum(), np.where(rng.random(grid.n_points) < 0.5, 40.0, 150.0))
+             for m in rng.dirichlet(np.full(grid.n_points, 0.7), 6)]
+    want = [predict(m, s, grid) for m, s in cases]
+    errors = []
+
+    def run(k):
+        for _ in range(20):
+            m, s = cases[k]
+            if not np.array_equal(predict(m, s, grid), want[k]):
+                errors.append(k)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_predict_caches_operators_only_for_sigma_groups_of_a_block():
