@@ -147,7 +147,7 @@ def _load_wav(path: Path) -> Signal:
         kind = ({1: "uint8", 8: "int64"}.get(align, f"{8 * align}-bit PCM") if tag == _PCM
                 else f"{bits}-bit float")
         raise ValueError(f"{path.name}: unsupported WAV sample format {kind}; "
-                         "expected 16/24/32-bit PCM or 32-bit float")
+                         "expected 16/24/32-bit PCM or 32/64-bit float")
     return Signal(x, float(rate))
 
 

@@ -11,14 +11,20 @@ thread tracks them in order and, whenever its next chunk is not ready,
 computes a later chunk itself instead of waiting. Each chunk is a Future
 holding its rows or its error, and a semaphore bounds the chunks computed
 ahead of the tracker; a run raises the error of its earliest failing chunk.
+Once the worker has been joined, `posteriors.csv` is formatted from the
+spill on every CPU the process may run on: this process formats the first
+part of the rows and a forked child each other part.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import inspect
-import itertools
 import json
+import multiprocessing
+import os
+import shutil
 import sys
 import tempfile
 import threading
@@ -26,7 +32,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import (Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin,
+from typing import (Any, BinaryIO, Callable, Iterable, Iterator, Sequence, get_args, get_origin,
                     get_type_hints)
 
 import numpy as np
@@ -253,8 +259,11 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
         if not inside[name].any():
             raise ValueError(f"'{name}': no candidate maps inside "
                              f"[{grid.r_min}, {grid.r_max}] RPM")
-    scatter = {eid: kernel_scatter(rpm[eid], grid, cfg.alignment, f"curve '{eid}'")
-               for eid in est.enabled}
+    by_axis = {}  # yin and the cepstrum share the lag axis, and so its scatter
+    for eid in est.enabled:
+        if id(rpm[eid]) not in by_axis:
+            by_axis[id(rpm[eid])] = kernel_scatter(rpm[eid], grid, cfg.alignment, f"curve '{eid}'")
+    scatter = {eid: by_axis[id(rpm[eid])] for eid in est.enabled}
 
     def evidence(k: int) -> tuple[np.ndarray, dict[str, Any]]:
         block = frames[k * CHUNK_FRAMES:(k + 1) * CHUNK_FRAMES]
@@ -295,7 +304,8 @@ def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
     under ``viterbi_stft`` the (n, k) peak candidates of :func:`frame_peaks`.
 
     Each estimator's axis is the same in every frame, so its RPM points, its
-    scatter matrix and each pick's band mask are made once per run. A chunk's
+    scatter matrix and each pick's band mask are made once per run; YIN and
+    the cepstrum share one lag axis and one scatter. A chunk's
     magnitude spectrum is computed once, if the comb or ``viterbi_stft``
     reads it; nothing else outlives its chunk.
     """
@@ -493,11 +503,79 @@ def write_ground_truth(path: Path, times_s: np.ndarray, reference: np.ndarray) -
                        zip(range(1, len(times_s) + 1), times_s.tolist(), reference.tolist()))
 
 
+def _format_rows(fh: BinaryIO, template: bytes, fd: int, row_bytes: int, rows: range) -> None:
+    """Write ``template % row`` to ``fh`` for each raw float64 row of ``rows``,
+    read from descriptor ``fd`` with ``os.pread``, which leaves its offset alone."""
+    for i in rows:
+        fh.write(template % tuple(np.frombuffer(os.pread(fd, row_bytes, i * row_bytes)).tolist()))
+
+
+def _format_part(part_fd: int, *args: Any) -> None:
+    """:func:`_format_rows` into ``part_fd``, flushed before return: a forked
+    child ends in ``os._exit``, which flushes nothing."""
+    with open(part_fd, "wb", closefd=False) as fh:
+        _format_rows(fh, *args)
+
+
+def write_posteriors(path: Path, grid: np.ndarray, spill: BinaryIO, n_rows: int) -> Path:
+    """``posteriors.csv``: the grid as the header row, then one line per (G,)
+    row of the ``n_rows`` raw float64 rows in the file ``spill``, each line one
+    ``%.9g`` bytes template as in :func:`write_table`, ending in a line feed.
+
+    The rows are cut into contiguous parts, one per CPU this process may run
+    on and never more than rows. This process formats the first part straight
+    into ``path``; a forked child formats each later part into an unnamed file
+    in ``path``'s directory, made before the fork, and the parts are appended
+    in order as the children are joined. A 1-CPU process forks none. If a
+    child fails or anything raises, this raises, terminates the children still
+    running and removes ``path``; on every path each child has been joined and
+    each part file closed when this returns.
+    """
+    # pread reads the file, not this buffer; and a forked child, which shares
+    # the file offset, must not inherit rows it could write a second time
+    spill.flush()
+    template = (",".join(["%.9g"] * len(grid)) + "\n").encode()
+    args = (template, spill.fileno(), 8 * len(grid))
+    n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_parts = max(1, min(n_cpus, n_rows))
+    cuts = [n_rows * j // n_parts for j in range(n_parts + 1)]
+    children = []
+    with contextlib.ExitStack() as stack:
+        try:
+            for j in range(1, n_parts):
+                part = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                child = multiprocessing.get_context("fork").Process(
+                    target=_format_part, args=(part.fileno(), *args, range(cuts[j], cuts[j + 1])),
+                    daemon=True)
+                child.start()
+                children.append((child, part, j))
+            with open(path, "wb") as fh:
+                fh.write(template % tuple(grid.tolist()))
+                _format_rows(fh, *args, range(cuts[0], cuts[1]))
+                for child, part, j in children:
+                    child.join()
+                    if child.exitcode != 0:
+                        raise RuntimeError(f"{path.name}: the writer of rows {cuts[j]}.."
+                                           f"{cuts[j + 1] - 1} exited with code {child.exitcode}")
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
+        finally:
+            for child, _, _ in children:
+                if child.exitcode is None:
+                    child.terminate()
+                child.join()
+    return path
+
+
 def write_outputs(result: AnalysisResult, out_dir: str | Path,
-                  posteriors: Iterable[np.ndarray] | None = None) -> None:
+                  posteriors: BinaryIO | None = None) -> None:
     """Write the run's tables, metrics, config and any plot into ``out_dir``;
-    ``posteriors.csv`` too if ``posteriors`` (the (G,) rows in frame order,
-    read one at a time) are given."""
+    ``posteriors.csv`` too if ``posteriors`` is given: a file holding each
+    frame's (G,) posterior row, in frame order, as raw float64 bytes (see
+    :func:`write_posteriors`)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -515,9 +593,8 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path,
     (out / "config.json").write_text(result.config.to_json())
 
     if posteriors is not None:
-        grid = result.config.grid.values.tolist()  # the header row is the grid
-        rows = itertools.chain([grid], (mass.tolist() for mass in posteriors))
-        write_table(out / "posteriors.csv", None, ["%.9g"] * len(grid), rows, line_end="\n")
+        write_posteriors(out / "posteriors.csv", result.config.grid.values, posteriors,
+                         len(tracked))
 
     if result.config.output.plot:
         series = {"tracked": tracked.mmse_rpm,
@@ -532,9 +609,12 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
 
     With ``output.dump_posteriors`` the tracker appends each frame's posterior
     row, as its raw float64 bytes, to an unnamed spill file in ``out_dir`` as
-    it makes it, and ``write_outputs`` formats ``posteriors.csv`` by reading
-    the rows back one at a time, so the run holds no (T, G) array. A failed
-    run leaves no spill file.
+    it makes it, so the run holds no (T, G) array. Once ``analyze`` has
+    returned, and with it the tracker's thread, ``write_outputs`` formats
+    ``posteriors.csv`` from that file on every CPU the process may run on:
+    this process formats the first contiguous part of the rows and a forked
+    child each other part (see :func:`write_posteriors`). A failed run leaves
+    no spill file, no part file and no child process.
     """
     if not cfg.output.dump_posteriors:
         result = analyze(cfg)
@@ -542,16 +622,13 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
         return result
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    row_bytes = 8 * cfg.grid.n_points
     # in out_dir, not the default temporary directory, which may be held in
     # memory. A chunk's rows per write: the tracker's thread then gives up the
     # GIL once per chunk, and its writes took 7-9 ms per 5 s clip against
     # 16-31 ms with a write per row
-    with tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * row_bytes) as spill:
+    with tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * 8 * cfg.grid.n_points) as spill:
         result = analyze(cfg, posterior_sink=spill.write)
-        spill.seek(0)
-        rows = iter(partial(spill.read, row_bytes), b"")
-        write_outputs(result, out, (np.frombuffer(row) for row in rows))
+        write_outputs(result, out, spill)
     return result
 
 

@@ -253,19 +253,22 @@ class _Recorded(Exception):
 
 
 def pipeline_axes(cfg: RunConfig, frame_len: int) -> dict[str, np.ndarray]:
-    """The RPM points of every estimator axis of a run, as the pipeline maps them."""
-    seen = {}
+    """The RPM points of every estimator axis of a run, as the pipeline maps them
+    and aligns each estimator's curves on them (estimators that share an axis
+    share its scatter, so the scatters are read where they are used)."""
+    aligned = []
 
-    def record(rpm, grid, alignment, label):
-        seen[label.split("'")[1]] = rpm
-        if len(seen) == len(cfg.estimators.enabled):
+    def align(values, sign, scatter, alignment):
+        aligned.append(scatter)
+        if len(aligned) == len(cfg.estimators.enabled):
             raise _Recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "kernel_scatter", record)
+        mp.setattr(pipeline, "kernel_scatter", lambda rpm, *args: rpm)  # a scatter as its axis
+        mp.setattr(pipeline, "aligned_loglik", align)
         with pytest.raises(_Recorded):
             next(pipeline.evidence_chunks(np.zeros((2, frame_len)), 12800.0, cfg))
-    return seen
+    return dict(zip(cfg.estimators.enabled, aligned))
 
 
 @pytest.mark.parametrize("workload", ["fullband", "narrowband"])

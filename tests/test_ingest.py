@@ -245,6 +245,19 @@ def test_wav_extensible_rifx_and_skipped_chunks(tmp_path, big_endian):
         assert np.array_equal(sig.samples, ref / scale), name
 
 
+def test_wav_loads_64_bit_float_and_names_it_when_refusing_16_bit_float(tmp_path):
+    vals = np.array([0.1, -0.7, 1e-300, 3.5])  # not one of them fits a float32
+    path = tmp_path / "f64.wav"
+    path.write_bytes(riff([(b"fmt ", fmt_chunk(3, 8, 48000)), (b"data", vals.tobytes())]))
+    sig = load_signal(path)
+    assert sig.sample_rate_hz == 48000.0 and np.array_equal(sig.samples, vals)
+    path.write_bytes(riff([(b"fmt ", fmt_chunk(3, 2)), (b"data", b"\0" * 8)]))
+    with pytest.raises(ValueError) as refused:
+        load_signal(path)
+    assert str(refused.value) == ("f64.wav: unsupported WAV sample format 16-bit float; "
+                                  "expected 16/24/32-bit PCM or 32/64-bit float")
+
+
 def test_wav_refuses_a_truncated_data_chunk_and_other_bad_files(tmp_path):
     path = tmp_path / "cut.wav"
     whole = riff([(b"fmt ", fmt_chunk(3, 4)), (b"data", np.zeros(8, "<f4").tobytes())])

@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -298,11 +299,20 @@ def test_streamed_analyze_equals_the_whole_array_path():
 
 def test_estimator_rpm_points_are_fixed_once_per_run(monkeypatch):
     # each axis maps to RPM once per run: lags and quefrencies by 60 * fs / tau,
-    # comb frequencies by 60 * f; every chunk aligns and picks on those points
-    seen = {"scatter": [], "pick": []}
-    scatter, pick = pipeline.kernel_scatter, pipeline.single_estimator_pick
-    monkeypatch.setattr(pipeline, "kernel_scatter",
-                        lambda rpm, *a: seen["scatter"].append(rpm) or scatter(rpm, *a))
+    # comb frequencies by 60 * f; every chunk aligns and picks on those points.
+    # YIN and the cepstrum share the lag axis, so one scatter serves both
+    seen = {"scatter": [], "built": [], "aligned": [], "pick": []}
+    scatter, align, pick = (pipeline.kernel_scatter, pipeline.aligned_loglik,
+                            pipeline.single_estimator_pick)
+
+    def built_scatter(rpm, *a):
+        seen["scatter"].append(rpm)
+        seen["built"].append(scatter(rpm, *a))
+        return seen["built"][-1]
+
+    monkeypatch.setattr(pipeline, "kernel_scatter", built_scatter)
+    monkeypatch.setattr(pipeline, "aligned_loglik",
+                        lambda *a: seen["aligned"].append(a[2]) or align(*a))
     monkeypatch.setattr(pipeline, "single_estimator_pick",
                         lambda *a: seen["pick"].append(a[1:]) or pick(*a))
     cfg = short_cfg(baselines=("yin", "cepstrum", "comb"))
@@ -311,11 +321,14 @@ def test_estimator_rpm_points_are_fixed_once_per_run(monkeypatch):
     assert len(list(pipeline.evidence_chunks(frames, fs, cfg))) == 3
     lags = np.array([60.0 * fs / tau for tau in range(426, 641)])  # 1800 .. 1200 RPM
     comb = np.array([60.0 * f for f in np.linspace(1200.0 / 60.0, 1800.0 / 60.0, 2048)])
-    assert len(seen["scatter"]) == 3 and len(seen["pick"]) == 9
-    for name, rpm, got, picks in zip(("yin", "cepstrum", "comb"), (lags, lags, comb),
-                                     seen["scatter"], (seen["pick"][0::3], seen["pick"][1::3],
-                                                       seen["pick"][2::3])):
-        assert np.array_equal(got, rpm), name
+    assert len(seen["scatter"]) == 2 and len(seen["pick"]) == 9
+    assert np.array_equal(seen["scatter"][0], lags) and np.array_equal(seen["scatter"][1], comb)
+    lag_scatter, comb_scatter = seen["built"]
+    # per chunk, yin, cepstrum and comb in the order enabled
+    assert all(got is want for got, want in zip(seen["aligned"], [lag_scatter, lag_scatter,
+                                                                   comb_scatter] * 3, strict=True))
+    for name, rpm, picks in zip(("yin", "cepstrum", "comb"), (lags, lags, comb),
+                                (seen["pick"][0::3], seen["pick"][1::3], seen["pick"][2::3])):
         for sign, pick_rpm, inside in picks:
             assert sign == tacholess.SIGN[name]
             assert pick_rpm is picks[0][1] and np.array_equal(pick_rpm, rpm)
@@ -661,6 +674,99 @@ def test_a_failed_run_leaves_no_posteriors_behind(monkeypatch, tmp_path):
     assert str(written.value) == str(in_memory.value) == "evidence failed in chunk 2"
     assert list((tmp_path / "run").iterdir()) == []
     assert len(spills) == 1 and spills[0][0] == tmp_path / "run" and spills[0][1].closed
+
+
+def posterior_cfg(n_frames):
+    # frame_len 8192, hop 128 at 12800 Hz: 437 frames is 5 s
+    return short_cfg(scenario=ScenarioSpec(scenario="S0", seed=1,
+                                           duration_s=(8192 + 128 * (n_frames - 1)) / 12800.0),
+                     output=OutputConfig(dump_posteriors=True))
+
+
+def record_forks(monkeypatch, n_cpus):
+    """Make the process look as if it may run on ``n_cpus`` CPUs; returns the
+    list that gets ``threading.active_count()`` at each fork."""
+    counts = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(os, "fork", lambda: counts.append(threading.active_count()) or real_fork())
+    return counts
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_frames", [2, 3, 437])
+def test_split_posteriors_equal_the_oracle(tmp_path, monkeypatch, n_frames, n_cpus):
+    # one part per CPU and never more parts than rows, odd and even splits;
+    # on one CPU no child is started
+    counts = record_forks(monkeypatch, n_cpus)
+    cfg = posterior_cfg(n_frames)
+    result = run_pipeline(cfg, tmp_path / "run")
+    assert len(result.tracked) == n_frames
+    assert len(counts) == min(n_cpus, n_frames) - 1
+    assert multiprocessing.active_children() == []
+    rows = []
+    naive_write_tables(analyze(cfg, posterior_sink=rows.append), tmp_path / "oracle", rows)
+    assert ((tmp_path / "run" / "posteriors.csv").read_bytes()
+            == (tmp_path / "oracle" / "posteriors.csv").read_bytes())
+
+
+def test_the_posterior_writers_fork_with_the_tracker_joined(tmp_path, monkeypatch):
+    # the tracker's worker thread has ended before any child is forked, so
+    # each child starts with one thread
+    counts = record_forks(monkeypatch, 3)
+    run_pipeline(posterior_cfg(40), tmp_path)
+    assert counts == [1, 1]
+
+
+def recorded_temporary_files(monkeypatch):
+    made = []
+    real = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda *a, **kw: made.append(real(*a, **kw)) or made[-1])
+    return made
+
+
+def test_a_failing_posterior_writer_child_fails_the_run(tmp_path, monkeypatch):
+    # the child's error is raised in this process, which removes the part
+    # written so far; no child is left and every part file is closed
+    parent = os.getpid()
+    real_format = pipeline._format_rows
+
+    def format_rows(*args):
+        if os.getpid() != parent:
+            raise ValueError("formatting failed")
+        real_format(*args)
+
+    record_forks(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "_format_rows", format_rows)
+    made = recorded_temporary_files(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"posteriors.csv: the writer of rows 20..39 exited "
+                                           r"with code 1"):
+        run_pipeline(posterior_cfg(40), tmp_path)
+    assert multiprocessing.active_children() == []
+    assert len(made) == 2 and all(f.closed for f in made)  # the spill and one part
+    assert not (tmp_path / "posteriors.csv").exists()
+    assert (tmp_path / "trajectory.csv").exists()
+
+
+def test_an_interrupt_while_writing_posteriors_stops_the_children(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def format_rows(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60.0)
+
+    record_forks(monkeypatch, 3)
+    monkeypatch.setattr(pipeline, "_format_rows", format_rows)
+    made = recorded_temporary_files(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(posterior_cfg(40), tmp_path)
+    assert time.perf_counter() - start < 30.0
+    assert multiprocessing.active_children() == []
+    assert len(made) == 3 and all(f.closed for f in made)
+    assert not (tmp_path / "posteriors.csv").exists()
 
 
 def test_readme_library_example_runs(capsys):
