@@ -29,7 +29,7 @@ import sys
 import tempfile
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
 from typing import (Any, BinaryIO, Callable, Iterable, Iterator, Sequence, get_args, get_origin,
@@ -144,7 +144,7 @@ class RunConfig:
 
     def to_dict(self) -> dict[str, Any]:
         grid = {"r_min": self.grid.r_min, "r_max": self.grid.r_max, "step_rpm": self.grid.step}
-        return {**_plain(self), "grid": grid}
+        return {**asdict(self), "grid": grid}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RunConfig":
@@ -206,15 +206,6 @@ def _fits(value: Any, hint: Any) -> bool:
         # no int past 2**64), an int field those within the float range
         return abs(value) <= (2**53 if hint is float else sys.float_info.max)
     return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _plain(value: Any) -> Any:
-    """A config value as JSON data: dataclasses as dicts, tuples as lists."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 # -- evidence computation ---------------------------------------------------
@@ -659,6 +650,9 @@ def run_benchmark(cfg: RunConfig, scenarios: Sequence[str], seeds: Sequence[int]
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     scenarios, seeds = list(dict.fromkeys(scenarios)), list(dict.fromkeys(map(int, seeds)))
+    if not scenarios or not seeds:
+        raise ValueError(f"need at least one scenario and one seed, got {len(scenarios)} "
+                         f"scenarios and {len(seeds)} seeds")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     work = [(cfg, sc, seed) for sc in scenarios for seed in seeds]

@@ -59,11 +59,10 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.n_harmonics < 1:
             raise ValueError(f"n_harmonics must be >= 1, got {self.n_harmonics}")
-        if self.harmonic_amps is not None and len(self.harmonic_amps) != self.n_harmonics:
-            raise ValueError(
-                f"harmonic_amps has {len(self.harmonic_amps)} entries for "
-                f"{self.n_harmonics} harmonics"
-            )
+        for name in ("harmonic_amps", "detuning"):
+            v = getattr(self, name)
+            if v is not None and len(v) != self.n_harmonics:
+                raise ValueError(f"{name} has {len(v)} entries for {self.n_harmonics} harmonics")
         if not 0 <= self.wobble_fraction < 1:
             raise ValueError(f"wobble_fraction must be in [0, 1), got {self.wobble_fraction}")
         if self.scenario == "S2" and self.snr_db is None:

@@ -14,7 +14,6 @@ as soon as it is made.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -98,14 +97,12 @@ def _column_norms(cols: np.ndarray, half: int, csum: np.ndarray, g: int) -> np.n
 
 @lru_cache(maxsize=8)
 def _block_operator(s: float, dr: float, g: int):
-    """(half, per-bin column norms, Toeplitz blocks, product buffers) of one
-    sigma on one grid.
+    """(half, per-bin column norms, Toeplitz blocks) of one sigma on one grid,
+    all read-only, so every thread shares them.
 
     ``blocks[lags + i]`` is the (B, B) matrix that carries input block q + i
     to output block q, for block lags |i| <= lags. Lags past the grid's
-    block count carry nothing, so the blocks never outgrow the grid. The
-    buffers are thread-local: each thread that applies the operator gets one
-    (2 * lags + 1, blocks of the grid, B) array for its products.
+    block count carry nothing, so the blocks never outgrow the grid.
     """
     half, kern, csum = _kernel(s, dr)
     norm = _column_norms(np.arange(g), half, csum, g)
@@ -122,7 +119,7 @@ def _block_operator(s: float, dr: float, g: int):
     blocks = windows[rows].reshape(2 * lags + 1, _BLOCK, _BLOCK)
     norm.flags.writeable = False
     blocks.flags.writeable = False
-    return half, norm, blocks, threading.local()
+    return half, norm, blocks
 
 
 def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
@@ -133,11 +130,10 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
     leaks off the ends. The columns sharing a sigma are one convolution of
     their scaled masses over the span they cover. A sigma shared by at least
     ``_BLOCK`` columns (in practice the two clip values) convolves in
-    block-Toeplitz form: its span is cut into blocks of ``_BLOCK`` bins and
-    each output block sums one matrix product per block lag, all of them
-    made by one batched matmul, with the blocks, column norms and a product
-    buffer cached per sigma and grid. Smaller groups run
-    one direct convolution over their span.
+    block-Toeplitz form: its span is cut into blocks of ``_BLOCK`` bins, and
+    the output blocks accumulate one (n, B) x (B, B) matrix product per block
+    lag, in lag order, with the blocks and column norms cached per sigma and
+    grid. Smaller groups run one direct convolution over their span.
     """
     g = grid.n_points
     dr = grid.step
@@ -164,7 +160,7 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
             lo, hi = max(0, first - half), min(g, last + half + 1)
             out[lo:hi] += spread[lo - first + half : hi - first + half]
             continue
-        half, norm, blocks, buffers = _block_operator(float(s), dr, g)
+        half, norm, blocks = _block_operator(float(s), dr, g)
         lo, hi = max(0, first - half), min(g, last + half + 1)
         n_out = -(-(hi - lo) // _BLOCK)
         # output block q sums input blocks q - reach .. q + reach; blocks
@@ -173,15 +169,11 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
         x = np.zeros((n_out + 2 * reach) * _BLOCK)
         x[reach * _BLOCK + cols - lo] = mass[cols] / norm[cols]
         x = x.reshape(-1, _BLOCK)
-        if not hasattr(buffers, "products"):
-            buffers.products = np.empty((len(blocks), -(-g // _BLOCK), _BLOCK))
-        # lag i's product x[i:i + n_out] @ blocks[skip + i], all in one matmul,
-        # then summed over the lags in order
         skip = len(blocks) // 2 - reach
-        products = np.matmul(sliding_window_view(x, n_out, axis=0).transpose(0, 2, 1),
-                             blocks[skip:skip + 2 * reach + 1],
-                             out=buffers.products[:2 * reach + 1, :n_out])
-        out[lo:hi] += products.sum(axis=0).ravel()[:hi - lo]
+        y = x[:n_out] @ blocks[skip]
+        for i in range(1, 2 * reach + 1):
+            y += x[i:i + n_out] @ blocks[skip + i]
+        out[lo:hi] += y.ravel()[:hi - lo]
     return out
 
 

@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.fft import next_fast_len
 from scipy.special import logsumexp
 
-from tacholess import RpmGrid, frame_signal, tracker, viterbi_path
+from tacholess import RpmGrid, frame_signal, viterbi_path
 from tacholess.alignment import EPS_NORM, KERNEL_TRUNCATION_SIGMAS, LIKELIHOOD_FLOOR
 from tacholess.baselines import PEAK_LOG_FLOOR
 
@@ -117,40 +117,6 @@ def naive_predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid,
         u = (values - values[j]) / sigmas[j]
         col = np.where(np.abs(u) <= truncation_sigmas, np.exp(-0.5 * u * u), 0.0)
         out += mass[j] * col / col.sum()
-    return out
-
-
-def loop_predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
-    """``tracker.predict`` with its block-Toeplitz products made and summed one
-    block lag at a time, on the tracker's own kernels and cached blocks."""
-    g, dr = grid.n_points, grid.step
-    out = np.zeros(g)
-    for s in np.unique(sigmas):
-        cols = np.nonzero(sigmas == s)[0]
-        cols = cols[mass[cols] > 0.0]
-        if cols.size == 0:
-            continue
-        first, last = cols[0], cols[-1]
-        if cols.size < tracker._BLOCK:
-            half, kern, csum = tracker._kernel(s, dr)
-            span = np.zeros(last - first + 1)
-            span[cols - first] = mass[cols] / tracker._column_norms(cols, half, csum, g)
-            spread = np.convolve(span, kern)
-            lo, hi = max(0, first - half), min(g, last + half + 1)
-            out[lo:hi] += spread[lo - first + half:hi - first + half]
-            continue
-        half, norm, blocks = tracker._block_operator(float(s), dr, g)[:3]
-        lo, hi = max(0, first - half), min(g, last + half + 1)
-        n_out = -(-(hi - lo) // tracker._BLOCK)
-        reach = min(len(blocks) // 2, n_out - 1)
-        x = np.zeros((n_out + 2 * reach) * tracker._BLOCK)
-        x[reach * tracker._BLOCK + cols - lo] = mass[cols] / norm[cols]
-        x = x.reshape(-1, tracker._BLOCK)
-        skip = len(blocks) // 2 - reach
-        y = x[:n_out] @ blocks[skip]
-        for i in range(1, 2 * reach + 1):
-            y += x[i:i + n_out] @ blocks[skip + i]
-        out[lo:hi] += y.ravel()[:hi - lo]
     return out
 
 

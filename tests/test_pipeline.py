@@ -55,6 +55,11 @@ def test_config_json_round_trip_is_a_fixed_point():
     again = RunConfig.from_json(text)
     assert again == cfg
     assert again.to_json() == text
+    # to_dict holds tuples where the config does; from_dict takes them as it
+    # takes JSON's lists
+    d = cfg.to_dict()
+    assert d["baselines"] == ("framewise", "comb")
+    assert RunConfig.from_dict(d) == cfg
     default_text = RunConfig().to_json()
     assert RunConfig.from_json(default_text).to_json() == default_text
 
@@ -916,6 +921,17 @@ def test_benchmark_runs_a_repeated_scenario_or_seed_once(tmp_path):
                 == (tmp_path / "twice" / name).read_bytes()), name
 
 
+def test_benchmark_refuses_an_empty_sweep(tmp_path, capsys):
+    # an empty sweep has nothing to average: no tables, no output directory
+    cfg = short_cfg()
+    for scenarios, seeds in ((["S0"], []), ([], [1])):
+        with pytest.raises(ValueError, match="need at least one scenario and one seed"):
+            run_benchmark(cfg, scenarios, seeds, tmp_path / "empty")
+    assert main(["benchmark", "--out", str(tmp_path / "empty"), "--scenarios", ","]) == 2
+    assert "need at least one scenario and one seed" in capsys.readouterr().err
+    assert not (tmp_path / "empty").exists()
+
+
 def test_benchmark_rows_follow_the_order_given(tmp_path):
     cfg = short_cfg(scenario=ScenarioSpec(scenario="S0", duration_s=0.7, seed=1))
     run_benchmark(cfg, ["S1", "S0"], [2, 1], tmp_path)
@@ -1068,6 +1084,25 @@ def test_cli_errors_exit_2(tmp_path, capsys):
                        ("300:4000:nan", "step_rpm")):
         assert main(["run", "--out", str(tmp_path / "g"), "--grid", grid]) == 2
         assert f"grid.{name} must be finite" in capsys.readouterr().err
+    # a path that cannot be read or written is an error message, not a traceback
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for argv, message in (
+            (["run", "--out", str(a_file), "--duration", "0.8", "--grid", "1200:1800:1"],
+             "File exists"),
+            (["run", "--out", str(tmp_path / "s"), "--config", str(tmp_path)], "Is a directory"),
+            (["synth", "--out", str(a_file / "sub"), "--duration", "0.8"], "Not a directory")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    # S4's per-harmonic detuning must have one entry per harmonic
+    d = RunConfig(scenario=ScenarioSpec(scenario="S4")).to_dict()
+    d["scenario"]["detuning"] = [0.0, 0.05]
+    cfg_path = tmp_path / "short_detuning.json"
+    cfg_path.write_text(json.dumps(d))
+    assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg_path)]) == 2
+    assert "detuning has 2 entries for 5 harmonics" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("section, value, message", [

@@ -67,6 +67,23 @@ def test_spec_round_trips_through_dict():
     assert again == spec
 
 
+@pytest.mark.parametrize("scenario", ["S0", "S4"])
+@pytest.mark.parametrize("name", ["harmonic_amps", "detuning"])
+@pytest.mark.parametrize("n", [2, 7])
+def test_spec_refuses_per_harmonic_tuples_of_the_wrong_length(scenario, name, n):
+    with pytest.raises(ValueError, match=f"{name} has {n} entries for 5 harmonics"):
+        ScenarioSpec(scenario=scenario, **{name: (1.0,) + (0.01,) * (n - 1)})
+
+
+@pytest.mark.parametrize("n_harmonics", [3, 5, 7])
+def test_default_detuning_serves_any_harmonic_count(n_harmonics):
+    d = ScenarioSpec(scenario="S4", n_harmonics=n_harmonics).detuning_vector()
+    take = min(n_harmonics, 5)
+    assert d.shape == (n_harmonics,)
+    assert np.array_equal(d[:take], (0.0, 0.012, -0.015, 0.018, -0.02)[:take])
+    assert not d[take:].any()
+
+
 def test_determinism_property():
     check_synth_determinism(24)
 
