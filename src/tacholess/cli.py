@@ -36,29 +36,22 @@ def _parse_grid(text: str) -> dict[str, float]:
     return dict(zip(("r_min", "r_max", "step_rpm"), map(float, parts)))
 
 
-# config section -> {key: flag dest}; every flag defaults to None, so one not given sets nothing
-_FLAG_KEYS = {
-    "framing": {"frame_len": "frame", "hop": "hop"},
-    "scenario": {"scenario": "scenario", "seed": "seed", "duration_s": "duration"},
-    "input": {"path": "input", "format": "input_format", "sample_rate_hz": "sample_rate"},
-    "output": {"dump_posteriors": "dump_posteriors", "plot": "plot"}}
-
-
 def _config(args: argparse.Namespace) -> RunConfig:
-    """The ``--config`` JSON (or ``{}``) with each given flag written over its key."""
+    """The ``--config`` JSON (or ``{}``) with each given flag written over its key:
+    the flag of dest ``section.key``, which defaults to None, sets that key."""
     d = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(d, dict):
         return RunConfig.from_dict(d)  # raises: the config is not a JSON object
     flags = {k: v for k, v in vars(args).items() if v is not None}
     if args.command != "run":
         d.pop("input", None)  # synth and benchmark always synthesize
-    elif "input" in flags:
+    elif "input.path" in flags:
         d["scenario"] = None  # a scenario flag as well makes the run ambiguous
-    for section, keys in _FLAG_KEYS.items():
-        given = {key: flags[dest] for key, dest in keys.items() if dest in flags}
+    for dest, value in flags.items():
+        section, dotted, key = dest.partition(".")
         old = d.get(section)
-        if given and (old is None or isinstance(old, dict)):  # else from_dict rejects it
-            d[section] = {**(old or {}), **given}
+        if dotted and (old is None or isinstance(old, dict)):  # else from_dict rejects it
+            d[section] = {**(old or {}), key: value}
     if "grid" in flags:
         d["grid"] = _parse_grid(flags["grid"])
     if "baselines" in flags:
@@ -114,30 +107,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (defaults apply when absent)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--grid", help="RPM grid as min:max:step (default 300:4000:1)")
-        p.add_argument("--frame", type=int, help="frame length in samples")
-        p.add_argument("--hop", type=int, help="hop in samples")
+        p.add_argument("--frame", dest="framing.frame_len", type=int,
+                       help="frame length in samples")
+        p.add_argument("--hop", dest="framing.hop", type=int, help="hop in samples")
+        p.add_argument("--duration", dest="scenario.duration_s", type=float,
+                       help="scenario duration in seconds")
 
     run = sub.add_parser("run", help="analyze one signal or synthetic scenario")
     add_common(run)
-    run.add_argument("--input", help="input WAV/CSV file (otherwise a scenario is synthesized)")
-    run.add_argument("--format", dest="input_format", choices=["wav", "csv"],
+    run.add_argument("--input", dest="input.path",
+                     help="input WAV/CSV file (otherwise a scenario is synthesized)")
+    run.add_argument("--format", dest="input.format", choices=["wav", "csv"],
                      help="input format override")
-    run.add_argument("--sample-rate", type=float, help="sample rate for CSV input")
-    run.add_argument("--scenario", choices=SCENARIOS, help="synthetic scenario code")
-    run.add_argument("--seed", type=int, help="scenario seed")
-    run.add_argument("--duration", type=float, help="scenario duration in seconds")
+    run.add_argument("--sample-rate", dest="input.sample_rate_hz", type=float,
+                     help="sample rate for CSV input")
+    run.add_argument("--scenario", dest="scenario.scenario", choices=SCENARIOS,
+                     help="synthetic scenario code")
+    run.add_argument("--seed", dest="scenario.seed", type=int, help="scenario seed")
     run.add_argument("--baselines",
                      help="comma list of yin,cepstrum,comb,framewise,viterbi_stft")
-    run.add_argument("--dump-posteriors", action="store_true", default=None,
-                     help="also write per-frame posterior rows (posteriors.csv)")
-    run.add_argument("--plot", action="store_true", default=None, help="write trajectory.svg")
+    run.add_argument("--dump-posteriors", dest="output.dump_posteriors", action="store_true",
+                     default=None, help="also write per-frame posterior rows (posteriors.csv)")
+    run.add_argument("--plot", dest="output.plot", action="store_true", default=None,
+                     help="write trajectory.svg")
     run.set_defaults(func=_cmd_run)
 
     synth = sub.add_parser("synth", help="write a synthetic scenario to disk")
     add_common(synth)
-    synth.add_argument("--scenario", choices=SCENARIOS, help="scenario code (default S0)")
-    synth.add_argument("--seed", type=int, help="scenario seed (default 0)")
-    synth.add_argument("--duration", type=float, help="duration in seconds")
+    synth.add_argument("--scenario", dest="scenario.scenario", choices=SCENARIOS,
+                       help="scenario code (default S0)")
+    synth.add_argument("--seed", dest="scenario.seed", type=int, help="scenario seed (default 0)")
     synth.add_argument("--format", choices=["wav", "csv"], default="wav")
     synth.set_defaults(func=_cmd_synth)
 
@@ -145,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(bench)
     bench.add_argument("--scenarios", default="S1,S2,S3,S4", help="comma list (default S1..S4)")
     bench.add_argument("--seeds", default="1..20", help="seed or inclusive range a..b")
-    bench.add_argument("--duration", type=float, help="per-run duration in seconds")
     bench.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPUs")
     bench.set_defaults(func=_cmd_benchmark)
 

@@ -81,16 +81,8 @@ class InputConfig:
 
 @dataclass(frozen=True)
 class EstimatorSetConfig:
-    enabled: tuple[str, ...] = ESTIMATOR_IDS
     comb_candidates: int = 2048
     comb_harmonics: int = 5
-
-    def __post_init__(self):
-        if not self.enabled:
-            raise ValueError("estimators.enabled: at least one estimator is required")
-        _require_known("estimators.enabled", "estimator", self.enabled, ESTIMATOR_IDS)
-        # a repeated id would weigh its estimator twice in the fusion
-        object.__setattr__(self, "enabled", tuple(dict.fromkeys(self.enabled)))
 
 
 @dataclass(frozen=True)
@@ -136,9 +128,8 @@ class RunConfig:
             if not 0 <= w < np.inf:
                 raise ValueError(f"fusion_weights: weight for '{eid}' must be finite and >= 0, "
                                  f"got {w}")
-        if not any(self.fusion_weights.get(eid, 1.0) > 0 for eid in self.estimators.enabled):
-            raise ValueError("fusion_weights: every enabled estimator ("
-                             + ", ".join(self.estimators.enabled) + ") has weight 0")
+        if not any(self.fusion_weights.get(eid, 1.0) > 0 for eid in ESTIMATOR_IDS):
+            raise ValueError("fusion_weights: every estimator has weight 0")
 
     # -- JSON round trip ----------------------------------------------------
 
@@ -227,7 +218,8 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
     evaluate = {"comb": lambda _, spectrum: estimators.comb_curve(
         *spectrum(), fs, f_lo, f_hi, est.comb_candidates, est.comb_harmonics)}
     rpm = {"comb": 60.0 * np.linspace(f_lo, f_hi, est.comb_candidates)}
-    lagged = [eid for eid in ("yin", "cepstrum") if eid in (*est.enabled, *cfg.baselines)]
+    pooled = {eid: w for eid in ESTIMATOR_IDS if (w := cfg.fusion_weights.get(eid, 1.0)) > 0}
+    lagged = [eid for eid in ("yin", "cepstrum") if eid in (*pooled, *cfg.baselines)]
     if lagged:
         need = int(np.ceil(60.0 * fs / grid.r_min))
         if need > frame_len // 2:
@@ -242,7 +234,6 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
         evaluate["cepstrum"] = lambda x, _: estimators.cepstrum_curve(x, tau_min, tau_max)
         rpm["yin"] = rpm["cepstrum"] = 60.0 * fs / np.arange(tau_min, tau_max + 1,
                                                              dtype=np.float64)
-    weights = [cfg.fusion_weights.get(eid, 1.0) for eid in est.enabled]
     picked = [name for name in cfg.baselines if name in ESTIMATOR_IDS]
     inside = {}
     for name in picked:
@@ -251,17 +242,17 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
             raise ValueError(f"'{name}': no candidate maps inside "
                              f"[{grid.r_min}, {grid.r_max}] RPM")
     by_axis = {}  # yin and the cepstrum share the lag axis, and so its scatter
-    for eid in est.enabled:
+    for eid in pooled:
         if id(rpm[eid]) not in by_axis:
             by_axis[id(rpm[eid])] = kernel_scatter(rpm[eid], grid, cfg.alignment, f"curve '{eid}'")
-    scatter = {eid: by_axis[id(rpm[eid])] for eid in est.enabled}
+    scatter = {eid: by_axis[id(rpm[eid])] for eid in pooled}
 
     def evidence(k: int) -> tuple[np.ndarray, dict[str, Any]]:
         block = frames[k * CHUNK_FRAMES:(k + 1) * CHUNK_FRAMES]
         # made on first use and freed before alignment: held longer, it raised peak RSS
         spectrum = cache(partial(magnitude_spectrum, block))
         curves = {eid: evaluate[eid](block, spectrum)
-                  for eid in dict.fromkeys([*est.enabled, *picked])}
+                  for eid in dict.fromkeys([*pooled, *picked])}
         for eid, values in curves.items():
             # a finite but huge recording can overflow every estimator
             if not np.isfinite(values).all():
@@ -273,8 +264,8 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
                                                 cfg.viterbi.n_candidates_per_frame)
         del spectrum
         logliks = [aligned_loglik(curves[eid], SIGN[eid], scatter[eid], cfg.alignment)
-                   for eid in est.enabled]
-        fused = pool_logliks(logliks, weights)
+                   for eid in pooled]
+        fused = pool_logliks(logliks, list(pooled.values()))
         if "framewise" in cfg.baselines:
             parts["framewise"] = framewise_trajectory(fused, grid)
         return fused, parts
@@ -294,11 +285,13 @@ def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
     with a row per frame: the RPM of each pick and of ``framewise``, and
     under ``viterbi_stft`` the (n, k) peak candidates of :func:`frame_peaks`.
 
+    The estimators of positive ``fusion_weights`` are pooled in ESTIMATOR_IDS
+    order; one of weight 0 is computed only for its pick, and never aligned.
     Each estimator's axis is the same in every frame, so its RPM points, its
     scatter matrix and each pick's band mask are made once per run; YIN and
-    the cepstrum share one lag axis and one scatter. A chunk's
-    magnitude spectrum is computed once, if the comb or ``viterbi_stft``
-    reads it; nothing else outlives its chunk.
+    the cepstrum share one lag axis and one scatter. A chunk's magnitude
+    spectrum is computed once, if the comb or ``viterbi_stft`` reads it;
+    nothing else outlives its chunk.
     """
     evidence = _chunk_evidence(frames, sample_rate_hz, cfg)
     for k in range(_n_chunks(len(frames))):
@@ -469,20 +462,21 @@ def metrics_json(result: AnalysisResult) -> str:
 
 
 def write_table(path: Path, header: Sequence[str] | None, formats: Sequence[str],
-                rows: Iterable[Sequence[Any]], line_end: str = "\r\n") -> Path:
+                rows: Iterable[Sequence[Any]]) -> Path:
     """Write ``header`` (if any) and then one comma-separated line per row.
 
     Each row is formatted by one bytes ``%`` template of ``formats`` ("%d",
     "%.9g", or "%s" for a bytes field), built once, so a row costs one
     C-level call. On 3701-field posterior rows bytes formatting was faster
     than str formatting, and str formatting left peak RSS a few MB higher.
-    For fields that need no quoting the bytes equal those of ``csv.writer``
-    with ``f"{x:.9g}"`` numbers, including -0, subnormals, nan and +-inf.
+    For fields that need no quoting the bytes, ``\\r\\n`` line ends included,
+    equal those of ``csv.writer`` with ``f"{x:.9g}"`` numbers, including -0,
+    subnormals, nan and +-inf.
     """
-    template = (",".join(formats) + line_end).encode()
+    template = (",".join(formats) + "\r\n").encode()
     with open(path, "wb") as fh:
         if header is not None:
-            fh.write((",".join(header) + line_end).encode())
+            fh.write((",".join(header) + "\r\n").encode())
         for row in rows:
             fh.write(template % tuple(row))
     return path
@@ -604,22 +598,28 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
     returned, and with it the tracker's thread, ``write_outputs`` formats
     ``posteriors.csv`` from that file on every CPU the process may run on:
     this process formats the first contiguous part of the rows and a forked
-    child each other part (see :func:`write_posteriors`). A failed run leaves
-    no spill file, no part file and no child process.
+    child each other part (see :func:`write_posteriors`). ``out_dir`` is made
+    before the analysis, so a path that cannot be a directory fails first. A
+    failed run leaves no spill file, no part file and no child process, nor
+    ``out_dir`` if it made it and wrote nothing there.
     """
-    if not cfg.output.dump_posteriors:
-        result = analyze(cfg)
-        write_outputs(result, out_dir)
-        return result
     out = Path(out_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    # in out_dir, not the default temporary directory, which may be held in
-    # memory. A chunk's rows per write: the tracker's thread then gives up the
-    # GIL once per chunk, and its writes took 7-9 ms per 5 s clip against
-    # 16-31 ms with a write per row
-    with tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * 8 * cfg.grid.n_points) as spill:
-        result = analyze(cfg, posterior_sink=spill.write)
-        write_outputs(result, out, spill)
+    try:
+        # in out_dir, not the default temporary directory, which may be held in
+        # memory. A chunk's rows per write: the tracker's thread then gives up
+        # the GIL once per chunk, and its writes took 7-9 ms per 5 s clip
+        # against 16-31 ms with a write per row
+        spilling = (tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * 8 * cfg.grid.n_points)
+                    if cfg.output.dump_posteriors else contextlib.nullcontext())
+        with spilling as spill:
+            result = analyze(cfg, posterior_sink=None if spill is None else spill.write)
+            write_outputs(result, out, spill)
+    except BaseException:
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
     return result
 
 

@@ -145,7 +145,8 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
         raise ValueError(f"sigma at bin {bad[0]} is {sigmas[bad[0]]}, "
                          f"must be positive and finite")
     out = np.zeros(g)
-    for s in np.unique(sigmas):
+    ordered = np.sort(sigmas)  # for the distinct sigmas: np.unique would import numpy.ma
+    for s in ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]:
         cols = np.nonzero(sigmas == s)[0]
         cols = cols[mass[cols] > 0.0]
         if cols.size == 0:

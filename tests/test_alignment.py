@@ -257,10 +257,11 @@ def pipeline_axes(cfg: RunConfig, frame_len: int) -> dict[str, np.ndarray]:
     and aligns each estimator's curves on them (estimators that share an axis
     share its scatter, so the scatters are read where they are used)."""
     aligned = []
+    pooled = [eid for eid in pipeline.ESTIMATOR_IDS if cfg.fusion_weights.get(eid, 1.0) > 0]
 
     def align(values, sign, scatter, alignment):
         aligned.append(scatter)
-        if len(aligned) == len(cfg.estimators.enabled):
+        if len(aligned) == len(pooled):
             raise _Recorded
 
     with pytest.MonkeyPatch.context() as mp:
@@ -268,7 +269,7 @@ def pipeline_axes(cfg: RunConfig, frame_len: int) -> dict[str, np.ndarray]:
         mp.setattr(pipeline, "aligned_loglik", align)
         with pytest.raises(_Recorded):
             next(pipeline.evidence_chunks(np.zeros((2, frame_len)), 12800.0, cfg))
-    return dict(zip(cfg.estimators.enabled, aligned))
+    return dict(zip(pooled, aligned))
 
 
 @pytest.mark.parametrize("workload", ["fullband", "narrowband"])

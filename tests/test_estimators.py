@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from tacholess import (EstimatorSetConfig, InputConfig, RunConfig, Signal, analyze,
+from tacholess import (InputConfig, RunConfig, Signal, analyze,
                        estimators, evidence_chunks, save_signal)
 from tacholess.estimators import (
     cepstrum_curve,
@@ -34,12 +34,15 @@ def test_evidence_curve_validation(tmp_path):
         save_signal(Signal(x, 12800.0), path)
         return InputConfig(path=str(path), sample_rate_hz=12800.0)
 
-    cases = [(1e305, (name,), (), name) for name in ("yin", "cepstrum", "comb")]
-    cases += [(1e305, ("yin",), ("yin",), "yin"), (1e304, ("cepstrum",), ("yin",), "yin"),
-              (1e304, ("comb",), ("yin",), "yin")]
-    for amplitude, enabled, baselines, name in cases:
+    def only(name):  # fusion weights that pool this estimator alone
+        return {eid: 0.0 for eid in ("yin", "cepstrum", "comb") if eid != name}
+
+    cases = [(1e305, only(name), (), name) for name in ("yin", "cepstrum", "comb")]
+    cases += [(1e305, only("yin"), ("yin",), "yin"), (1e304, only("cepstrum"), ("yin",), "yin"),
+              (1e304, only("comb"), ("yin",), "yin")]
+    for amplitude, weights, baselines, name in cases:
         cfg = RunConfig(scenario=None, input=recording(amplitude),
-                        estimators=EstimatorSetConfig(enabled=enabled), baselines=baselines)
+                        fusion_weights=weights, baselines=baselines)
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match=f"curve '{name}' contains non-finite"):
             analyze(cfg)
@@ -253,11 +256,11 @@ def test_block_with_a_non_finite_frame_names_the_estimator():
     nan_frames[35, 7] = np.nan  # in the third chunk
     huge_frames = np.zeros((40, 8192))
     huge_frames[35] = 1e304 * np.sin(2 * np.pi * 25.0 * np.arange(8192) / 12800.0)
-    for frames, enabled, baselines, name in (
-            (nan_frames, ("cepstrum", "comb"), (), "cepstrum"),
-            (nan_frames, ("yin",), ("cepstrum",), "yin"),
-            (huge_frames, ("comb",), ("yin",), "yin")):
-        cfg = RunConfig(estimators=EstimatorSetConfig(enabled=enabled), baselines=baselines)
+    for frames, weights, baselines, name in (
+            (nan_frames, {"yin": 0.0}, (), "cepstrum"),
+            (nan_frames, {"cepstrum": 0.0, "comb": 0.0}, ("cepstrum",), "yin"),
+            (huge_frames, {"yin": 0.0, "cepstrum": 0.0}, ("yin",), "yin")):
+        cfg = RunConfig(fusion_weights=weights, baselines=baselines)
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match=f"curve '{name}' contains non-finite"):
             list(evidence_chunks(frames, 12800.0, cfg))

@@ -1,5 +1,6 @@
 import ast
 import csv
+import inspect
 import json
 import multiprocessing
 import os
@@ -33,7 +34,7 @@ from tacholess import (
 )
 import tacholess
 from tacholess import pipeline
-from tacholess.cli import _parse_grid, _parse_seeds, main
+from tacholess.cli import _config, _parse_grid, _parse_seeds, build_parser, main
 from oracles import csv_writer_table, naive_viterbi_stft, naive_write_tables
 
 
@@ -85,9 +86,11 @@ def test_config_from_partial_dicts():
     only_input = RunConfig.from_dict({"input": {"path": "a.csv", "sample_rate_hz": 10.0}})
     assert only_input.scenario is None and only_input.input.path == "a.csv"
     cfg = RunConfig.from_dict({"grid": {"r_min": 1200.0, "r_max": 1800.0, "step_rpm": 0.5},
-                               "estimators": {"enabled": ["yin"]}, "baselines": ["comb"]})
+                               "fusion_weights": {"cepstrum": 0, "comb": 0},
+                               "estimators": {"comb_harmonics": 3}, "baselines": ["comb"]})
     assert cfg.grid.n_points == 1201
-    assert cfg.estimators.enabled == ("yin",) and cfg.baselines == ("comb",)
+    assert cfg.fusion_weights == {"cepstrum": 0, "comb": 0} and cfg.baselines == ("comb",)
+    assert cfg.estimators == EstimatorSetConfig(comb_harmonics=3)
     assert set(RunConfig().to_dict()["tracker"]) == {"sigma_min_rpm", "sigma_max_rpm"}
     assert set(RunConfig().to_dict()["alignment"]) == {"beta", "kernel_bandwidth_rpm"}
     # the numeric guards are module constants, not config keys
@@ -101,16 +104,18 @@ def test_config_validation_messages():
     with pytest.raises(ValueError, match="exactly one"):
         RunConfig(scenario=ScenarioSpec(), input=InputConfig(path="x.wav"))
     with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
-        EstimatorSetConfig(enabled=("yin", "bogus"))
-    with pytest.raises(ValueError, match="at least one estimator"):
-        EstimatorSetConfig(enabled=())
+        RunConfig(fusion_weights={"yin": 1.0, "bogus": 0.0})
+    with pytest.raises(ValueError, match="every estimator has weight 0"):
+        RunConfig(fusion_weights=dict.fromkeys(pipeline.ESTIMATOR_IDS, 0.0))
     with pytest.raises(ValueError, match="unknown method"):
         RunConfig(baselines=("bogus",))
     with pytest.raises(ValueError, match="unknown keys"):
         RunConfig.from_json('{"bogus": 1}')
     assert RunConfig(baselines=("framewise", "framewise")).baselines == ("framewise",)
-    # a repeated estimator would pool twice, as if its weight were doubled
-    assert EstimatorSetConfig(enabled=("yin", "yin", "comb")).enabled == ("yin", "comb")
+    # an estimator has one weight, so none can be pooled twice: a JSON object
+    # that repeats a key keeps its last value
+    assert RunConfig.from_json('{"fusion_weights": {"yin": 0, "yin": 2}}').fusion_weights == {
+        "yin": 2}
 
 
 def test_config_rejects_unknown_fusion_weight_ids():
@@ -120,22 +125,21 @@ def test_config_rejects_unknown_fusion_weight_ids():
     assert RunConfig(fusion_weights={"yin": 0.0}).fusion_weights == {"yin": 0.0}
 
 
-@pytest.mark.parametrize("weights, enabled, message", [
-    ({"yin": -0.1}, pipeline.ESTIMATOR_IDS, "weight for 'yin' must be finite and >= 0, got -0.1"),
-    ({"comb": np.nan}, pipeline.ESTIMATOR_IDS, "weight for 'comb' must be finite and >= 0, got nan"),
-    ({"comb": np.inf}, pipeline.ESTIMATOR_IDS, "weight for 'comb' must be finite and >= 0, got inf"),
-    ({"yin": 0.0, "cepstrum": 0, "comb": 0.0}, pipeline.ESTIMATOR_IDS,
-     "every enabled estimator (yin, cepstrum, comb) has weight 0"),
-    ({"yin": 0.0, "comb": 2.0}, ("yin",), "every enabled estimator (yin) has weight 0"),
+@pytest.mark.parametrize("weights, message", [
+    ({"yin": -0.1}, "weight for 'yin' must be finite and >= 0, got -0.1"),
+    ({"comb": np.nan}, "weight for 'comb' must be finite and >= 0, got nan"),
+    ({"comb": np.inf}, "weight for 'comb' must be finite and >= 0, got inf"),
+    ({"yin": 0.0, "cepstrum": 0, "comb": 0.0}, "every estimator has weight 0"),
+    # -0.0 passes the sign check but pools nothing
+    ({"yin": -0.0, "cepstrum": 0.0, "comb": 0.0}, "every estimator has weight 0"),
 ])
-def test_config_refuses_bad_fusion_weights(tmp_path, capsys, weights, enabled, message):
+def test_config_refuses_bad_fusion_weights(tmp_path, capsys, weights, message):
     message = "fusion_weights: " + message
     with pytest.raises(ValueError, match=re.escape(message)):
-        RunConfig(fusion_weights=weights, estimators=EstimatorSetConfig(enabled=enabled))
+        RunConfig(fusion_weights=weights)
     # refused as the config is built, before any synthesis
     cfg_path = tmp_path / "weights.json"
-    cfg_path.write_text(json.dumps({"fusion_weights": weights,
-                                    "estimators": {"enabled": list(enabled)}}))
+    cfg_path.write_text(json.dumps({"fusion_weights": weights}))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
@@ -154,8 +158,35 @@ def test_fusion_weights_default_to_one():
     assert np.array_equal(fused({"yin": 0.5, "comb": 1.0}), fused({"yin": 0.5}))
     assert not np.array_equal(fused({"yin": 0.5}), fused({}))
     assert RunConfig(fusion_weights={"yin": 0.0, "cepstrum": 0.0}).fusion_weights["yin"] == 0.0
-    comb_only = EstimatorSetConfig(enabled=("comb",))
-    assert RunConfig(fusion_weights={"yin": 0.0}, estimators=comb_only).estimators == comb_only
+    # the comb alone: weight 2 scales its log-likelihoods before renormalizing
+    comb_only = fused({"yin": 0.0, "cepstrum": 0.0})
+    assert np.isfinite(comb_only).all() and not np.array_equal(comb_only, fused({}))
+    assert not np.array_equal(comb_only, fused({"yin": 0.0, "cepstrum": 0.0, "comb": 2.0}))
+
+
+def test_an_estimator_of_weight_zero_is_computed_only_for_its_pick(monkeypatch):
+    # weight 0 leaves YIN out of the pool, so its curves are not computed
+    # unless its pick is requested, and never aligned
+    yin_calls, aligned = [], []
+    yin, align = tacholess.estimators.yin_curve, pipeline.aligned_loglik
+    monkeypatch.setattr(tacholess.estimators, "yin_curve",
+                        lambda *a: yin_calls.append(a) or yin(*a))
+    monkeypatch.setattr(pipeline, "aligned_loglik",
+                        lambda *a: aligned.append((a[1], align(*a))) or aligned[-1][1])
+    frames = np.random.default_rng(3).normal(0.0, 1.0, (20, 8192))  # two chunks
+    for baselines in ((), ("yin",)):
+        yin_calls.clear()
+        aligned.clear()
+        cfg = short_cfg(fusion_weights={"yin": 0.0}, baselines=baselines)
+        chunks = list(pipeline.evidence_chunks(frames, 12800.0, cfg))
+        assert len(yin_calls) == (2 if baselines else 0)
+        # per chunk, the cepstrum's rows and then the comb's
+        assert [sign for sign, _ in aligned] == [tacholess.SIGN["cepstrum"],
+                                                 tacholess.SIGN["comb"]] * 2
+        for k, (fused, parts) in enumerate(chunks):
+            rows = [r for _, r in aligned[2 * k:2 * k + 2]]
+            assert np.array_equal(fused, pipeline.pool_logliks(rows, [1.0, 1.0]))
+            assert set(parts) == set(baselines)
 
 
 def test_lag_estimators_need_a_frame_that_covers_r_min():
@@ -166,7 +197,7 @@ def test_lag_estimators_need_a_frame_that_covers_r_min():
     cfg = RunConfig(scenario=scenario, framing=framing, baselines=())
     with pytest.raises(ValueError, match="frame_len >= 5120 or grid r_min >= 750"):
         analyze(cfg)
-    comb_only = replace(cfg, estimators=EstimatorSetConfig(enabled=("comb",)))
+    comb_only = replace(cfg, fusion_weights={"yin": 0.0, "cepstrum": 0.0})
     assert len(analyze(comb_only).tracked) == 35
     with pytest.raises(ValueError, match="lag estimators cepstrum cannot cover"):
         analyze(replace(comb_only, baselines=("cepstrum",)))
@@ -255,11 +286,11 @@ def test_streamed_analyze_equals_the_whole_array_path():
     # whole (T, G) array on this thread; analyze switches between its two
     # threads as often as the interpreter allows, to expose any shared state.
     # The second run computes the chunk spectrum for viterbi_stft alone
-    for estimators, baselines in ((EstimatorSetConfig(), pipeline.BASELINE_IDS),
-                                  (EstimatorSetConfig(enabled=("yin",)),
-                                   ("yin", "framewise", "viterbi_stft"))):
+    for weights, baselines in (({}, pipeline.BASELINE_IDS),
+                               ({"cepstrum": 0.0, "comb": 0.0},
+                                ("yin", "framewise", "viterbi_stft"))):
         cfg = short_cfg(scenario=ScenarioSpec(scenario="S3", duration_s=1.5, seed=2),
-                        estimators=estimators, baselines=baselines)
+                        fusion_weights=weights, baselines=baselines)
         rows = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -329,7 +360,7 @@ def test_estimator_rpm_points_are_fixed_once_per_run(monkeypatch):
     assert len(seen["scatter"]) == 2 and len(seen["pick"]) == 9
     assert np.array_equal(seen["scatter"][0], lags) and np.array_equal(seen["scatter"][1], comb)
     lag_scatter, comb_scatter = seen["built"]
-    # per chunk, yin, cepstrum and comb in the order enabled
+    # per chunk, yin, cepstrum and comb in ESTIMATOR_IDS order
     assert all(got is want for got, want in zip(seen["aligned"], [lag_scatter, lag_scatter,
                                                                    comb_scatter] * 3, strict=True))
     for name, rpm, picks in zip(("yin", "cepstrum", "comb"), (lags, lags, comb),
@@ -344,7 +375,8 @@ def test_a_pick_with_no_axis_point_inside_the_grid_is_refused():
     # 60 * (r / 60) rounds to just below r_min = 488.1 and just above r_max =
     # 490.6, so neither of two comb candidates lies inside the grid
     cfg = RunConfig(grid=RpmGrid.from_step(488.1, 490.6, 0.5),
-                    estimators=EstimatorSetConfig(enabled=("comb",), comb_candidates=2),
+                    estimators=EstimatorSetConfig(comb_candidates=2),
+                    fusion_weights={"yin": 0.0, "cepstrum": 0.0},
                     baselines=("comb",))
     with pytest.raises(ValueError, match=r"'comb': no candidate maps inside \[488.1, 490.6\]"):
         next(pipeline.evidence_chunks(np.zeros((2, 8192)), 12800.0, cfg))
@@ -353,13 +385,16 @@ def test_a_pick_with_no_axis_point_inside_the_grid_is_refused():
 def test_importing_the_package_loads_no_scipy_fft():
     # the package runs on numpy alone: scipy.fft and scipy.special took about
     # 40 % of the import time, scipy.sparse (the alignment scatter) 0.20 of
-    # 0.43 s, and scipy.io loaded it again for every WAV run
+    # 0.43 s, and scipy.io loaded it again for every WAV run. Nor does a file
+    # run load numpy.ma (8-12 ms and 1.7 MB), which np.unique imports
     code = textwrap.dedent("""
         import sys, tempfile
         from pathlib import Path
         import numpy as np
         import tacholess
-        from tacholess import RpmGrid, RunConfig, ScenarioSpec, Signal
+        from tacholess import InputConfig, RpmGrid, RunConfig, ScenarioSpec, Signal
+
+        grid = RpmGrid.from_step(1200.0, 1800.0, 1.0)
 
         def scipy_loaded(step):
             print(step, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -369,14 +404,21 @@ def test_importing_the_package_loads_no_scipy_fft():
             path = Path(tmp) / "x.wav"
             tacholess.save_signal(Signal(np.linspace(-0.5, 0.5, 64), 12800.0), path)
             tacholess.load_signal(path)
-        scipy_loaded("wav")
+            scipy_loaded("wav")
+            tone = 0.5 * np.sin(2 * np.pi * 25.0 * np.arange(8192 + 3 * 128) / 12800.0)
+            tacholess.save_signal(Signal(tone, 12800.0), path)
+            tacholess.analyze(RunConfig(scenario=None, input=InputConfig(path=str(path)),
+                                        grid=grid))
+        scipy_loaded("file analyze")
+        print("numpy.ma", "numpy.ma" in sys.modules)
         tacholess.analyze(RunConfig(scenario=ScenarioSpec(scenario="S0", duration_s=0.8, seed=1),
-                                    grid=RpmGrid.from_step(1200.0, 1800.0, 1.0)))
+                                    grid=grid))
         scipy_loaded("analyze")
     """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout == "import []\nwav []\nanalyze []\n"
+    assert out.stdout == ("import []\nwav []\nfile analyze []\nnumpy.ma False\n"
+                          "analyze []\n")
 
 
 def test_star_import_gives_every_exported_name():
@@ -677,7 +719,7 @@ def test_a_failed_run_leaves_no_posteriors_behind(monkeypatch, tmp_path):
     with pytest.raises(ValueError) as written:
         run_pipeline(cfg, tmp_path / "run")
     assert str(written.value) == str(in_memory.value) == "evidence failed in chunk 2"
-    assert list((tmp_path / "run").iterdir()) == []
+    assert not (tmp_path / "run").exists()  # made by the run, and left empty
     assert len(spills) == 1 and spills[0][0] == tmp_path / "run" and spills[0][1].closed
 
 
@@ -865,11 +907,11 @@ def test_write_table_matches_csv_writer_on_edge_values(tmp_path):
     csv_writer_table(tmp_path / "naive.csv", header, rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "naive.csv").read_bytes()
     pipeline.write_table(tmp_path / "plain.csv", None, ["%.9g"] * len(EDGE_FLOATS),
-                         [EDGE_FLOATS], line_end="\n")
-    expected = ",".join(f"{x:.9g}" for x in EDGE_FLOATS) + "\n"
-    assert (tmp_path / "plain.csv").read_text() == expected
+                         [EDGE_FLOATS])
+    expected = ",".join(f"{x:.9g}" for x in EDGE_FLOATS) + "\r\n"
+    assert (tmp_path / "plain.csv").read_bytes() == expected.encode()
     assert expected == ("0,-0,4.94065646e-324,1e-310,2.22507386e-308,1,1.23456789e+09,1e+22,"
-                        "nan,inf\n")
+                        "nan,inf\r\n")
 
 
 @settings(max_examples=200, deadline=None)
@@ -1040,6 +1082,40 @@ def test_cli_benchmark(tmp_path, capsys):
         assert method in printed
 
 
+def test_run_refuses_an_out_path_that_is_a_file_before_analyzing(tmp_path, capsys, monkeypatch):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analyze ran before the output directory was made")
+
+    monkeypatch.setattr(pipeline, "analyze", no_analysis)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for flags in ([], ["--dump-posteriors"]):
+        assert main(["run", "--out", str(a_file), "--duration", "0.8", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err
+
+
+def test_each_dotted_flag_names_a_config_key():
+    # a flag whose dest is section.key sets that key of that section
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    dests = {a.dest for p in commands.values() for a in p._actions if "." in a.dest}
+    assert len(dests) == 10
+    for dest in dests:
+        section, key = dest.split(".")
+        assert key in inspect.signature(pipeline._SECTIONS[section]).parameters, dest
+    args = parser.parse_args(["run", "--out", "o", "--input", "x.csv", "--format", "csv",
+                              "--sample-rate", "100", "--frame", "64", "--hop", "8",
+                              "--dump-posteriors", "--plot"])
+    cfg = _config(args)
+    assert cfg.scenario is None and cfg.input == InputConfig("x.csv", "csv", 100.0)
+    assert cfg.framing == FramingConfig(frame_len=64, hop=8)
+    assert cfg.output == OutputConfig(dump_posteriors=True, plot=True)
+    args = parser.parse_args(["synth", "--out", "o", "--scenario", "S4", "--seed", "3",
+                              "--duration", "2.5"])
+    assert _config(args).scenario == ScenarioSpec(scenario="S4", seed=3, duration_s=2.5)
+
+
 def test_cli_errors_exit_2(tmp_path, capsys):
     code = main(["run", "--out", str(tmp_path / "x"), "--scenario", "S5",
                  "--duration", "0.5"])
@@ -1119,14 +1195,21 @@ def test_cli_errors_exit_2(tmp_path, capsys):
      "transition penalty must be finite and >= 0, got inf"),
     ("viterbi", {"n_candidates_per_frame": 0}, "need >= 1 candidate per frame, got 0"),
     ("estimators", {"comb_zero_pad": 2}, "config.estimators: unknown keys ['comb_zero_pad']"),
+    # pooling is decided by fusion_weights: 0 leaves an estimator out
+    ("estimators", {"enabled": ["cepstrum", "comb"]},
+     "config.estimators: unknown keys ['enabled']"),
 ])
 def test_config_rejects_bad_keys_inside_a_section(tmp_path, capsys, section, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig.from_dict({section: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig.from_json(json.dumps({section: value}))
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({section: value}))
-    assert main(["synth", "--out", str(tmp_path / "s"), "--config", str(cfg_path)]) == 2
-    assert message in capsys.readouterr().err
+    for command in ("synth", "run"):
+        assert main([command, "--out", str(tmp_path / command), "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 @pytest.mark.parametrize("d, message", [
