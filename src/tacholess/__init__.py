@@ -7,7 +7,7 @@ log-linearly, and tracked by a curvature-adaptive recursive grid filter.
 
 from .alignment import CurveToGridConfig, aligned_loglik, kernel_scatter, robust_standardize
 from .baselines import framewise_trajectory, single_estimator_pick, viterbi_path, viterbi_stft
-from .estimators import (SIGN, cepstrum_curve, comb_curve, difference_function, lag_bounds,
+from .estimators import (SIGN, cepstrum_curve, comb_curve, difference_function,
                          magnitude_spectrum, yin_curve)
 from .fusion import mass_entropy, pool_logliks
 from .grid import RpmGrid
@@ -30,7 +30,7 @@ __all__ = [
     "ViterbiConfig", "aligned_loglik", "analyze", "cepstrum_curve", "comb_curve",
     "compute_metrics", "curvature_sigma",
     "difference_function", "estimate", "evidence_chunks", "frame_signal", "frame_times",
-    "framewise_trajectory", "kernel_scatter", "lag_bounds", "load_signal",
+    "framewise_trajectory", "kernel_scatter", "load_signal",
     "magnitude_spectrum", "mass_entropy", "metrics_json", "n_frames",
     "pool_logliks", "predict", "robust_standardize", "run_benchmark",
     "run_pipeline", "save_signal", "single_estimator_pick", "stability_metrics",

@@ -87,11 +87,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     scenarios = [s for s in args.scenarios.split(",") if s]
-    for s in scenarios:
-        if s not in SCENARIOS:
-            raise ValueError(f"--scenarios: unknown scenario '{s}'")
-    seeds = _parse_seeds(args.seeds)
-    pipeline.run_benchmark(_config(args), scenarios, seeds, args.out, jobs=args.jobs)
+    pipeline.run_benchmark(_config(args), scenarios, _parse_seeds(args.seeds), args.out,
+                           jobs=args.jobs)
     print((Path(args.out) / "benchmark.txt").read_text(), end="")
     return 0
 
@@ -124,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", dest="scenario.scenario", choices=SCENARIOS,
                      help="synthetic scenario code")
     run.add_argument("--seed", dest="scenario.seed", type=int, help="scenario seed")
-    run.add_argument("--baselines",
-                     help="comma list of yin,cepstrum,comb,framewise,viterbi_stft")
+    run.add_argument("--baselines", help=f"comma list of {','.join(pipeline.BASELINE_IDS)}")
     run.add_argument("--dump-posteriors", dest="output.dump_posteriors", action="store_true",
                      default=None, help="also write per-frame posterior rows (posteriors.csv)")
     run.add_argument("--plot", dest="output.plot", action="store_true", default=None,

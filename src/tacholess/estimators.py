@@ -9,12 +9,12 @@ Three frame-level estimators with deliberately different physics and axes:
 YIN and the cepstrum take one frame (N,) or a block of frames (T, N) and
 run their FFTs along the last axis; the comb reads the same frames'
 :func:`magnitude_spectrum`. Each returns a plain values array with one row
-per frame. The axis behind the values depends only on the run (lags
-``tau_min..tau_max``, or ``n_candidates`` frequencies from ``f_min`` to
-``f_max``), so the caller maps it to RPM once per run: ``60 * fs / tau`` for
-lags and quefrencies, ``60 * f`` for frequencies. ``SIGN`` orients each
-estimator's values so that larger means more plausible. Converting values
-into grid log-likelihoods is the alignment module's job.
+per frame. The caller chooses the axis behind the values once per run (the
+lags ``tau_min..tau_max``, or the comb's array of candidate frequencies) and
+maps that same axis to RPM: ``60 * fs / tau`` for lags and quefrencies,
+``60 * f`` for frequencies. ``SIGN`` orients each estimator's values so that
+larger means more plausible. Converting values into grid log-likelihoods is
+the alignment module's job.
 """
 
 from __future__ import annotations
@@ -51,21 +51,6 @@ def hann_window(n: int) -> np.ndarray:
     w = np.hanning(n)
     w.flags.writeable = False
     return w
-
-
-def lag_bounds(sample_rate_hz: float, r_min: float, r_max: float,
-               frame_len: int) -> tuple[int, int]:
-    """Integer lag/quefrency range covering [r_min, r_max] RPM, clamped to [2, frame_len//2]."""
-    if r_min <= 0 or r_max <= r_min:
-        raise ValueError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
-    lo = max(2, int(np.floor(60.0 * sample_rate_hz / r_max)))
-    hi = min(frame_len // 2, int(np.ceil(60.0 * sample_rate_hz / r_min)))
-    if hi <= lo:
-        raise ValueError(
-            f"RPM range [{r_min}, {r_max}] maps to empty lag range "
-            f"[{lo}, {hi}] at fs={sample_rate_hz}, frame_len={frame_len}"
-        )
-    return lo, hi
 
 
 def _check_lag_range(tau_min: int, tau_max: int, frame_len: int, name: str) -> None:
@@ -152,26 +137,23 @@ def magnitude_spectrum(frames: np.ndarray) -> tuple[np.ndarray, int]:
     return np.abs(np.fft.rfft(frames * hann_window(n), nfft, axis=-1)), nfft
 
 
-def comb_curve(mag: np.ndarray, nfft: int, sample_rate_hz: float, f_min: float,
-               f_max: float, n_candidates: int = 2048, n_harmonics: int = 5) -> np.ndarray:
-    """Harmonic comb score h(f) = mean_m |X(m f)| at the ``n_candidates`` frequencies
-    ``np.linspace(f_min, f_max, n_candidates)`` Hz.
+def comb_curve(mag: np.ndarray, nfft: int, sample_rate_hz: float, freqs: np.ndarray,
+               n_harmonics: int = 5) -> np.ndarray:
+    """Harmonic comb score h(f) = mean_m |X(m f)| at each frequency f of the (M,)
+    array ``freqs`` of candidates in Hz, one row of M scores per frame.
 
     ``(mag, nfft)`` is the :func:`magnitude_spectrum` of one frame or a block of
     frames; |X| is read off harmonic positions by linear interpolation.
     """
-    if not (0 < f_min < f_max):
-        raise ValueError(f"need 0 < f_min < f_max, got [{f_min}, {f_max}]")
-    if n_candidates < 2:
-        raise ValueError(f"n_candidates must be >= 2, got {n_candidates}")
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
-    if f_max * n_harmonics >= sample_rate_hz / 2:
+    if np.min(freqs) <= 0:
+        raise ValueError(f"comb candidates must be > 0 Hz, got {np.min(freqs)}")
+    if np.max(freqs) * n_harmonics >= sample_rate_hz / 2:
         raise ValueError(
-            f"highest comb line {f_max * n_harmonics:.1f} Hz reaches Nyquist "
-            f"({sample_rate_hz / 2:.1f} Hz); lower f_max or n_harmonics"
+            f"highest comb line {np.max(freqs) * n_harmonics:.1f} Hz reaches Nyquist "
+            f"({sample_rate_hz / 2:.1f} Hz); lower the highest candidate or n_harmonics"
         )
-    freqs = np.arange(mag.shape[-1]) * (sample_rate_hz / nfft)
-    cands = np.linspace(f_min, f_max, n_candidates)
-    score = sum(_interp_rows(m * cands, freqs, mag) for m in range(1, n_harmonics + 1))
+    bins = np.arange(mag.shape[-1]) * (sample_rate_hz / nfft)
+    score = sum(_interp_rows(m * freqs, bins, mag) for m in range(1, n_harmonics + 1))
     return score / n_harmonics

@@ -40,7 +40,7 @@ import numpy as np
 from . import estimators
 from .alignment import CurveToGridConfig, aligned_loglik, kernel_scatter
 from .baselines import frame_peaks, framewise_trajectory, single_estimator_pick, viterbi_stft
-from .estimators import SIGN, lag_bounds, magnitude_spectrum
+from .estimators import SIGN, magnitude_spectrum
 from .fusion import pool_logliks
 from .grid import RpmGrid
 from .ingest import FramingConfig, Signal, frame_signal, frame_times, load_signal
@@ -50,7 +50,7 @@ from .synth import GroundTruth, ScenarioSpec, synthesize
 from .tracker import TrackerConfig, track
 
 ESTIMATOR_IDS = ("yin", "cepstrum", "comb")
-BASELINE_IDS = ("yin", "cepstrum", "comb", "framewise", "viterbi_stft")
+BASELINE_IDS = (*ESTIMATOR_IDS, "framewise", "viterbi_stft")
 # frames per evidence/alignment/fusion step: working memory is O(CHUNK_FRAMES x G).
 # Both threads compute chunks, and each thread's allocator arena keeps its own
 # chunk's temporaries: on a 2-core host, benchmark peak RSS read 115 MB on
@@ -83,6 +83,11 @@ class InputConfig:
 class EstimatorSetConfig:
     comb_candidates: int = 2048
     comb_harmonics: int = 5
+
+    def __post_init__(self):
+        for key, least in (("comb_candidates", 2), ("comb_harmonics", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"estimators.{key} must be >= {least}, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -213,23 +218,27 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
         raise ValueError("no frames to analyze")
     grid, fs, est = cfg.grid, sample_rate_hz, cfg.estimators
     frame_len = frames.shape[1]
-    f_lo, f_hi = grid.r_min / 60.0, grid.r_max / 60.0
+    freqs = np.linspace(grid.r_min / 60.0, grid.r_max / 60.0, est.comb_candidates)
     # called through the module, where a profiler can wrap them
     evaluate = {"comb": lambda _, spectrum: estimators.comb_curve(
-        *spectrum(), fs, f_lo, f_hi, est.comb_candidates, est.comb_harmonics)}
-    rpm = {"comb": 60.0 * np.linspace(f_lo, f_hi, est.comb_candidates)}
+        *spectrum(), fs, freqs, est.comb_harmonics)}
+    rpm = {"comb": 60.0 * freqs}
     pooled = {eid: w for eid in ESTIMATOR_IDS if (w := cfg.fusion_weights.get(eid, 1.0)) > 0}
     lagged = [eid for eid in ("yin", "cepstrum") if eid in (*pooled, *cfg.baselines)]
     if lagged:
-        need = int(np.ceil(60.0 * fs / grid.r_min))
-        if need > frame_len // 2:
+        # the lags whose 60 * fs / tau RPM spans the grid
+        tau_min = max(2, int(np.floor(60.0 * fs / grid.r_max)))
+        tau_max = int(np.ceil(60.0 * fs / grid.r_min))
+        if tau_max > frame_len // 2:
             raise ValueError(
                 f"lag estimators {', '.join(lagged)} cannot cover grid r_min {grid.r_min} RPM "
-                f"(lag {need} at fs={fs} Hz) with frame_len {frame_len}, which reaches lag "
-                f"{frame_len // 2}; use frame_len >= {2 * need} or grid r_min >= "
+                f"(lag {tau_max} at fs={fs} Hz) with frame_len {frame_len}, which reaches lag "
+                f"{frame_len // 2}; use frame_len >= {2 * tau_max} or grid r_min >= "
                 f"{int(np.ceil(60.0 * fs / (frame_len // 2)))}"
             )
-        tau_min, tau_max = lag_bounds(fs, grid.r_min, grid.r_max, frame_len)
+        if tau_max <= tau_min:
+            raise ValueError(f"grid [{grid.r_min}, {grid.r_max}] RPM maps to empty lag range "
+                             f"[{tau_min}, {tau_max}] at fs={fs} Hz")
         evaluate["yin"] = lambda x, _: estimators.yin_curve(x, tau_min, tau_max)
         evaluate["cepstrum"] = lambda x, _: estimators.cepstrum_curve(x, tau_min, tau_max)
         rpm["yin"] = rpm["cepstrum"] = 60.0 * fs / np.arange(tau_min, tau_max + 1,
@@ -626,11 +635,7 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
 # -- benchmark sweep --------------------------------------------------------
 
 
-def _benchmark_worker(args: tuple[RunConfig, str, int]) -> dict[str, dict[str, float]]:
-    cfg, scenario, seed = args
-    template = cfg.scenario if cfg.scenario is not None else ScenarioSpec()
-    cfg = replace(cfg, scenario=replace(template, scenario=scenario, seed=seed), input=None,
-                  baselines=BASELINE_IDS, output=OutputConfig())
+def _benchmark_worker(cfg: RunConfig) -> dict[str, dict[str, float]]:
     return analyze(cfg).metrics
 
 
@@ -653,15 +658,19 @@ def run_benchmark(cfg: RunConfig, scenarios: Sequence[str], seeds: Sequence[int]
     if not scenarios or not seeds:
         raise ValueError(f"need at least one scenario and one seed, got {len(scenarios)} "
                          f"scenarios and {len(seeds)} seeds")
+    # every run's config is built, and so checked, before the first run
+    template = cfg.scenario if cfg.scenario is not None else ScenarioSpec()
+    work = {(sc, seed): replace(cfg, scenario=replace(template, scenario=sc, seed=seed),
+                                input=None, baselines=BASELINE_IDS, output=OutputConfig())
+            for sc in scenarios for seed in seeds}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    work = [(cfg, sc, seed) for sc in scenarios for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_benchmark_worker, work))
+            results = list(pool.map(_benchmark_worker, work.values()))
     else:
-        results = list(map(_benchmark_worker, work))
-    raw = [(sc, seed, metrics) for (_, sc, seed), metrics in zip(work, results)]
+        results = list(map(_benchmark_worker, work.values()))
+    raw = [(sc, seed, metrics) for (sc, seed), metrics in zip(work, results)]
 
     methods = (*BASELINE_IDS, "tracked")
     keys = ("rmse", "p95", "jitter", "max_jump")

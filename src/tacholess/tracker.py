@@ -80,9 +80,10 @@ def curvature_sigma(mass: np.ndarray, grid: RpmGrid, cfg: TrackerConfig) -> np.n
     return np.sqrt(var)
 
 
-def _kernel(s: float, dr: float):
-    """Half-width in bins, taps, and [0, cumsum] of the truncated Gaussian of scale s."""
-    half = int(np.ceil(KERNEL_TRUNCATION_SIGMAS * s / dr))
+def _kernel(s: float, dr: float, g: int):
+    """Half-width in bins, taps, and [0, cumsum] of the truncated Gaussian of scale s
+    on a grid of ``g`` bins: a tap more than g - 1 bins out lands on no bin."""
+    half = min(int(np.ceil(KERNEL_TRUNCATION_SIGMAS * s / dr)), g - 1)
     u = np.arange(-half, half + 1) * (dr / s)
     kern = np.where(np.abs(u) <= KERNEL_TRUNCATION_SIGMAS, np.exp(-0.5 * u * u), 0.0)
     return half, kern, np.concatenate(([0.0], np.cumsum(kern)))
@@ -101,16 +102,16 @@ def _block_operator(s: float, dr: float, g: int):
     all read-only, so every thread shares them.
 
     ``blocks[lags + i]`` is the (B, B) matrix that carries input block q + i
-    to output block q, for block lags |i| <= lags. Lags past the grid's
-    block count carry nothing, so the blocks never outgrow the grid.
+    to output block q, for block lags |i| <= lags. The kernel reaches at
+    most g - 1 bins, so the blocks reach less than one block past the grid.
     """
-    half, kern, csum = _kernel(s, dr)
+    half, kern, csum = _kernel(s, dr, g)
     norm = _column_norms(np.arange(g), half, csum, g)
-    lags = min(-(-half // _BLOCK), -(-g // _BLOCK) - 1)
+    lags = -(-half // _BLOCK)
     # entry [l, a, c] is the kernel at offset c - a - (l - lags) * B; with the
     # taps zero-padded, row l * B + a of the flattened blocks is the padded
     # kernel's window of B taps starting base - (l * B + a)
-    pad = max(0, (lags + 1) * _BLOCK - half - 1)
+    pad = (lags + 1) * _BLOCK - half - 1
     padded = np.zeros(2 * pad + kern.size)
     padded[pad:pad + kern.size] = kern
     base = pad + half + lags * _BLOCK
@@ -153,7 +154,7 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
             continue
         first, last = cols[0], cols[-1]
         if cols.size < _BLOCK:
-            half, kern, csum = _kernel(s, dr)
+            half, kern, csum = _kernel(s, dr, g)
             span = np.zeros(last - first + 1)
             span[cols - first] = mass[cols] / _column_norms(cols, half, csum, g)
             # spread[k] lands on bin first - half + k; keep the part on the grid

@@ -98,7 +98,18 @@ def test_config_from_partial_dicts():
         RunConfig.from_dict({"tracker": {"eps_c": 1e-12}})
 
 
-def test_config_validation_messages():
+def test_config_validation_messages(tmp_path, capsys):
+    # refused as the config is built, before any synthesis, with the key named
+    for key, value, least in (("comb_candidates", 0, 2), ("comb_candidates", -3, 2),
+                              ("comb_candidates", 1, 2), ("comb_harmonics", 0, 1)):
+        message = f"estimators.{key} must be >= {least}, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(estimators=EstimatorSetConfig(**{key: value}))
+        cfg_path = tmp_path / "estimators.json"
+        cfg_path.write_text(json.dumps({"estimators": {key: value}}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
     with pytest.raises(ValueError, match="exactly one"):
         RunConfig(scenario=None, input=None)
     with pytest.raises(ValueError, match="exactly one"):
@@ -205,6 +216,30 @@ def test_lag_estimators_need_a_frame_that_covers_r_min():
     # on the default grid: lags 192 (4000 RPM) to 128
     tiny = replace(comb_only, framing=FramingConfig(frame_len=256, hop=128), baselines=("comb",))
     assert len(analyze(tiny).baselines["comb"]) == 49
+
+
+def test_the_lag_range_spans_the_grid(monkeypatch):
+    # tau_min = max(2, floor(60 fs / r_max)) and tau_max = ceil(60 fs / r_min):
+    # 192..2560 at 12.8 kHz on the default grid, and lags from 2 where 60 fs /
+    # r_max falls below 2. A grid that maps to no lag beyond 2 is refused
+    seen = []
+    yin = tacholess.estimators.yin_curve
+    monkeypatch.setattr(tacholess.estimators, "yin_curve",
+                        lambda x, lo, hi: seen.append((lo, hi)) or yin(x, lo, hi))
+    weights = {"cepstrum": 0.0, "comb": 0.0}
+    for fs, grid, frame_len, lags in ((12800.0, RpmGrid.from_step(300.0, 4000.0, 1.0), 8192,
+                                       (192, 2560)),
+                                      (1000.0, RpmGrid.from_step(20000.0, 40000.0, 100.0), 64,
+                                       (2, 3))):
+        seen.clear()
+        cfg = RunConfig(grid=grid, fusion_weights=weights, baselines=())
+        next(pipeline.evidence_chunks(np.zeros((2, frame_len)), fs, cfg))
+        assert seen == [lags]
+    cfg = RunConfig(grid=RpmGrid.from_step(3000.0, 4000.0, 10.0), fusion_weights=weights,
+                    baselines=())
+    with pytest.raises(ValueError, match=re.escape(
+            "grid [3000.0, 4000.0] RPM maps to empty lag range [2, 2] at fs=100.0 Hz")):
+        next(pipeline.evidence_chunks(np.zeros((2, 64)), 100.0, cfg))
 
 
 def test_analyze_produces_aligned_series_and_metrics():
@@ -385,8 +420,9 @@ def test_a_pick_with_no_axis_point_inside_the_grid_is_refused():
 def test_importing_the_package_loads_no_scipy_fft():
     # the package runs on numpy alone: scipy.fft and scipy.special took about
     # 40 % of the import time, scipy.sparse (the alignment scatter) 0.20 of
-    # 0.43 s, and scipy.io loaded it again for every WAV run. Nor does a file
-    # run load numpy.ma (8-12 ms and 1.7 MB), which np.unique imports
+    # 0.43 s, and scipy.io loaded it again for every WAV run. Nor does a run
+    # load numpy.ma (8-12 ms and 1.7 MB), which np.unique and np.percentile
+    # import: a scenario run computes its metrics against the ground truth
     code = textwrap.dedent("""
         import sys, tempfile
         from pathlib import Path
@@ -414,11 +450,12 @@ def test_importing_the_package_loads_no_scipy_fft():
         tacholess.analyze(RunConfig(scenario=ScenarioSpec(scenario="S0", duration_s=0.8, seed=1),
                                     grid=grid))
         scipy_loaded("analyze")
+        print("numpy.ma", "numpy.ma" in sys.modules)
     """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout == ("import []\nwav []\nfile analyze []\nnumpy.ma False\n"
-                          "analyze []\n")
+                          "analyze []\nnumpy.ma False\n")
 
 
 def test_star_import_gives_every_exported_name():
@@ -972,6 +1009,25 @@ def test_benchmark_refuses_an_empty_sweep(tmp_path, capsys):
     assert main(["benchmark", "--out", str(tmp_path / "empty"), "--scenarios", ","]) == 2
     assert "need at least one scenario and one seed" in capsys.readouterr().err
     assert not (tmp_path / "empty").exists()
+
+
+def test_benchmark_checks_every_run_before_the_first(tmp_path, capsys, monkeypatch):
+    # S5's jump at 2.5 s lies beyond a 1 s clip: refused before any analysis,
+    # with no output directory, whichever scenarios come first
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("a run started before every run's config was checked")
+
+    monkeypatch.setattr(pipeline, "analyze", no_analysis)
+    cfg = short_cfg(scenario=ScenarioSpec(duration_s=1.0))
+    with pytest.raises(ValueError, match="jump_time_s"):
+        run_benchmark(cfg, ["S0", "S1", "S2", "S3", "S4", "S5"], [1, 2, 3], tmp_path / "bench")
+    assert main(["benchmark", "--out", str(tmp_path / "bench"), "--scenarios", "S0,S1,S2,S3,S4,S5",
+                 "--seeds", "1..3", "--duration", "1.0"]) == 2
+    assert "jump_time_s" in capsys.readouterr().err
+    assert main(["benchmark", "--out", str(tmp_path / "bench"), "--scenarios", "S0,S7",
+                 "--seeds", "1"]) == 2
+    assert "unknown scenario 'S7'" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
 
 
 def test_benchmark_rows_follow_the_order_given(tmp_path):

@@ -266,6 +266,47 @@ def test_predict_caches_operators_only_for_sigma_groups_of_a_block():
     assert peak < 2e6
 
 
+def test_predict_sizes_its_kernels_by_the_grid_not_sigma_alone():
+    # sigma 1e6 reaches 6e6 bins, but a tap more than g - 1 bins out lands on
+    # no bin: kernels sized by sigma alone peaked at 647 MB of tracemalloc
+    # here. One group of the block-Toeplitz path and one convolved directly
+    grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
+    g = grid.n_points
+    mass = np.random.default_rng(37).dirichlet(np.full(g, 0.7))
+    mass = mass / mass.sum()
+    sig = np.full(g, 1e6)
+    sig[[0, 900, 2000, g - 1]] = 2.5e6
+    tracker._block_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        out = predict(mass, sig, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert np.allclose(out, naive_predict(mass, sig, grid, 6.0), rtol=1e-9, atol=1e-300)
+
+
+def test_track_with_kernels_wider_than_the_grid_follows_the_column_oracle():
+    # sigma_max 1e6 lets 6 sigma exceed the grid wherever the posterior is
+    # flat; the trajectory stays within 1e-9 RPM of a filter that predicts
+    # with the column oracle
+    cfg = TrackerConfig(sigma_min_rpm=40.0, sigma_max_rpm=1e6)
+    grid = RpmGrid.from_step(300.0, 1500.0, 4.0)
+    liks = np.array([loglik_from_mass(discrete_gaussian_mass(grid, 700.0 + 15.0 * t, 30.0))
+                     for t in range(20)])
+    liks[8] = 0.0  # a frame with no evidence flattens the posterior
+    points = track(liks, grid, cfg)
+    mass = uniform(grid)
+    for point, lik in zip(points, liks):
+        sig = curvature_sigma(mass, grid, cfg)
+        assert sig.max() * 6.0 > grid.r_max - grid.r_min
+        mass = update(naive_predict(mass, sig, grid, 6.0), lik)
+        want = estimate(mass, grid)
+        assert point.map_rpm == want[0]
+        assert np.allclose([point.mmse_rpm, point.sigma_rpm], want[1:3], rtol=0.0, atol=1e-9)
+
+
 def test_predict_mass_conservation_property():
     check_predict_mass(40)
 
