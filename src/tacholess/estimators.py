@@ -8,7 +8,8 @@ Three frame-level estimators with deliberately different physics and axes:
 
 YIN and the cepstrum take one frame (N,) or a block of frames (T, N) and
 run their FFTs along the last axis; the comb reads the same frames'
-:func:`magnitude_spectrum`. Each returns a plain values array with one row
+:func:`magnitude_spectrum` through a :func:`comb_plan`, whose harmonic
+positions are found once per run. Each returns a plain values array with one row
 per frame. The caller chooses the axis behind the values once per run (the
 lags ``tau_min..tau_max``, or the comb's array of candidate frequencies) and
 maps that same axis to RPM: ``60 * fs / tau`` for lags and quefrencies,
@@ -20,6 +21,7 @@ the alignment module's job.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -76,20 +78,30 @@ def difference_function(x: np.ndarray, tau_max: int) -> np.ndarray:
     # differences cancel any constant offset, so centering changes nothing
     # mathematically but keeps FFT round-off from dominating a flat frame
     x = x - x.mean(axis=-1, keepdims=True)
-    # a 5-smooth length >= n + tau_max keeps the ACF linear at every lag read
-    size = next_fast_len(n + tau_max, real=True)
-    spec = np.fft.rfft(x, size, axis=-1)
-    acf = np.fft.irfft(spec * np.conj(spec), size, axis=-1)[..., : tau_max + 1]
     # d(tau) = (E - tail(tau)) + (E - head(tau)) - 2 acf(tau), where head and
     # tail are the energies of the first and of the last tau samples (the
-    # tail summed from the frame's end)
+    # tail summed from the frame's end). They are taken before the FFT, so
+    # that the centred copy is gone by the time the spectrum is squared
     zero = np.zeros(x.shape[:-1] + (1,))
     head = np.concatenate((zero, np.cumsum(x[..., :tau_max] ** 2, axis=-1)), axis=-1)
     tail = np.concatenate((zero, np.cumsum(x[..., : -tau_max - 1 : -1] ** 2, axis=-1)), axis=-1)
     energy = np.einsum("...i,...i->...", x, x)[..., None]
-    d = (energy - tail) + (energy - head) - 2.0 * acf
+    # a 5-smooth length >= n + tau_max keeps the ACF linear at every lag read
+    size = next_fast_len(n + tau_max, real=True)
+    spec = np.fft.rfft(x, size, axis=-1)
+    del x
+    # |X|^2 as spec * conj(spec), as it always was: where numpy elides
+    # temporaries it computes a block of 256 KiB or more into the conj
+    # temporary, which rounds the imaginary part otherwise than a new array
+    power = spec * np.conj(spec)
+    del spec
+    acf = np.fft.irfft(power, size, axis=-1)[..., : tau_max + 1]
+    del power
+    d = energy - tail
+    d += energy - head
+    d -= 2.0 * acf
     # FFT round-off can leave tiny negatives at near-perfect lags
-    return np.maximum(d, 0.0)
+    return np.maximum(d, 0.0, out=d)
 
 
 def yin_curve(frames: np.ndarray, tau_min: int, tau_max: int) -> np.ndarray:
@@ -118,32 +130,35 @@ def cepstrum_curve(frames: np.ndarray, q_min: int, q_max: int) -> np.ndarray:
     n = frames.shape[-1]
     _check_lag_range(q_min, q_max, n, "cepstrum quefrency range")
     mag = np.abs(np.fft.rfft(frames * hann_window(n), axis=-1))
-    ceps = np.fft.irfft(np.log(mag + CEPSTRUM_LOG_EPS), n, axis=-1)
+    mag += CEPSTRUM_LOG_EPS
+    ceps = np.fft.irfft(np.log(mag, out=mag), n, axis=-1)
     return ceps[..., q_min : q_max + 1].copy()  # a view would keep all of ceps alive
 
 
-def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(x, xp, fp)`` for every row of ``fp``, for x within [xp[0], xp[-1]]."""
-    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 2)
-    slope = (fp[..., j + 1] - fp[..., j]) / (xp[j + 1] - xp[j])
-    return slope * (x - xp[j]) + fp[..., j]
+def spectrum_size(frame_len: int) -> int:
+    """The FFT length of :func:`magnitude_spectrum` for frames of ``frame_len``."""
+    return next_fast_len(2 * frame_len)
 
 
 def magnitude_spectrum(frames: np.ndarray) -> tuple[np.ndarray, int]:
     """|DFT| of each Hann-windowed frame zero-padded to ``nfft = next_fast_len(2N)``,
     and nfft: the one spectrum that the comb and the STFT peak baseline read."""
     n = frames.shape[-1]
-    nfft = next_fast_len(2 * n)
+    nfft = spectrum_size(n)
     return np.abs(np.fft.rfft(frames * hann_window(n), nfft, axis=-1)), nfft
 
 
-def comb_curve(mag: np.ndarray, nfft: int, sample_rate_hz: float, freqs: np.ndarray,
-               n_harmonics: int = 5) -> np.ndarray:
-    """Harmonic comb score h(f) = mean_m |X(m f)| at each frequency f of the (M,)
-    array ``freqs`` of candidates in Hz, one row of M scores per frame.
+def comb_plan(nfft: int, sample_rate_hz: float, freqs: np.ndarray,
+              n_harmonics: int = 5) -> Callable[[np.ndarray], np.ndarray]:
+    """The harmonic comb h(f) = mean_m |X(m f)| at each frequency f of the (M,)
+    array ``freqs`` of candidates in Hz, planned once: returns the function of a
+    :func:`magnitude_spectrum` ``mag`` of length ``nfft`` (one frame or a block
+    of frames) that gives one row of M scores per frame.
 
-    ``(mag, nfft)`` is the :func:`magnitude_spectrum` of one frame or a block of
-    frames; |X| is read off harmonic positions by linear interpolation.
+    |X| is read off the harmonic positions by linear interpolation between the
+    two bins around each. Which bins, their spacing and each position's offset
+    from the lower bin depend only on the run, so they are found here, and a
+    call only gathers the two bins and interpolates, as ``np.interp`` does.
     """
     if n_harmonics < 1:
         raise ValueError(f"n_harmonics must be >= 1, got {n_harmonics}")
@@ -154,6 +169,30 @@ def comb_curve(mag: np.ndarray, nfft: int, sample_rate_hz: float, freqs: np.ndar
             f"highest comb line {np.max(freqs) * n_harmonics:.1f} Hz reaches Nyquist "
             f"({sample_rate_hz / 2:.1f} Hz); lower the highest candidate or n_harmonics"
         )
-    bins = np.arange(mag.shape[-1]) * (sample_rate_hz / nfft)
-    score = sum(_interp_rows(m * freqs, bins, mag) for m in range(1, n_harmonics + 1))
-    return score / n_harmonics
+    bins = np.arange(nfft // 2 + 1) * (sample_rate_hz / nfft)
+    lines = np.arange(1, n_harmonics + 1)[:, None] * freqs  # (n_harmonics, M)
+    below = np.clip(np.searchsorted(bins, lines, side="right") - 1, 0, len(bins) - 2)
+    above = below + 1
+    spacing = bins[above] - bins[below]
+    offset = lines - bins[below]
+
+    def comb(mag: np.ndarray) -> np.ndarray:
+        lo = mag[..., below]
+        score = mag[..., above]
+        score -= lo
+        score /= spacing
+        score *= offset
+        score += lo
+        return score.sum(axis=-2) / n_harmonics
+
+    return comb
+
+
+def comb_curve(mag: np.ndarray, nfft: int, sample_rate_hz: float, freqs: np.ndarray,
+               n_harmonics: int = 5) -> np.ndarray:
+    """Harmonic comb score h(f) = mean_m |X(m f)| at each frequency f of the (M,)
+    array ``freqs`` of candidates in Hz, one row of M scores per frame, for the
+    :func:`magnitude_spectrum` ``(mag, nfft)`` of one frame or a block of
+    frames: :func:`comb_plan` planned and called once.
+    """
+    return comb_plan(nfft, sample_rate_hz, freqs, n_harmonics)(mag)

@@ -4,7 +4,8 @@ A run is: resolve input (scenario synthesis or file) -> frame -> evidence
 curves -> grid log-likelihoods -> fused likelihood, chunk by chunk of frames
 -> tracked trajectory, plus any requested baselines, then metrics against
 the ground truth when one exists. The fused chunks stream into the tracker,
-so memory is O(chunk x G) plus the per-frame outputs; `run_pipeline` spills
+so memory is O(chunk x G) plus the per-frame outputs, and the estimators'
+FFTs run a sub-block of a chunk at a time; `run_pipeline` spills
 the posterior rows to disk as the tracker makes them. Two threads share the
 work: the calling thread computes evidence chunks in order, and a worker
 thread tracks them in order and, whenever its next chunk is not ready,
@@ -58,6 +59,15 @@ BASELINE_IDS = (*ESTIMATOR_IDS, "framewise", "viterbi_stft")
 # and 86-89 MB with 16 at the same speed, and 96-98 and 89-91 MB when only the
 # calling thread computed chunks of 32
 CHUNK_FRAMES = 16
+# frames per FFT stage (YIN, the cepstrum, the magnitude spectrum and what
+# reads it) within a chunk: their temporaries are rows x FFT length, the
+# largest arrays of a run, and each of the two threads holds a set. A chunk of
+# more rows is split as evenly as can be, so a sub-block has one row only
+# when its chunk has, and a split chunk's sub-blocks keep at least 4 rows:
+# numpy gives a one-row block's energy (einsum) other bits than the same row
+# of a larger block, and squares a YIN spectrum under 256 KiB with other
+# bits than a larger one (see estimators.difference_function)
+SUB_FRAMES = 8
 # chunks claimed by either thread but not yet handed to the tracker. The
 # calling thread waits at this count while the worker computes a chunk: per
 # 20 s narrowband-long clip it waited 0.6 s at 2, 0.01-0.06 s at 3 and none
@@ -219,11 +229,9 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
     grid, fs, est = cfg.grid, sample_rate_hz, cfg.estimators
     frame_len = frames.shape[1]
     freqs = np.linspace(grid.r_min / 60.0, grid.r_max / 60.0, est.comb_candidates)
-    # called through the module, where a profiler can wrap them
-    evaluate = {"comb": lambda _, spectrum: estimators.comb_curve(
-        *spectrum(), fs, freqs, est.comb_harmonics)}
     rpm = {"comb": 60.0 * freqs}
     pooled = {eid: w for eid in ESTIMATOR_IDS if (w := cfg.fusion_weights.get(eid, 1.0)) > 0}
+    evaluate = {}
     lagged = [eid for eid in ("yin", "cepstrum") if eid in (*pooled, *cfg.baselines)]
     if lagged:
         # the lags whose 60 * fs / tau RPM spans the grid
@@ -239,11 +247,17 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
         if tau_max <= tau_min:
             raise ValueError(f"grid [{grid.r_min}, {grid.r_max}] RPM maps to empty lag range "
                              f"[{tau_min}, {tau_max}] at fs={fs} Hz")
+        # called through the module, where a profiler can wrap them
         evaluate["yin"] = lambda x, _: estimators.yin_curve(x, tau_min, tau_max)
         evaluate["cepstrum"] = lambda x, _: estimators.cepstrum_curve(x, tau_min, tau_max)
         rpm["yin"] = rpm["cepstrum"] = 60.0 * fs / np.arange(tau_min, tau_max + 1,
                                                              dtype=np.float64)
     picked = [name for name in cfg.baselines if name in ESTIMATOR_IDS]
+    computed = list(dict.fromkeys([*pooled, *picked]))
+    if "comb" in computed:
+        comb = estimators.comb_plan(estimators.spectrum_size(frame_len), fs, freqs,
+                                    est.comb_harmonics)
+        evaluate["comb"] = lambda _, spectrum: comb(spectrum()[0])
     inside = {}
     for name in picked:
         inside[name] = (rpm[name] >= grid.r_min) & (rpm[name] <= grid.r_max)
@@ -256,23 +270,35 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
             by_axis[id(rpm[eid])] = kernel_scatter(rpm[eid], grid, cfg.alignment, f"curve '{eid}'")
     scatter = {eid: by_axis[id(rpm[eid])] for eid in pooled}
 
+    peaks = "viterbi_stft" in cfg.baselines
+
+    def sub_block(block: np.ndarray) -> dict[str, np.ndarray]:
+        # made on first use, and freed with its sub-block
+        spectrum = cache(partial(magnitude_spectrum, block))
+        rows = {eid: evaluate[eid](block, spectrum) for eid in computed}
+        if peaks:
+            rows["viterbi_stft"] = frame_peaks(*spectrum(), fs, grid.r_min, grid.r_max,
+                                               cfg.viterbi.n_candidates_per_frame)
+        return rows
+
     def evidence(k: int) -> tuple[np.ndarray, dict[str, Any]]:
         block = frames[k * CHUNK_FRAMES:(k + 1) * CHUNK_FRAMES]
-        # made on first use and freed before alignment: held longer, it raised peak RSS
-        spectrum = cache(partial(magnitude_spectrum, block))
-        curves = {eid: evaluate[eid](block, spectrum)
-                  for eid in dict.fromkeys([*pooled, *picked])}
-        for eid, values in curves.items():
+        # split as evenly as can be, so that no sub-block has one row unless
+        # the chunk has (see SUB_FRAMES)
+        n_sub = -(-len(block) // SUB_FRAMES)
+        cuts = [len(block) * i // n_sub for i in range(n_sub + 1)]
+        subs = [sub_block(block[a:b]) for a, b in zip(cuts, cuts[1:])]
+        rows = {key: np.concatenate([sub[key] for sub in subs]) for key in subs[0]}
+        del subs
+        for eid in computed:
             # a finite but huge recording can overflow every estimator
-            if not np.isfinite(values).all():
+            if not np.isfinite(rows[eid]).all():
                 raise ValueError(f"curve '{eid}' contains non-finite entries")
-        parts = {name: single_estimator_pick(curves[name], SIGN[name], rpm[name], inside[name])
+        parts = {name: single_estimator_pick(rows[name], SIGN[name], rpm[name], inside[name])
                  for name in picked}
-        if "viterbi_stft" in cfg.baselines:
-            parts["viterbi_stft"] = frame_peaks(*spectrum(), fs, grid.r_min, grid.r_max,
-                                                cfg.viterbi.n_candidates_per_frame)
-        del spectrum
-        logliks = [aligned_loglik(curves[eid], SIGN[eid], scatter[eid], cfg.alignment)
+        if peaks:
+            parts["viterbi_stft"] = rows["viterbi_stft"]
+        logliks = [aligned_loglik(rows[eid], SIGN[eid], scatter[eid], cfg.alignment)
                    for eid in pooled]
         fused = pool_logliks(logliks, list(pooled.values()))
         if "framewise" in cfg.baselines:
@@ -297,10 +323,14 @@ def evidence_chunks(frames: np.ndarray, sample_rate_hz: float,
     The estimators of positive ``fusion_weights`` are pooled in ESTIMATOR_IDS
     order; one of weight 0 is computed only for its pick, and never aligned.
     Each estimator's axis is the same in every frame, so its RPM points, its
-    scatter matrix and each pick's band mask are made once per run; YIN and
-    the cepstrum share one lag axis and one scatter. A chunk's magnitude
-    spectrum is computed once, if the comb or ``viterbi_stft`` reads it;
-    nothing else outlives its chunk.
+    scatter matrix, each pick's band mask and the comb's harmonic positions
+    are made once per run; YIN and the cepstrum share one lag axis and one
+    scatter. The FFT stages (YIN, the cepstrum, and the magnitude spectrum
+    with the comb and ``viterbi_stft``'s peaks that read it) run on
+    SUB_FRAMES rows at a time, which bounds their temporaries; the spectrum
+    is computed once per sub-block, and only if the comb or ``viterbi_stft``
+    reads it. Alignment and pooling run on the whole chunk, and nothing
+    outlives its chunk.
     """
     evidence = _chunk_evidence(frames, sample_rate_hz, cfg)
     for k in range(_n_chunks(len(frames))):
@@ -423,6 +453,9 @@ def analyze(cfg: RunConfig,
         raise ValueError(f"{len(signal)} samples give {len(times)} frame(s) at frame_len "
                          f"{framing.frame_len}, hop {framing.hop}; need >= 2 frames, i.e. "
                          f">= {framing.frame_len + framing.hop} samples")
+    # the truth's per-sample speeds are 8 bytes a sample; only each frame's is kept
+    reference = truth.frame_references(framing) if truth is not None else None
+    del truth
     frames = frame_signal(signal, framing)
     evidence = _chunk_evidence(frames, signal.sample_rate_hz, cfg)
     n_chunks = _n_chunks(len(frames))
@@ -443,8 +476,6 @@ def analyze(cfg: RunConfig,
             rpm = viterbi_stft(rpm, cfg.viterbi.transition_penalty_per_rpm)
         baselines[name] = np.rec.fromarrays([tracked.frame_index, tracked.time_s, rpm],
                                             names=("frame_index", "time_s", "rpm"))
-
-    reference = truth.frame_references(cfg.framing) if truth is not None else None
 
     metrics: dict[str, dict[str, float]] = {}
     series = {"tracked": tracked.mmse_rpm, **{name: b.rpm for name, b in baselines.items()}}

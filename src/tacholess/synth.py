@@ -150,15 +150,24 @@ def synthesize(spec: ScenarioSpec,
     phi = 2.0 * np.pi * np.concatenate(([0.0], np.cumsum(f0[:-1]))) / spec.sample_rate_hz
     amps = spec.amps()
     detune = spec.detuning_vector()
-    x = np.zeros(n)
-    for m in range(1, spec.n_harmonics + 1):
-        x += amps[m - 1] * np.sin(m * (1.0 + detune[m - 1]) * phi + theta[m - 1])
+    # each tone amp * sin(order * phi + phase) is added to x as it was
+    # evaluated, factor by factor, but in one buffer, not one array per step
+    tones = [(amps[m - 1], m * (1.0 + detune[m - 1]), theta[m - 1])
+             for m in range(1, spec.n_harmonics + 1)]
     if spec.scenario == "S1":
-        x += spec.sub_ratio * amps[0] * np.sin(0.5 * phi + theta_sub)
+        tones.append((spec.sub_ratio * amps[0], 0.5, theta_sub))
     if spec.scenario == "S3":
-        x += spec.interference_level * amps[0] * np.sin(spec.alpha * phi + theta_int)
+        tones.append((spec.interference_level * amps[0], spec.alpha, theta_int))
+    x, tone = np.zeros(n), np.empty(n)
+    for amp, order, phase in tones:
+        np.multiply(order, phi, out=tone)
+        tone += phase
+        np.sin(tone, out=tone)
+        tone *= amp
+        x += tone
+    del tone
     if spec.snr_db is not None:
         power = float(np.mean(x * x))
         noise_std = np.sqrt(power / 10.0 ** (spec.snr_db / 10.0))
-        x = x + rng.normal(0.0, noise_std, size=n)
+        x += rng.normal(0.0, noise_std, size=n)
     return Signal(x, spec.sample_rate_hz), GroundTruth(spec.sample_rate_hz, rpm)

@@ -238,3 +238,88 @@ def naive_write_tables(result, out_dir: Path, posteriors=None) -> None:
             fh.write(",".join(f"{v:.9g}" for v in result.config.grid.values) + "\n")
             for mass in posteriors:
                 fh.write(",".join(f"{m:.9g}" for m in mass) + "\n")
+
+
+# -- whole-block evidence: the estimators as they ran on a whole chunk at once,
+# before the FFT stages ran in sub-blocks and freed their temporaries in place
+
+
+def whole_block_yin(frames: np.ndarray, tau_min: int, tau_max: int) -> np.ndarray:
+    """YIN's d'(tau) at lags tau_min..tau_max of a (T, N) block, in one pass."""
+    x = np.asarray(frames, dtype=np.float64)
+    n = x.shape[-1]
+    x = x - x.mean(axis=-1, keepdims=True)
+    size = next_fast_len(n + tau_max, real=True)
+    spec = np.fft.rfft(x, size, axis=-1)
+    acf = np.fft.irfft(spec * np.conj(spec), size, axis=-1)[..., : tau_max + 1]
+    zero = np.zeros(x.shape[:-1] + (1,))
+    head = np.concatenate((zero, np.cumsum(x[..., :tau_max] ** 2, axis=-1)), axis=-1)
+    tail = np.concatenate((zero, np.cumsum(x[..., : -tau_max - 1 : -1] ** 2, axis=-1)), axis=-1)
+    energy = np.einsum("...i,...i->...", x, x)[..., None]
+    d = np.maximum((energy - tail) + (energy - head) - 2.0 * acf, 0.0)
+    taus = np.arange(1, tau_max + 1, dtype=np.float64)
+    running = np.cumsum(d[..., 1:], axis=-1)
+    dprime = np.ones_like(d)
+    np.divide(d[..., 1:] * taus, running, out=dprime[..., 1:], where=running > 0)
+    dprime[..., 1:][~np.isfinite(running)] = np.nan
+    return dprime[..., tau_min : tau_max + 1]
+
+
+def whole_block_cepstrum(frames: np.ndarray, q_min: int, q_max: int) -> np.ndarray:
+    """The real cepstrum at quefrencies q_min..q_max of a (T, N) block, in one pass."""
+    n = frames.shape[-1]
+    mag = np.abs(np.fft.rfft(frames * np.hanning(n), axis=-1))
+    return np.fft.irfft(np.log(mag + 1e-12), n, axis=-1)[..., q_min : q_max + 1]
+
+
+def whole_block_spectrum(frames: np.ndarray) -> tuple[np.ndarray, int]:
+    """|DFT| of a (T, N) block's Hann-windowed frames, zero-padded to a smooth
+    length of at least 2N, and that length."""
+    n = frames.shape[-1]
+    nfft = next_fast_len(2 * n)
+    return np.abs(np.fft.rfft(frames * np.hanning(n), nfft, axis=-1)), nfft
+
+
+def whole_block_comb(mag: np.ndarray, nfft: int, sample_rate_hz: float, freqs: np.ndarray,
+                     n_harmonics: int) -> np.ndarray:
+    """mean_m |X(m f)| over the harmonics, each read off ``mag`` by linear
+    interpolation that searches its bins on every call."""
+    bins = np.arange(mag.shape[-1]) * (sample_rate_hz / nfft)
+
+    def interp(x):
+        j = np.clip(np.searchsorted(bins, x, side="right") - 1, 0, len(bins) - 2)
+        slope = (mag[..., j + 1] - mag[..., j]) / (bins[j + 1] - bins[j])
+        return slope * (x - bins[j]) + mag[..., j]
+
+    return sum(interp(m * freqs) for m in range(1, n_harmonics + 1)) / n_harmonics
+
+
+def naive_synthesize(spec) -> tuple[np.ndarray, np.ndarray]:
+    """The samples and per-sample RPM of a ``ScenarioSpec``, each tone made as
+    a fresh array and added to the sum."""
+    n = int(round(spec.duration_s * spec.sample_rate_hz))
+    rng = np.random.default_rng(spec.seed)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=spec.n_harmonics)
+    theta_sub, theta_int = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    t = np.arange(n) / spec.sample_rate_hz
+    if spec.scenario == "S5":
+        rpm = np.where(t < spec.jump_time_s, spec.base_rpm, spec.base_rpm + spec.jump_rpm)
+    elif spec.scenario == "S0":
+        rpm = np.full(n, spec.base_rpm)
+    else:
+        rpm = spec.base_rpm * (1.0 + spec.wobble_fraction
+                               * np.sin(2.0 * np.pi * t / spec.wobble_period_s))
+    phi = (2.0 * np.pi * np.concatenate(([0.0], np.cumsum(rpm[:-1] / 60.0)))
+           / spec.sample_rate_hz)
+    amps, detune = spec.amps(), spec.detuning_vector()
+    x = np.zeros(n)
+    for m in range(1, spec.n_harmonics + 1):
+        x += amps[m - 1] * np.sin(m * (1.0 + detune[m - 1]) * phi + theta[m - 1])
+    if spec.scenario == "S1":
+        x += spec.sub_ratio * amps[0] * np.sin(0.5 * phi + theta_sub)
+    if spec.scenario == "S3":
+        x += spec.interference_level * amps[0] * np.sin(spec.alpha * phi + theta_int)
+    if spec.snr_db is not None:
+        noise_std = np.sqrt(float(np.mean(x * x)) / 10.0 ** (spec.snr_db / 10.0))
+        x = x + rng.normal(0.0, noise_std, size=n)
+    return x, rpm

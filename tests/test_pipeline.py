@@ -35,7 +35,8 @@ from tacholess import (
 import tacholess
 from tacholess import pipeline
 from tacholess.cli import _config, _parse_grid, _parse_seeds, build_parser, main
-from oracles import csv_writer_table, naive_viterbi_stft, naive_write_tables
+from oracles import (csv_writer_table, naive_viterbi_stft, naive_write_tables, whole_block_comb,
+                     whole_block_cepstrum, whole_block_spectrum, whole_block_yin)
 
 
 def short_cfg(**kw):
@@ -190,7 +191,8 @@ def test_an_estimator_of_weight_zero_is_computed_only_for_its_pick(monkeypatch):
         aligned.clear()
         cfg = short_cfg(fusion_weights={"yin": 0.0}, baselines=baselines)
         chunks = list(pipeline.evidence_chunks(frames, 12800.0, cfg))
-        assert len(yin_calls) == (2 if baselines else 0)
+        # each of the 20 frames once, a sub-block at a time
+        assert sum(len(block) for block, _, _ in yin_calls) == (20 if baselines else 0)
         # per chunk, the cepstrum's rows and then the comb's
         assert [sign for sign, _ in aligned] == [tacholess.SIGN["cepstrum"],
                                                  tacholess.SIGN["comb"]] * 2
@@ -284,6 +286,87 @@ def test_chunk_size_does_not_change_results(monkeypatch):
         assert set(other.baselines) == set(pipeline.BASELINE_IDS)
         for name, traj in default.baselines.items():
             assert np.max(np.abs(traj.rpm - other.baselines[name].rpm)) <= 1e-9, (chunk, name)
+
+
+# the default fullband run, and narrowband-long's framing and grid
+EVIDENCE_CFGS = {
+    "fullband": RunConfig(scenario=ScenarioSpec(scenario="S3", duration_s=1.0, seed=1)),
+    "narrowband": RunConfig(scenario=ScenarioSpec(scenario="S2", duration_s=2.0, seed=1),
+                            framing=FramingConfig(frame_len=16384, hop=256),
+                            grid=RpmGrid.from_step(1200.0, 2400.0, 1.0)),
+}
+
+
+def evidence_frames(cfg, n_frames):
+    signal, _ = tacholess.synthesize(cfg.scenario, (cfg.grid.r_min, cfg.grid.r_max))
+    frames = tacholess.frame_signal(signal, cfg.framing)
+    assert len(frames) >= n_frames
+    return frames[:n_frames], signal.sample_rate_hz
+
+
+@pytest.mark.parametrize("name", EVIDENCE_CFGS)
+@pytest.mark.parametrize("rows", [1, 5, 9, 16])
+def test_sub_blocks_give_every_frame_its_whole_chunk_curves(monkeypatch, name, rows):
+    # the FFT stages run SUB_FRAMES rows at a time; each frame's curves, picks
+    # and peak candidates must be the bits that the whole chunk gave it at once
+    cfg = replace(EVIDENCE_CFGS[name], baselines=pipeline.BASELINE_IDS)
+    assert pipeline.SUB_FRAMES < pipeline.CHUNK_FRAMES == 16
+    k = 0 if rows == 16 else 1  # chunk 1 of 16 + rows frames holds rows frames
+    frames, fs = evidence_frames(cfg, 16 * k + rows)
+    aligned = []
+    align = pipeline.aligned_loglik
+    monkeypatch.setattr(pipeline, "aligned_loglik",
+                        lambda values, *a: aligned.append(values) or align(values, *a))
+    fused, parts = pipeline._chunk_evidence(frames, fs, cfg)(k)
+
+    block, grid = frames[16 * k:], cfg.grid
+    tau_min, tau_max = int(np.floor(60.0 * fs / grid.r_max)), int(np.ceil(60.0 * fs / grid.r_min))
+    freqs = np.linspace(grid.r_min / 60.0, grid.r_max / 60.0, cfg.estimators.comb_candidates)
+    spectrum = whole_block_spectrum(block)
+    expected = [whole_block_yin(block, tau_min, tau_max),
+                whole_block_cepstrum(block, tau_min, tau_max),
+                whole_block_comb(*spectrum, fs, freqs, cfg.estimators.comb_harmonics)]
+    assert len(fused) == rows and len(aligned) == 3
+    for got, want in zip(aligned, expected):
+        assert got.tobytes() == want.tobytes()
+    lags = 60.0 * fs / np.arange(tau_min, tau_max + 1, dtype=np.float64)
+    for eid, values, rpm in zip(pipeline.ESTIMATOR_IDS, expected, (lags, lags, 60.0 * freqs)):
+        inside = (rpm >= grid.r_min) & (rpm <= grid.r_max)
+        pick = tacholess.single_estimator_pick(values, tacholess.SIGN[eid], rpm, inside)
+        assert parts[eid].tobytes() == pick.tobytes()
+    peaks = tacholess.baselines.frame_peaks(*spectrum, fs, grid.r_min, grid.r_max,
+                                            cfg.viterbi.n_candidates_per_frame)
+    assert parts["viterbi_stft"].tobytes() == peaks.tobytes()
+
+
+@pytest.mark.parametrize("name", EVIDENCE_CFGS)
+def test_one_chunk_of_evidence_holds_a_bounded_working_set(name):
+    # a chunk's FFT stages, run on all 16 rows at once, peaked at 5.20 MB of
+    # tracemalloc (fullband) and 8.74 MB (narrowband), when YIN held its
+    # centred copy, spectrum and product together; in sub-blocks of 8 with
+    # those freed in place they peak at 3.72 and 3.41 MB
+    cfg = EVIDENCE_CFGS[name]
+    frames, fs = evidence_frames(cfg, 32)
+    evidence = pipeline._chunk_evidence(frames, fs, cfg)
+    evidence(0)  # the window and the comb's plan are made by now; this fills caches
+    tracemalloc.start()
+    try:
+        evidence(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.6e6, peak
+
+
+def test_analyze_keeps_each_frame_reference_of_the_truth():
+    # the per-sample truth is dropped before the chunks run; what is kept is
+    # the truth's speed at each frame centre
+    cfg = short_cfg(scenario=ScenarioSpec(scenario="S5", duration_s=1.0, jump_time_s=0.6,
+                                          jump_rpm=200.0, seed=2))
+    _, truth = tacholess.synthesize(cfg.scenario, (cfg.grid.r_min, cfg.grid.r_max))
+    result = analyze(cfg)
+    assert len(result.reference) == len(result.tracked) == 37
+    assert result.reference.tobytes() == truth.frame_references(cfg.framing).tobytes()
 
 
 @pytest.mark.parametrize("n_samples, n_frames", [(8191, 0), (8192, 1), (8319, 1)])
