@@ -90,10 +90,12 @@ def difference_function(x: np.ndarray, tau_max: int) -> np.ndarray:
     size = next_fast_len(n + tau_max, real=True)
     spec = np.fft.rfft(x, size, axis=-1)
     del x
-    # |X|^2 as spec * conj(spec), as it always was: where numpy elides
-    # temporaries it computes a block of 256 KiB or more into the conj
-    # temporary, which rounds the imaginary part otherwise than a new array
-    power = spec * np.conj(spec)
+    # |X|^2 computed into the conj array, as numpy computes spec * conj(spec)
+    # where it elides the temporary (a block of 256 KiB or more): a new array
+    # rounds the imaginary part otherwise, so the bits would depend on the
+    # size of the block
+    power = np.conj(spec)
+    power *= spec
     del spec
     acf = np.fft.irfft(power, size, axis=-1)[..., : tau_max + 1]
     del power

@@ -12,9 +12,8 @@ thread tracks them in order and, whenever its next chunk is not ready,
 computes a later chunk itself instead of waiting. Each chunk is a Future
 holding its rows or its error, and a semaphore bounds the chunks computed
 ahead of the tracker; a run raises the error of its earliest failing chunk.
-Once the worker has been joined, `posteriors.csv` is formatted from the
-spill on every CPU the process may run on: this process formats the first
-part of the rows and a forked child each other part.
+A child process started before the analysis (`posterior_writer.py`)
+formats `posteriors.csv` from the spill as the rows arrive.
 """
 
 from __future__ import annotations
@@ -23,18 +22,15 @@ import contextlib
 import contextvars
 import inspect
 import json
-import multiprocessing
-import os
-import shutil
+import subprocess
 import sys
 import tempfile
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import (Any, BinaryIO, Callable, Iterable, Iterator, Sequence, get_args, get_origin,
-                    get_type_hints)
+from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -63,10 +59,8 @@ CHUNK_FRAMES = 16
 # reads it) within a chunk: their temporaries are rows x FFT length, the
 # largest arrays of a run, and each of the two threads holds a set. A chunk of
 # more rows is split as evenly as can be, so a sub-block has one row only
-# when its chunk has, and a split chunk's sub-blocks keep at least 4 rows:
-# numpy gives a one-row block's energy (einsum) other bits than the same row
-# of a larger block, and squares a YIN spectrum under 256 KiB with other
-# bits than a larger one (see estimators.difference_function)
+# when its chunk has: numpy gives a one-row block's energy (einsum) other
+# bits than the same row of a larger block
 SUB_FRAMES = 8
 # chunks claimed by either thread but not yet handed to the tracker. The
 # calling thread waits at this count while the worker computes a chunk: per
@@ -528,79 +522,8 @@ def write_ground_truth(path: Path, times_s: np.ndarray, reference: np.ndarray) -
                        zip(range(1, len(times_s) + 1), times_s.tolist(), reference.tolist()))
 
 
-def _format_rows(fh: BinaryIO, template: bytes, fd: int, row_bytes: int, rows: range) -> None:
-    """Write ``template % row`` to ``fh`` for each raw float64 row of ``rows``,
-    read from descriptor ``fd`` with ``os.pread``, which leaves its offset alone."""
-    for i in rows:
-        fh.write(template % tuple(np.frombuffer(os.pread(fd, row_bytes, i * row_bytes)).tolist()))
-
-
-def _format_part(part_fd: int, *args: Any) -> None:
-    """:func:`_format_rows` into ``part_fd``, flushed before return: a forked
-    child ends in ``os._exit``, which flushes nothing."""
-    with open(part_fd, "wb", closefd=False) as fh:
-        _format_rows(fh, *args)
-
-
-def write_posteriors(path: Path, grid: np.ndarray, spill: BinaryIO, n_rows: int) -> Path:
-    """``posteriors.csv``: the grid as the header row, then one line per (G,)
-    row of the ``n_rows`` raw float64 rows in the file ``spill``, each line one
-    ``%.9g`` bytes template as in :func:`write_table`, ending in a line feed.
-
-    The rows are cut into contiguous parts, one per CPU this process may run
-    on and never more than rows. This process formats the first part straight
-    into ``path``; a forked child formats each later part into an unnamed file
-    in ``path``'s directory, made before the fork, and the parts are appended
-    in order as the children are joined. A 1-CPU process forks none. If a
-    child fails or anything raises, this raises, terminates the children still
-    running and removes ``path``; on every path each child has been joined and
-    each part file closed when this returns.
-    """
-    # pread reads the file, not this buffer; and a forked child, which shares
-    # the file offset, must not inherit rows it could write a second time
-    spill.flush()
-    template = (",".join(["%.9g"] * len(grid)) + "\n").encode()
-    args = (template, spill.fileno(), 8 * len(grid))
-    n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_parts = max(1, min(n_cpus, n_rows))
-    cuts = [n_rows * j // n_parts for j in range(n_parts + 1)]
-    children = []
-    with contextlib.ExitStack() as stack:
-        try:
-            for j in range(1, n_parts):
-                part = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
-                child = multiprocessing.get_context("fork").Process(
-                    target=_format_part, args=(part.fileno(), *args, range(cuts[j], cuts[j + 1])),
-                    daemon=True)
-                child.start()
-                children.append((child, part, j))
-            with open(path, "wb") as fh:
-                fh.write(template % tuple(grid.tolist()))
-                _format_rows(fh, *args, range(cuts[0], cuts[1]))
-                for child, part, j in children:
-                    child.join()
-                    if child.exitcode != 0:
-                        raise RuntimeError(f"{path.name}: the writer of rows {cuts[j]}.."
-                                           f"{cuts[j + 1] - 1} exited with code {child.exitcode}")
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh)
-        except BaseException:
-            path.unlink(missing_ok=True)
-            raise
-        finally:
-            for child, _, _ in children:
-                if child.exitcode is None:
-                    child.terminate()
-                child.join()
-    return path
-
-
-def write_outputs(result: AnalysisResult, out_dir: str | Path,
-                  posteriors: BinaryIO | None = None) -> None:
-    """Write the run's tables, metrics, config and any plot into ``out_dir``;
-    ``posteriors.csv`` too if ``posteriors`` is given: a file holding each
-    frame's (G,) posterior row, in frame order, as raw float64 bytes (see
-    :func:`write_posteriors`)."""
+def write_outputs(result: AnalysisResult, out_dir: str | Path) -> None:
+    """Write the run's tables, metrics, config and any plot into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -617,10 +540,6 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path,
     (out / "metrics.json").write_text(metrics_json(result))
     (out / "config.json").write_text(result.config.to_json())
 
-    if posteriors is not None:
-        write_posteriors(out / "posteriors.csv", result.config.grid.values, posteriors,
-                         len(tracked))
-
     if result.config.output.plot:
         series = {"tracked": tracked.mmse_rpm,
                   **{name: b.rpm for name, b in result.baselines.items()}}
@@ -633,34 +552,70 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
     """analyze() plus the output files; returns the in-memory result.
 
     With ``output.dump_posteriors`` the tracker appends each frame's posterior
-    row, as its raw float64 bytes, to an unnamed spill file in ``out_dir`` as
-    it makes it, so the run holds no (T, G) array. Once ``analyze`` has
-    returned, and with it the tracker's thread, ``write_outputs`` formats
-    ``posteriors.csv`` from that file on every CPU the process may run on:
-    this process formats the first contiguous part of the rows and a forked
-    child each other part (see :func:`write_posteriors`). ``out_dir`` is made
-    before the analysis, so a path that cannot be a directory fails first. A
-    failed run leaves no spill file, no part file and no child process, nor
-    ``out_dir`` if it made it and wrote nothing there.
+    row, as its raw float64 bytes, to an unnamed spill file in ``out_dir``
+    whose first row is the grid, so the run holds no (T, G) array; after each
+    row it writes one byte to the stdin of a child process, started before
+    the analysis, which formats ``posteriors.csv`` from the spill as it fills
+    (``posterior_writer.py``). Once ``analyze`` has returned, the spill is
+    flushed, the other outputs are written and the pipe is closed; the child
+    formats the rest and this waits for it. A child that fails makes the run
+    raise a RuntimeError naming its exit code. ``out_dir`` is made before the
+    analysis, so a path that cannot be a directory fails first. On every path
+    the child has been reaped and the spill closed when this returns; a failed
+    run leaves no ``posteriors.csv``, nor ``out_dir`` if it made it and wrote
+    nothing there.
     """
     out = Path(out_dir)
     made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     try:
-        # in out_dir, not the default temporary directory, which may be held in
-        # memory. A chunk's rows per write: the tracker's thread then gives up
-        # the GIL once per chunk, and its writes took 7-9 ms per 5 s clip
+        if not cfg.output.dump_posteriors:
+            result = analyze(cfg)
+            write_outputs(result, out)
+            return result
+        path = out / "posteriors.csv"
+        # in out_dir, not the default temporary directory, which may be held
+        # in memory. A chunk's rows per write: the tracker's thread then gives
+        # up the GIL once per chunk, and its writes took 7-9 ms per 5 s clip
         # against 16-31 ms with a write per row
-        spilling = (tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * 8 * cfg.grid.n_points)
-                    if cfg.output.dump_posteriors else contextlib.nullcontext())
-        with spilling as spill:
-            result = analyze(cfg, posterior_sink=None if spill is None else spill.write)
-            write_outputs(result, out, spill)
+        row_bytes = 8 * cfg.grid.n_points
+        with tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * row_bytes) as spill:
+            spill.write(cfg.grid.values)
+            # -S: site imports what site-packages' .pth files name (a start took
+            # 32 ms against 7 ms); in a new session, so that a terminal's
+            # interrupt reaches this process alone, which then stops the child
+            writer = subprocess.Popen(
+                [sys.executable, "-I", "-S", str(Path(__file__).with_name("posterior_writer.py")),
+                 str(cfg.grid.n_points), str(spill.fileno()), str(path)],
+                stdin=subprocess.PIPE, bufsize=0, pass_fds=(spill.fileno(),),
+                start_new_session=True)
+
+            def sink(row: np.ndarray) -> None:
+                spill.write(row)
+                # a child that has exited fails the run once it is reaped
+                with contextlib.suppress(BrokenPipeError):
+                    writer.stdin.write(b"\n")
+
+            try:
+                result = analyze(cfg, posterior_sink=sink)
+                spill.flush()  # the child reads the file, not this buffer
+                write_outputs(result, out)
+                writer.stdin.close()  # the child formats the rest and exits
+                if writer.wait() != 0:
+                    raise RuntimeError(f"{path.name}: the writer exited with code "
+                                       f"{writer.returncode}")
+            except BaseException:
+                writer.kill()  # before its stdin ends, so that it stops where it is
+                writer.wait()
+                writer.stdin.close()
+                with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+                    path.unlink()
+                raise
+        return result
     except BaseException:
         if made and not any(out.iterdir()):
             out.rmdir()
         raise
-    return result
 
 
 # -- benchmark sweep --------------------------------------------------------
@@ -697,6 +652,8 @@ def run_benchmark(cfg: RunConfig, scenarios: Sequence[str], seeds: Sequence[int]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
+        # imported here: multiprocessing is about a quarter of the import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_benchmark_worker, work.values()))
     else:

@@ -251,7 +251,9 @@ def whole_block_yin(frames: np.ndarray, tau_min: int, tau_max: int) -> np.ndarra
     x = x - x.mean(axis=-1, keepdims=True)
     size = next_fast_len(n + tau_max, real=True)
     spec = np.fft.rfft(x, size, axis=-1)
-    acf = np.fft.irfft(spec * np.conj(spec), size, axis=-1)[..., : tau_max + 1]
+    power = np.conj(spec)  # |X|^2 computed into the conj array, at any block size
+    power *= spec
+    acf = np.fft.irfft(power, size, axis=-1)[..., : tau_max + 1]
     zero = np.zeros(x.shape[:-1] + (1,))
     head = np.concatenate((zero, np.cumsum(x[..., :tau_max] ** 2, axis=-1)), axis=-1)
     tail = np.concatenate((zero, np.cumsum(x[..., : -tau_max - 1 : -1] ** 2, axis=-1)), axis=-1)

@@ -236,6 +236,20 @@ def test_block_rows_equal_one_frame_curves():
             assert np.allclose(curve_of(block[t]), rows[t], rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("frame_len, tau_min, tau_max", [(8192, 192, 2560), (2048, 320, 640)])
+def test_a_frames_yin_is_the_same_bits_alone_and_in_a_block(frame_len, tau_min, tau_max):
+    # the pipeline's lag ranges at the default framing (grid 300:4000, 12.8 kHz)
+    # and on a 1200:2400 grid at frame_len 2048. The 8-row block's spectrum is
+    # 691 and 173 kB, one row's 86 and 22 kB: numpy elides a temporary of
+    # 256 KiB or more, and |X|^2 must round alike on both sides of that line
+    rng = np.random.default_rng(27)
+    block = rng.normal(0.0, 1.0, (8, frame_len))
+    block[2] = harmonic_frame(n=frame_len)
+    rows = yin_curve(block, tau_min, tau_max)
+    for t in range(8):
+        assert yin_curve(block[t], tau_min, tau_max).tobytes() == rows[t].tobytes()
+
+
 def test_block_with_a_non_finite_frame_names_the_estimator():
     # the estimators return what they compute; the pipeline checks each chunk's
     # values once, naming the estimator. A NaN sample makes every curve of its

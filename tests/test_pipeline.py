@@ -2,9 +2,9 @@ import ast
 import csv
 import inspect
 import json
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -541,6 +541,16 @@ def test_importing_the_package_loads_no_scipy_fft():
                           "analyze []\nnumpy.ma False\n")
 
 
+def test_importing_the_package_loads_no_multiprocessing():
+    # multiprocessing and concurrent.futures.process were about 9 of the 35 ms
+    # that importing the pipeline took; only run_benchmark with jobs > 1 needs them
+    code = ("import sys, tacholess; print(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent.futures.process'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout == "[]\n"
+
+
 def test_star_import_gives_every_exported_name():
     # a stale __all__ entry makes the star import itself raise AttributeError
     namespace = {}
@@ -850,39 +860,41 @@ def posterior_cfg(n_frames):
                      output=OutputConfig(dump_posteriors=True))
 
 
-def record_forks(monkeypatch, n_cpus):
-    """Make the process look as if it may run on ``n_cpus`` CPUs; returns the
-    list that gets ``threading.active_count()`` at each fork."""
-    counts = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
-    monkeypatch.setattr(os, "fork", lambda: counts.append(threading.active_count()) or real_fork())
-    return counts
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("n_cpus", [1, 2, 3])
-@pytest.mark.parametrize("n_frames", [2, 3, 437])
-def test_split_posteriors_equal_the_oracle(tmp_path, monkeypatch, n_frames, n_cpus):
-    # one part per CPU and never more parts than rows, odd and even splits;
-    # on one CPU no child is started
-    counts = record_forks(monkeypatch, n_cpus)
+@pytest.mark.parametrize("n_frames", [2, 3, 17, 437])
+def test_posteriors_equal_the_oracle(tmp_path, n_frames):
+    # fewer rows than a chunk, one more than a chunk, and a 5 s clip
     cfg = posterior_cfg(n_frames)
     result = run_pipeline(cfg, tmp_path / "run")
     assert len(result.tracked) == n_frames
-    assert len(counts) == min(n_cpus, n_frames) - 1
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     rows = []
     naive_write_tables(analyze(cfg, posterior_sink=rows.append), tmp_path / "oracle", rows)
     assert ((tmp_path / "run" / "posteriors.csv").read_bytes()
             == (tmp_path / "oracle" / "posteriors.csv").read_bytes())
 
 
-def test_the_posterior_writers_fork_with_the_tracker_joined(tmp_path, monkeypatch):
-    # the tracker's worker thread has ended before any child is forked, so
-    # each child starts with one thread
-    counts = record_forks(monkeypatch, 3)
-    run_pipeline(posterior_cfg(40), tmp_path)
-    assert counts == [1, 1]
+def test_the_posterior_writer_runs_on_the_standard_library_alone(tmp_path):
+    # the writer file runs as the pipeline runs it, isolated and without site:
+    # it formats what the spill holds, imports neither numpy nor the package,
+    # and reads every row once its stdin is at its end
+    rows = np.array([[1200.0, 1200.5, 1201.0], [0.25, 0.5, 0.25], [-0.0, 5e-324, np.inf]])
+    with tempfile.TemporaryFile(dir=tmp_path) as spill:
+        spill.write(rows.tobytes())
+        spill.flush()
+        writer = Path(pipeline.__file__).with_name("posterior_writer.py")
+        done = subprocess.run([sys.executable, "-I", "-S", "-X", "importtime", str(writer), "3",
+                               str(spill.fileno()), str(tmp_path / "posteriors.csv")],
+                              stdin=subprocess.DEVNULL, pass_fds=(spill.fileno(),),
+                              capture_output=True, text=True, check=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()}
+    assert {"array"} <= imported and not {"numpy", "tacholess", "site"} & imported
+    assert (tmp_path / "posteriors.csv").read_bytes() == (
+        b"1200,1200.5,1201\n0.25,0.5,0.25\n-0,4.94065646e-324,inf\n")
 
 
 def recorded_temporary_files(monkeypatch):
@@ -894,45 +906,48 @@ def recorded_temporary_files(monkeypatch):
 
 
 def test_a_failing_posterior_writer_child_fails_the_run(tmp_path, monkeypatch):
-    # the child's error is raised in this process, which removes the part
-    # written so far; no child is left and every part file is closed
-    parent = os.getpid()
-    real_format = pipeline._format_rows
-
-    def format_rows(*args):
-        if os.getpid() != parent:
-            raise ValueError("formatting failed")
-        real_format(*args)
-
-    record_forks(monkeypatch, 2)
-    monkeypatch.setattr(pipeline, "_format_rows", format_rows)
+    # the writer cannot open posteriors.csv, a directory, and exits at once:
+    # the tracker's later rows find its pipe closed, and the run raises the
+    # child's exit code once the other outputs are written. No child is left
+    # and the spill is closed
+    (tmp_path / "posteriors.csv").mkdir()
     made = recorded_temporary_files(monkeypatch)
-    with pytest.raises(RuntimeError, match=r"posteriors.csv: the writer of rows 20..39 exited "
-                                           r"with code 1"):
+    with pytest.raises(RuntimeError, match=r"^posteriors.csv: the writer exited with code 1$"):
         run_pipeline(posterior_cfg(40), tmp_path)
-    assert multiprocessing.active_children() == []
-    assert len(made) == 2 and all(f.closed for f in made)  # the spill and one part
-    assert not (tmp_path / "posteriors.csv").exists()
+    assert_no_child_process()
+    assert len(made) == 1 and made[0].closed
+    assert list((tmp_path / "posteriors.csv").iterdir()) == []
     assert (tmp_path / "trajectory.csv").exists()
 
 
 def test_an_interrupt_while_writing_posteriors_stops_the_children(tmp_path, monkeypatch):
-    parent = os.getpid()
+    # an interrupt on the calling thread from chunk 5 on, while the writer
+    # formats the rows of the chunks before it: the writer is killed, not
+    # waited for, and its posteriors.csv removed
+    real_setup = pipeline._chunk_evidence
 
-    def format_rows(*args):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(60.0)
+    def setup(*args):
+        evidence = real_setup(*args)
 
-    record_forks(monkeypatch, 3)
-    monkeypatch.setattr(pipeline, "_format_rows", format_rows)
+        def chunk(k):
+            if k >= 5 and threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            return evidence(k)
+        return chunk
+
+    writers = []
+    real_popen = subprocess.Popen
+    monkeypatch.setattr(pipeline, "_chunk_evidence", setup)
+    monkeypatch.setattr(subprocess, "Popen",
+                        lambda *a, **kw: writers.append(real_popen(*a, **kw)) or writers[-1])
     made = recorded_temporary_files(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        run_pipeline(posterior_cfg(40), tmp_path)
+        run_pipeline(posterior_cfg(437), tmp_path)
     assert time.perf_counter() - start < 30.0
-    assert multiprocessing.active_children() == []
-    assert len(made) == 3 and all(f.closed for f in made)
+    assert len(writers) == 1 and writers[0].returncode == -signal.SIGKILL
+    assert_no_child_process()
+    assert len(made) == 1 and made[0].closed
     assert not (tmp_path / "posteriors.csv").exists()
 
 
