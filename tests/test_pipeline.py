@@ -865,12 +865,21 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
 @pytest.mark.parametrize("n_frames", [2, 3, 17, 437])
-def test_posteriors_equal_the_oracle(tmp_path, n_frames):
-    # fewer rows than a chunk, one more than a chunk, and a 5 s clip
+def test_split_posteriors_equal_the_oracle(tmp_path, monkeypatch, n_frames, n_cpus):
+    # fewer rows than a chunk, one more than a chunk, and a 5 s clip, which the
+    # writer formats in whatever pieces it finds whole in the spill. However
+    # many CPUs the process may run on, one writer is started
+    writers = []
+    real_popen = subprocess.Popen
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(subprocess, "Popen",
+                        lambda *a, **kw: writers.append(real_popen(*a, **kw)) or writers[-1])
     cfg = posterior_cfg(n_frames)
     result = run_pipeline(cfg, tmp_path / "run")
     assert len(result.tracked) == n_frames
+    assert len(writers) == 1 and writers[0].returncode == 0
     assert_no_child_process()
     rows = []
     naive_write_tables(analyze(cfg, posterior_sink=rows.append), tmp_path / "oracle", rows)
