@@ -30,10 +30,12 @@ CEPSTRUM_LOG_EPS = 1e-12
 SIGN = {"yin": -1.0, "cepstrum": 1.0, "comb": 1.0}
 
 
+@lru_cache(maxsize=16)
 def next_fast_len(n: int, real: bool = False) -> int:
     """The smallest m >= n with no prime factor above 5 (``real``) or above 11:
     the lengths pocketfft transforms fastest, as ``scipy.fft.next_fast_len``
-    picks them."""
+    picks them. A run asks for the same two lengths on every sub-block, so
+    they are kept."""
     bound = 1 << (n - 1).bit_length()  # a power of two is smooth
     odd = [1]  # the odd smooth numbers up to bound
     for p in (3, 5) if real else (3, 5, 7, 11):

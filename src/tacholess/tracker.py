@@ -10,6 +10,17 @@ frames 1..t, so `track` takes the fused rows either as one (T, G) array or as
 an iterator of (n, G) blocks filtered as they arrive, returns one record
 array row per frame, and hands each frame's posterior row to an optional sink
 as soon as it is made.
+
+A sigma shared by a block's worth of columns diffuses in block-Toeplitz
+form, one (B, B) block per block lag. On a block the Gaussian is smooth, so a
+lag whose entries are all positive is interpolated on Chebyshev nodes, the
+interpolative form of the fast Gauss transform (Fong & Darve, J. Comput.
+Phys. 2009), where that matches every entry to a relative 1e-12; on the
+default grid sigma 150 interpolates 27 of its 31 lags and sigma 40 5 of 9.
+The lags that the 6-sigma cut crosses stay dense products: an interpolant
+would leave an error floor in their zeros, as an FFT predict does, far above
+bins hundreds of decades below the peak. The two sigmas' cached operators
+hold 0.42 MB on the default grid.
 """
 
 from __future__ import annotations
@@ -26,6 +37,15 @@ from .grid import RpmGrid
 
 # bins per block of the block-Toeplitz predict; smaller sigma groups convolve directly
 _BLOCK = 64
+# Chebyshev nodes per block of an interpolated block lag. Sigma 150
+# interpolates 27 of its 31 lags on the default grid from 16 to 24 nodes;
+# sigma 40 1 of 9 at 16 nodes and 5 at 18-24, whose worst entries err by
+# 6.6e-13 at 18 and 3.3e-13 at 20; sigma 150 on a 4 RPM grid 3 of 9 at 18
+# and 5 at 20. Both the per-entry check and the products grow as p^2
+_CHEB_NODES = 20
+# the relative error per entry that admits a lag; at 1e-13 sigma 40 would
+# keep only 3 of its 9 lags interpolated on the default grid
+_CHEB_RTOL = 1e-12
 # numeric guards: curvature floor in 1/sigma^2, and the mass floor under every log
 EPS_C = 1e-12
 EPS_LOG = 1e-300
@@ -96,31 +116,81 @@ def _column_norms(cols: np.ndarray, half: int, csum: np.ndarray, g: int) -> np.n
     return csum[hi + half + 1] - csum[lo + half]
 
 
+def _chebyshev_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p Chebyshev nodes t_m of [0, n - 1] and the read-only (n, p)
+    matrix whose column m is node m's Lagrange polynomial at 0, 1, .., n - 1,
+    from the nodes' discrete orthogonality:
+    L_m(x) = (1 + 2 sum_{k=1}^{p-1} T_k(x_m) T_k(x)) / p on [-1, 1]."""
+    theta = (2 * np.arange(p) + 1) * np.pi / (2 * p)
+    k = np.arange(p)
+    at_points = np.cos(k * np.arccos(np.linspace(-1.0, 1.0, n))[:, None])
+    at_nodes = np.cos(k * theta[:, None])
+    lagrange = (at_points * np.where(k == 0, 1.0, 2.0) / p) @ at_nodes.T
+    lagrange.flags.writeable = False
+    return (n - 1) * (1.0 + np.cos(theta)) / 2.0, lagrange
+
+
+# built once, vectorized (about 0.1 ms), and shared read-only by every sigma
+_NODES, _LAGRANGE = _chebyshev_basis(_BLOCK, _CHEB_NODES)
+
+
 @lru_cache(maxsize=8)
 def _block_operator(s: float, dr: float, g: int):
-    """(half, per-bin column norms, Toeplitz blocks) of one sigma on one grid,
-    all read-only, so every thread shares them.
+    """(half, per-bin column norms, dense blocks, node kernels) of one sigma
+    on one grid, all read-only, so every thread shares them.
 
-    ``blocks[lags + i]`` is the (B, B) matrix that carries input block q + i
-    to output block q, for block lags |i| <= lags. The kernel reaches at
-    most g - 1 bins, so the blocks reach less than one block past the grid.
+    The (B, B) block of lag i carries input block q + i to output block q:
+    its entry [a, c] is the kernel at offset c - a - i * B. The kernel
+    reaches at most g - 1 bins, so the lags |i| <= ceil(half / B) reach less
+    than one block past the grid.
+
+    With P the (B, p) Lagrange matrix on p Chebyshev nodes of a block and
+    C_i the (p, p) kernel at the node pairs, a lag is interpolated as
+    ``P @ C_i @ P.T`` if every entry of its block is positive and that
+    matches each entry to a relative _CHEB_RTOL, checked here once per
+    sigma. The lags are checked outward from lag 0 (the error grows with
+    the offset), so the interpolated ones are |i| <= near, and ``coarse``
+    is the (2 near + 1, p, p) stack of their C_i in lag order. A lag that
+    the cut crosses holds zeros, where an interpolant leaves an absolute
+    error floor, as an FFT predict does, that swamps bins hundreds of
+    decades below the peak; such a lag stays dense, as does every lag of a
+    sigma too narrow to pass. ``blocks[lags + i]`` is the dense block of
+    lag i, None for an interpolated one. Only what ``predict`` reads is
+    kept: on the default grid sigma 150 holds 0.25 MB (four dense blocks,
+    27 node kernels and the norms) and sigma 40 0.18 MB.
     """
     half, kern, csum = _kernel(s, dr, g)
     norm = _column_norms(np.arange(g), half, csum, g)
     lags = -(-half // _BLOCK)
-    # entry [l, a, c] is the kernel at offset c - a - (l - lags) * B; with the
-    # taps zero-padded, row l * B + a of the flattened blocks is the padded
-    # kernel's window of B taps starting base - (l * B + a)
+    # with the taps zero-padded, row a of lag i's block is the padded
+    # kernel's window of B taps starting pad + half - i * B - a
     pad = (lags + 1) * _BLOCK - half - 1
     padded = np.zeros(2 * pad + kern.size)
     padded[pad:pad + kern.size] = kern
-    base = pad + half + lags * _BLOCK
-    rows = base - np.arange((2 * lags + 1) * _BLOCK)
     windows = sliding_window_view(padded, _BLOCK)
-    blocks = windows[rows].reshape(2 * lags + 1, _BLOCK, _BLOCK)
+    rows = pad + half - np.arange(_BLOCK)
+
+    def dense(i):
+        block = windows[rows - i * _BLOCK]
+        block.flags.writeable = False
+        return block
+
+    coarse = []
+    for i in range(lags + 1):
+        block = dense(i)
+        kernel = np.exp(-0.5 * ((_NODES - _NODES[:, None] - i * _BLOCK) * (dr / s)) ** 2)
+        if block.min() <= 0.0 or (np.abs(_LAGRANGE @ kernel @ _LAGRANGE.T - block)
+                                  > _CHEB_RTOL * block).any():
+            break
+        coarse.append(kernel)
+    near = len(coarse) - 1
+    # the kernel is even, so lag -i is lag i transposed
+    coarse = np.array([c.T for c in coarse[:0:-1]] + coarse).reshape(-1, _CHEB_NODES,
+                                                                     _CHEB_NODES)
+    blocks = tuple(None if abs(i) <= near else dense(i) for i in range(-lags, lags + 1))
     norm.flags.writeable = False
-    blocks.flags.writeable = False
-    return half, norm, blocks
+    coarse.flags.writeable = False
+    return half, norm, blocks, coarse
 
 
 def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
@@ -131,10 +201,13 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
     leaks off the ends. The columns sharing a sigma are one convolution of
     their scaled masses over the span they cover. A sigma shared by at least
     ``_BLOCK`` columns (in practice the two clip values) convolves in
-    block-Toeplitz form: its span is cut into blocks of ``_BLOCK`` bins, and
-    the output blocks accumulate one (n, B) x (B, B) matrix product per block
-    lag, in lag order, with the blocks and column norms cached per sigma and
-    grid. Smaller groups run one direct convolution over their span.
+    block-Toeplitz form: its span is cut into blocks x of ``_BLOCK`` bins,
+    and the output blocks accumulate one (n, B) x (B, B) matrix product per
+    dense block lag, in lag order, and then ``W @ P.T`` for the interpolated
+    lags: with z = x @ P, ``W = sum_i z[window of lag i] @ C_i`` is one
+    product of the stacked windows. The operator of a sigma is built and
+    cached per sigma and grid by :func:`_block_operator`. Smaller groups run
+    one direct convolution over their span.
     """
     g = grid.n_points
     dr = grid.step
@@ -162,19 +235,29 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
             lo, hi = max(0, first - half), min(g, last + half + 1)
             out[lo:hi] += spread[lo - first + half : hi - first + half]
             continue
-        half, norm, blocks = _block_operator(float(s), dr, g)
+        half, norm, blocks, coarse = _block_operator(float(s), dr, g)
         lo, hi = max(0, first - half), min(g, last + half + 1)
         n_out = -(-(hi - lo) // _BLOCK)
         # output block q sums input blocks q - reach .. q + reach; blocks
         # further away than n_out - 1 hold no column of this span
-        reach = min(len(blocks) // 2, n_out - 1)
+        lags = len(blocks) // 2
+        reach = min(lags, n_out - 1)
         x = np.zeros((n_out + 2 * reach) * _BLOCK)
         x[reach * _BLOCK + cols - lo] = mass[cols] / norm[cols]
         x = x.reshape(-1, _BLOCK)
-        skip = len(blocks) // 2 - reach
-        y = x[:n_out] @ blocks[skip]
-        for i in range(1, 2 * reach + 1):
-            y += x[i:i + n_out] @ blocks[skip + i]
+        y = np.zeros((n_out, _BLOCK))
+        for i in range(-reach, reach + 1):
+            if blocks[lags + i] is not None:
+                y += x[reach + i:reach + i + n_out] @ blocks[lags + i]
+        mid = (len(coarse) - 1) // 2  # lags |i| <= mid are interpolated
+        near = min(mid, reach)
+        if near >= 0:
+            # row q of the stacked windows is z[q + reach - near .. q + reach + near]
+            z = (x[reach - near:reach + near + n_out] @ _LAGRANGE).ravel()
+            stacked = sliding_window_view(z, (2 * near + 1) * _CHEB_NODES)[::_CHEB_NODES]
+            w = np.ascontiguousarray(stacked) @ coarse[mid - near:mid + near + 1].reshape(
+                -1, _CHEB_NODES)
+            y += w @ _LAGRANGE.T
         out[lo:hi] += y.ravel()[:hi - lo]
     return out
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.fft import next_fast_len
 from scipy.special import logsumexp
@@ -14,6 +16,7 @@ from scipy.special import logsumexp
 from tacholess import RpmGrid, frame_signal, viterbi_path
 from tacholess.alignment import EPS_NORM, KERNEL_TRUNCATION_SIGMAS, LIKELIHOOD_FLOOR
 from tacholess.baselines import PEAK_LOG_FLOOR
+from tacholess.tracker import _BLOCK, _column_norms, _kernel
 
 
 def naive_difference(x: np.ndarray, tau_max: int) -> np.ndarray:
@@ -117,6 +120,56 @@ def naive_predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid,
         u = (values - values[j]) / sigmas[j]
         col = np.where(np.abs(u) <= truncation_sigmas, np.exp(-0.5 * u * u), 0.0)
         out += mass[j] * col / col.sum()
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _dense_block_operator(s: float, dr: float, g: int):
+    """(half, column norms, every (B, B) block lag) of one sigma, all dense."""
+    half, kern, csum = _kernel(s, dr, g)
+    norm = _column_norms(np.arange(g), half, csum, g)
+    lags = -(-half // _BLOCK)
+    # entry [l, a, c] is the kernel at offset c - a - (l - lags) * B
+    pad = (lags + 1) * _BLOCK - half - 1
+    padded = np.zeros(2 * pad + kern.size)
+    padded[pad:pad + kern.size] = kern
+    rows = pad + half + lags * _BLOCK - np.arange((2 * lags + 1) * _BLOCK)
+    blocks = sliding_window_view(padded, _BLOCK)[rows].reshape(2 * lags + 1, _BLOCK, _BLOCK)
+    return half, norm, blocks
+
+
+def dense_block_predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
+    """``tracker.predict`` with no interpolated block lag: every block lag of
+    a sigma group of at least ``_BLOCK`` columns is a dense (n, B) x (B, B)
+    product, in lag order, and smaller groups are convolved directly."""
+    g, dr = grid.n_points, grid.step
+    out = np.zeros(g)
+    for s in np.unique(sigmas):
+        cols = np.nonzero(sigmas == s)[0]
+        cols = cols[mass[cols] > 0.0]
+        if cols.size == 0:
+            continue
+        first, last = cols[0], cols[-1]
+        if cols.size < _BLOCK:
+            half, kern, csum = _kernel(s, dr, g)
+            span = np.zeros(last - first + 1)
+            span[cols - first] = mass[cols] / _column_norms(cols, half, csum, g)
+            spread = np.convolve(span, kern)
+            lo, hi = max(0, first - half), min(g, last + half + 1)
+            out[lo:hi] += spread[lo - first + half: hi - first + half]
+            continue
+        half, norm, blocks = _dense_block_operator(float(s), dr, g)
+        lo, hi = max(0, first - half), min(g, last + half + 1)
+        n_out = -(-(hi - lo) // _BLOCK)
+        reach = min(len(blocks) // 2, n_out - 1)
+        x = np.zeros((n_out + 2 * reach) * _BLOCK)
+        x[reach * _BLOCK + cols - lo] = mass[cols] / norm[cols]
+        x = x.reshape(-1, _BLOCK)
+        skip = len(blocks) // 2 - reach
+        y = x[:n_out] @ blocks[skip]
+        for i in range(1, 2 * reach + 1):
+            y += x[i:i + n_out] @ blocks[skip + i]
+        out[lo:hi] += y.ravel()[:hi - lo]
     return out
 
 

@@ -91,6 +91,17 @@ def test_next_fast_len_equals_scipys(real):
     assert [estimators.next_fast_len(n, real) for n in range(1, 70001)] == want
 
 
+def test_evidence_finds_each_fft_length_once_per_run():
+    # every sub-block asks for YIN's and the spectrum's FFT lengths again:
+    # 40 frames are three chunks (16, 16, 8) and five sub-blocks, and the comb
+    # plan asks for the spectrum's once more
+    frames = np.random.default_rng(15).normal(0.0, 1.0, (40, 8192))
+    estimators.next_fast_len.cache_clear()
+    list(evidence_chunks(frames, 12800.0, RunConfig()))
+    info = estimators.next_fast_len.cache_info()
+    assert (info.misses, info.hits) == (2, 9)
+
+
 def test_difference_function_rejects_tau_max_outside_the_frame():
     x = np.ones((2, 17))
     for bad in (-1, 17, 18):

@@ -14,12 +14,15 @@ from tacholess import (
     analyze,
     curvature_sigma,
     estimate,
+    evidence_chunks,
+    frame_signal,
     predict,
+    synthesize,
     track,
     update,
 )
 from tacholess import tracker
-from oracles import discrete_gaussian_mass, naive_predict
+from oracles import dense_block_predict, discrete_gaussian_mass, naive_predict
 from props import (
     check_predict_mass,
     check_sigma_bounds,
@@ -244,9 +247,12 @@ def test_predict_on_many_threads_at_once_equals_one_thread():
 
 def test_predict_caches_operators_only_for_sigma_groups_of_a_block():
     # Each frame of a real run has the two clip values over most bins plus a
-    # few one-off interior sigmas. The cached block operator of sigma 150 on
-    # this grid holds 1.08 MB; one cached per interior sigma as well took an
-    # 8.4 MB tracemalloc peak here, against 1.6 MB for the two clip values.
+    # few one-off interior sigmas. The cached operators of sigmas 150 and 40
+    # on this grid hold 0.42 MB: the column norms, the dense blocks of the
+    # four lags of each that the cut crosses, and the node kernels of the
+    # interpolated lags; a dense block for every lag would be 1.37 MB. One
+    # cached per interior sigma as well took an 8.4 MB tracemalloc peak
+    # here; the two clip values alone peak at 0.96 MB.
     grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
     g = grid.n_points
     mass = np.random.default_rng(34).dirichlet(np.full(g, 0.7))
@@ -264,6 +270,65 @@ def test_predict_caches_operators_only_for_sigma_groups_of_a_block():
     info = tracker._block_operator.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 38, 2)
     assert peak < 2e6
+    cached = 0
+    for s in (40.0, 150.0):
+        _, norm, blocks, coarse = tracker._block_operator(s, grid.step, g)
+        cached += norm.nbytes + coarse.nbytes + sum(b.nbytes for b in blocks if b is not None)
+    assert cached < 0.5e6
+
+
+@pytest.mark.parametrize("step", [1.0, 1.5, 4.0])
+def test_interpolated_block_lags_hold_their_bound(step):
+    # every block lag of a cached operator is either dense and equal to the
+    # kernel's block, or all positive and within _CHEB_RTOL of it per entry
+    # as P @ C_i @ P.T; lags that the 6 sigma cut (or the g - 1 reach)
+    # crosses hold zeros, so they, and every lag of a sigma of a few bins,
+    # stay dense, while a sigma wider than the grid interpolates
+    grid = RpmGrid.from_step(300.0, 4000.0, step)
+    g, b = grid.n_points, tracker._BLOCK
+    lagrange = tracker._LAGRANGE
+    offset = np.arange(b)[None, :] - np.arange(b)[:, None]
+    mass = np.random.default_rng(38).dirichlet(np.full(g, 0.7))
+    mass = mass / mass.sum()
+    for s in (8.0, 40.0, 97.0, 150.0, 1e6):
+        half, _, blocks, coarse = tracker._block_operator(s, step, g)
+        lags, near = len(blocks) // 2, (len(coarse) - 1) // 2
+        for i in range(-lags, lags + 1):
+            d = offset - i * b
+            u = d * (step / s)
+            exact = np.where((np.abs(u) <= 6.0) & (np.abs(d) <= g - 1), np.exp(-0.5 * u * u), 0.0)
+            if blocks[lags + i] is None:
+                assert abs(i) <= near and exact.min() > 0.0
+                approx = lagrange @ coarse[near + i] @ lagrange.T
+                assert np.all(np.abs(approx - exact) <= tracker._CHEB_RTOL * exact)
+            else:
+                assert abs(i) > near
+                assert np.array_equal(blocks[lags + i], exact)
+        if 6.0 * s / step < b - 1:  # the cut crosses even lag 0
+            assert len(coarse) == 0
+        if 6.0 * s > grid.r_max - grid.r_min:
+            assert len(coarse) > 0
+        sig = np.full(g, s)
+        out = predict(mass, sig, grid)
+        assert np.allclose(out, naive_predict(mass, sig, grid, 6.0), rtol=1e-9, atol=1e-300)
+
+
+def test_trajectories_follow_the_dense_block_predict(monkeypatch):
+    # S0-S5, seed 1, 5 s at the default config: the tracker with interpolated
+    # block lags against one whose every block lag is a dense product
+    for name in ("S0", "S1", "S2", "S3", "S4", "S5"):
+        cfg = RunConfig(scenario=ScenarioSpec(scenario=name, duration_s=5.0, seed=1))
+        signal, _ = synthesize(cfg.scenario, rpm_bounds=(cfg.grid.r_min, cfg.grid.r_max))
+        frames = frame_signal(signal, cfg.framing)
+        fused = np.concatenate([rows for rows, _ in
+                                evidence_chunks(frames, signal.sample_rate_hz, cfg)])
+        got = track(fused, cfg.grid, cfg.tracker)
+        with monkeypatch.context() as patch:
+            patch.setattr(tracker, "predict", dense_block_predict)
+            want = track(fused, cfg.grid, cfg.tracker)
+        assert np.array_equal(got.map_rpm, want.map_rpm), name
+        assert np.allclose(got.mmse_rpm, want.mmse_rpm, rtol=0.0, atol=1e-9), name
+        assert np.allclose(got.sigma_rpm, want.sigma_rpm, rtol=0.0, atol=1e-9), name
 
 
 def test_predict_sizes_its_kernels_by_the_grid_not_sigma_alone():
