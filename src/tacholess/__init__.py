@@ -7,7 +7,7 @@ log-linearly, and tracked by a curvature-adaptive recursive grid filter.
 
 from .alignment import CurveToGridConfig, aligned_loglik, kernel_scatter, robust_standardize
 from .baselines import framewise_trajectory, single_estimator_pick, viterbi_path, viterbi_stft
-from .estimators import (SIGN, cepstrum_curve, comb_curve, comb_plan, difference_function,
+from .estimators import (SIGN, cepstrum_curve, comb_plan, difference_function,
                          magnitude_spectrum, yin_curve)
 from .fusion import mass_entropy, pool_logliks
 from .grid import RpmGrid
@@ -27,7 +27,7 @@ __all__ = [
     "AnalysisResult", "CurveToGridConfig", "EstimatorSetConfig", "FramingConfig",
     "GroundTruth", "InputConfig", "OutputConfig",
     "RpmGrid", "RunConfig", "SCENARIOS", "SIGN", "ScenarioSpec", "Signal", "TrackerConfig",
-    "ViterbiConfig", "aligned_loglik", "analyze", "cepstrum_curve", "comb_curve", "comb_plan",
+    "ViterbiConfig", "aligned_loglik", "analyze", "cepstrum_curve", "comb_plan",
     "compute_metrics", "curvature_sigma",
     "difference_function", "estimate", "evidence_chunks", "frame_signal", "frame_times",
     "framewise_trajectory", "kernel_scatter", "load_signal",

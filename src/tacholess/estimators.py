@@ -4,17 +4,17 @@ Three frame-level estimators with deliberately different physics and axes:
 
 * ``yin_curve``      cumulative-mean-normalized difference over integer lags (cost),
 * ``cepstrum_curve`` real cepstrum over integer quefrencies (score),
-* ``comb_curve``     harmonic comb magnitude over candidate frequencies in Hz (score).
+* ``comb_plan``      harmonic comb magnitude over candidate frequencies in Hz (score).
 
 YIN and the cepstrum take one frame (N,) or a block of frames (T, N) and
-run their FFTs along the last axis; the comb reads the same frames'
-:func:`magnitude_spectrum` through a :func:`comb_plan`, whose harmonic
-positions are found once per run. Each returns a plain values array with one row
-per frame. The caller chooses the axis behind the values once per run (the
-lags ``tau_min..tau_max``, or the comb's array of candidate frequencies) and
-maps that same axis to RPM: ``60 * fs / tau`` for lags and quefrencies,
-``60 * f`` for frequencies. ``SIGN`` orients each estimator's values so that
-larger means more plausible. Converting values into grid log-likelihoods is
+run their FFTs along the last axis; the comb, planned once per run by
+:func:`comb_plan`, reads the same frames' :func:`magnitude_spectrum`. Each
+gives a plain values array with one row per frame. The caller chooses the
+axis behind the values once per run (the lags ``tau_min..tau_max``, or the
+comb's array of candidate frequencies) and maps that same axis to RPM:
+``60 * fs / tau`` for lags and quefrencies, ``60 * f`` for frequencies.
+``SIGN`` orients each estimator's values so that larger means more
+plausible. Converting values into grid log-likelihoods is
 the alignment module's job.
 """
 
@@ -191,12 +191,3 @@ def comb_plan(nfft: int, sample_rate_hz: float, freqs: np.ndarray,
 
     return comb
 
-
-def comb_curve(mag: np.ndarray, nfft: int, sample_rate_hz: float, freqs: np.ndarray,
-               n_harmonics: int = 5) -> np.ndarray:
-    """Harmonic comb score h(f) = mean_m |X(m f)| at each frequency f of the (M,)
-    array ``freqs`` of candidates in Hz, one row of M scores per frame, for the
-    :func:`magnitude_spectrum` ``(mag, nfft)`` of one frame or a block of
-    frames: :func:`comb_plan` planned and called once.
-    """
-    return comb_plan(nfft, sample_rate_hz, freqs, n_harmonics)(mag)

@@ -28,7 +28,6 @@ import tempfile
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
@@ -225,8 +224,9 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
     freqs = np.linspace(grid.r_min / 60.0, grid.r_max / 60.0, est.comb_candidates)
     rpm = {"comb": 60.0 * freqs}
     pooled = {eid: w for eid in ESTIMATOR_IDS if (w := cfg.fusion_weights.get(eid, 1.0)) > 0}
-    evaluate = {}
-    lagged = [eid for eid in ("yin", "cepstrum") if eid in (*pooled, *cfg.baselines)]
+    picked = [name for name in cfg.baselines if name in ESTIMATOR_IDS]
+    computed = list(dict.fromkeys([*pooled, *picked]))
+    lagged = [eid for eid in ("yin", "cepstrum") if eid in computed]
     if lagged:
         # the lags whose 60 * fs / tau RPM spans the grid
         tau_min = max(2, int(np.floor(60.0 * fs / grid.r_max)))
@@ -241,38 +241,40 @@ def _chunk_evidence(frames: np.ndarray, sample_rate_hz: float,
         if tau_max <= tau_min:
             raise ValueError(f"grid [{grid.r_min}, {grid.r_max}] RPM maps to empty lag range "
                              f"[{tau_min}, {tau_max}] at fs={fs} Hz")
-        # called through the module, where a profiler can wrap them
-        evaluate["yin"] = lambda x, _: estimators.yin_curve(x, tau_min, tau_max)
-        evaluate["cepstrum"] = lambda x, _: estimators.cepstrum_curve(x, tau_min, tau_max)
         rpm["yin"] = rpm["cepstrum"] = 60.0 * fs / np.arange(tau_min, tau_max + 1,
                                                              dtype=np.float64)
-    picked = [name for name in cfg.baselines if name in ESTIMATOR_IDS]
-    computed = list(dict.fromkeys([*pooled, *picked]))
     if "comb" in computed:
         comb = estimators.comb_plan(estimators.spectrum_size(frame_len), fs, freqs,
                                     est.comb_harmonics)
-        evaluate["comb"] = lambda _, spectrum: comb(spectrum()[0])
     inside = {}
     for name in picked:
         inside[name] = (rpm[name] >= grid.r_min) & (rpm[name] <= grid.r_max)
         if not inside[name].any():
             raise ValueError(f"'{name}': no candidate maps inside "
                              f"[{grid.r_min}, {grid.r_max}] RPM")
-    by_axis = {}  # yin and the cepstrum share the lag axis, and so its scatter
-    for eid in pooled:
-        if id(rpm[eid]) not in by_axis:
-            by_axis[id(rpm[eid])] = kernel_scatter(rpm[eid], grid, cfg.alignment, f"curve '{eid}'")
-    scatter = {eid: by_axis[id(rpm[eid])] for eid in pooled}
-
+    scatter = {}
+    shared = [eid for eid in lagged if eid in pooled]
+    if shared:  # yin and the cepstrum share the lag axis, and so its scatter
+        scatter = dict.fromkeys(shared, kernel_scatter(rpm["yin"], grid, cfg.alignment,
+                                                       f"curve '{shared[0]}'"))
+    if "comb" in pooled:
+        scatter["comb"] = kernel_scatter(rpm["comb"], grid, cfg.alignment, "curve 'comb'")
     peaks = "viterbi_stft" in cfg.baselines
 
     def sub_block(block: np.ndarray) -> dict[str, np.ndarray]:
-        # made on first use, and freed with its sub-block
-        spectrum = cache(partial(magnitude_spectrum, block))
-        rows = {eid: evaluate[eid](block, spectrum) for eid in computed}
-        if peaks:
-            rows["viterbi_stft"] = frame_peaks(*spectrum(), fs, grid.r_min, grid.r_max,
-                                               cfg.viterbi.n_candidates_per_frame)
+        # the estimators are called through the module, where a profiler can wrap them
+        rows = {}
+        if "yin" in computed:
+            rows["yin"] = estimators.yin_curve(block, tau_min, tau_max)
+        if "cepstrum" in computed:
+            rows["cepstrum"] = estimators.cepstrum_curve(block, tau_min, tau_max)
+        if "comb" in computed or peaks:  # one spectrum, freed with its sub-block
+            mag, nfft = magnitude_spectrum(block)
+            if "comb" in computed:
+                rows["comb"] = comb(mag)
+            if peaks:
+                rows["viterbi_stft"] = frame_peaks(mag, nfft, fs, grid.r_min, grid.r_max,
+                                                   cfg.viterbi.n_candidates_per_frame)
         return rows
 
     def evidence(k: int) -> tuple[np.ndarray, dict[str, Any]]:
@@ -551,44 +553,46 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path) -> None:
 def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
     """analyze() plus the output files; returns the in-memory result.
 
-    With ``output.dump_posteriors`` the tracker appends each frame's posterior
-    row, as its raw float64 bytes, to an unnamed spill file in ``out_dir``
-    whose first row is the grid, so the run holds no (T, G) array; after each
-    row it writes one byte to the stdin of a child process, started before
-    the analysis, which formats ``posteriors.csv`` from the spill as it fills
-    (``posterior_writer.py``). Once ``analyze`` has returned, the spill is
-    flushed, the other outputs are written and the pipe is closed; the child
-    formats the rest and this waits for it. A child that fails makes the run
-    raise a RuntimeError naming its exit code. ``out_dir`` is made before the
-    analysis, so a path that cannot be a directory fails first. On every path
-    the child has been reaped and the spill closed when this returns; a failed
-    run leaves no ``posteriors.csv``, nor ``out_dir`` if it made it and wrote
-    nothing there.
+    With ``output.dump_posteriors`` this opens ``posteriors.csv`` before the
+    analysis, so a path that cannot be written fails first. The tracker
+    appends each frame's posterior row, as its raw float64 bytes, to an
+    unnamed spill file in ``out_dir`` whose first row is the grid, so the run
+    holds no (T, G) array; after each row it writes one byte to the stdin of
+    a child process, started with both files' descriptors, which formats the
+    table from the spill as it fills (``posterior_writer.py``). Once
+    ``analyze`` has returned, the spill is flushed, the other outputs are
+    written and the pipe is closed; the child formats the rest and this
+    waits for it. A child that fails makes the run raise a RuntimeError
+    naming its exit code. ``out_dir`` is made first too. On every path the
+    child has been reaped and the spill closed when this returns; a failed
+    run removes the ``posteriors.csv`` it opened, and ``out_dir`` if it made
+    it and wrote nothing there.
     """
     out = Path(out_dir)
     made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
+    table = None  # posteriors.csv, once this run has opened it
     try:
         if not cfg.output.dump_posteriors:
             result = analyze(cfg)
             write_outputs(result, out)
             return result
-        path = out / "posteriors.csv"
-        # in out_dir, not the default temporary directory, which may be held
-        # in memory. A chunk's rows per write: the tracker's thread then gives
-        # up the GIL once per chunk, and its writes took 7-9 ms per 5 s clip
-        # against 16-31 ms with a write per row
+        # the spill is in out_dir, not the default temporary directory, which
+        # may be held in memory. A chunk's rows per write: the tracker's thread
+        # then gives up the GIL once per chunk, and its writes took 7-9 ms per
+        # 5 s clip against 16-31 ms with a write per row
         row_bytes = 8 * cfg.grid.n_points
-        with tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * row_bytes) as spill:
+        with (open(out / "posteriors.csv", "wb") as table,
+              tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * row_bytes) as spill):
             spill.write(cfg.grid.values)
             # -S: site imports what site-packages' .pth files name (a start took
             # 32 ms against 7 ms); in a new session, so that a terminal's
             # interrupt reaches this process alone, which then stops the child
+            fds = (spill.fileno(), table.fileno())
             writer = subprocess.Popen(
                 [sys.executable, "-I", "-S", str(Path(__file__).with_name("posterior_writer.py")),
-                 str(cfg.grid.n_points), str(spill.fileno()), str(path)],
-                stdin=subprocess.PIPE, bufsize=0, pass_fds=(spill.fileno(),),
-                start_new_session=True)
+                 str(cfg.grid.n_points), *map(str, fds)],
+                stdin=subprocess.PIPE, bufsize=0, pass_fds=fds, start_new_session=True)
 
             def sink(row: np.ndarray) -> None:
                 spill.write(row)
@@ -602,17 +606,17 @@ def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
                 write_outputs(result, out)
                 writer.stdin.close()  # the child formats the rest and exits
                 if writer.wait() != 0:
-                    raise RuntimeError(f"{path.name}: the writer exited with code "
+                    raise RuntimeError(f"posteriors.csv: the writer exited with code "
                                        f"{writer.returncode}")
             except BaseException:
                 writer.kill()  # before its stdin ends, so that it stops where it is
                 writer.wait()
                 writer.stdin.close()
-                with contextlib.suppress(FileNotFoundError, IsADirectoryError):
-                    path.unlink()
                 raise
         return result
     except BaseException:
+        if table is not None:
+            Path(table.name).unlink(missing_ok=True)
         if made and not any(out.iterdir()):
             out.rmdir()
         raise
@@ -635,8 +639,10 @@ def run_benchmark(cfg: RunConfig, scenarios: Sequence[str], seeds: Sequence[int]
     and method, scenario by scenario, then seed by seed in the order given),
     and writes the mean RMSE/P95 per scenario to benchmark.csv (wide table)
     and benchmark.txt. A repeated scenario or seed runs once. With ``jobs``
-    > 1 the runs share that many worker processes, each running
+    > 1 the runs share that many spawned worker processes, each running
     :func:`analyze` on two threads; more jobs than CPUs only adds contention.
+    A script that calls this with ``jobs`` > 1 needs the usual ``if __name__
+    == "__main__":`` guard, as each worker imports the script's main module.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -654,7 +660,9 @@ def run_benchmark(cfg: RunConfig, scenarios: Sequence[str], seeds: Sequence[int]
     if jobs > 1:
         # imported here: multiprocessing is about a quarter of the import time
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from multiprocessing import get_context
+        # spawned: a fork would copy this process's other threads (BLAS's) mid-lock
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
             results = list(pool.map(_benchmark_worker, work.values()))
     else:
         results = list(map(_benchmark_worker, work.values()))

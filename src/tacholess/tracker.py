@@ -136,8 +136,8 @@ _NODES, _LAGRANGE = _chebyshev_basis(_BLOCK, _CHEB_NODES)
 
 @lru_cache(maxsize=8)
 def _block_operator(s: float, dr: float, g: int):
-    """(half, per-bin column norms, dense blocks, node kernels) of one sigma
-    on one grid, all read-only, so every thread shares them.
+    """(half, per-bin column norms, dense lags, near, node kernels) of one
+    sigma on one grid, all read-only, so every thread shares them.
 
     The (B, B) block of lag i carries input block q + i to output block q:
     its entry [a, c] is the kernel at offset c - a - i * B. The kernel
@@ -154,10 +154,10 @@ def _block_operator(s: float, dr: float, g: int):
     the cut crosses holds zeros, where an interpolant leaves an absolute
     error floor, as an FFT predict does, that swamps bins hundreds of
     decades below the peak; such a lag stays dense, as does every lag of a
-    sigma too narrow to pass. ``blocks[lags + i]`` is the dense block of
-    lag i, None for an interpolated one. Only what ``predict`` reads is
-    kept: on the default grid sigma 150 holds 0.25 MB (four dense blocks,
-    27 node kernels and the norms) and sigma 40 0.18 MB.
+    sigma too narrow to pass, and ``dense`` holds their (i, block) pairs in
+    lag order (``near`` is -1 when no lag is interpolated). Only what
+    ``predict`` reads is kept: on the default grid sigma 150 holds 0.25 MB
+    (four dense blocks, 27 node kernels and the norms) and sigma 40 0.18 MB.
     """
     half, kern, csum = _kernel(s, dr, g)
     norm = _column_norms(np.arange(g), half, csum, g)
@@ -170,14 +170,14 @@ def _block_operator(s: float, dr: float, g: int):
     windows = sliding_window_view(padded, _BLOCK)
     rows = pad + half - np.arange(_BLOCK)
 
-    def dense(i):
+    def lag_block(i):
         block = windows[rows - i * _BLOCK]
         block.flags.writeable = False
         return block
 
     coarse = []
     for i in range(lags + 1):
-        block = dense(i)
+        block = lag_block(i)
         kernel = np.exp(-0.5 * ((_NODES - _NODES[:, None] - i * _BLOCK) * (dr / s)) ** 2)
         if block.min() <= 0.0 or (np.abs(_LAGRANGE @ kernel @ _LAGRANGE.T - block)
                                   > _CHEB_RTOL * block).any():
@@ -187,10 +187,10 @@ def _block_operator(s: float, dr: float, g: int):
     # the kernel is even, so lag -i is lag i transposed
     coarse = np.array([c.T for c in coarse[:0:-1]] + coarse).reshape(-1, _CHEB_NODES,
                                                                      _CHEB_NODES)
-    blocks = tuple(None if abs(i) <= near else dense(i) for i in range(-lags, lags + 1))
+    dense = tuple((i, lag_block(i)) for i in range(-lags, lags + 1) if abs(i) > near)
     norm.flags.writeable = False
     coarse.flags.writeable = False
-    return half, norm, blocks, coarse
+    return half, norm, dense, near, coarse
 
 
 def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
@@ -212,8 +212,9 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
     g = grid.n_points
     dr = grid.step
     sigmas = np.asarray(sigmas, dtype=np.float64)
-    if sigmas.shape != (g,):
-        raise ValueError(f"sigmas shape {sigmas.shape} does not match grid ({g},)")
+    for name, values in (("mass", mass), ("sigmas", sigmas)):
+        if np.shape(values) != (g,):
+            raise ValueError(f"{name} shape {np.shape(values)} does not match grid ({g},)")
     bad = np.flatnonzero(~(np.isfinite(sigmas) & (sigmas > 0)))
     if bad.size:
         raise ValueError(f"sigma at bin {bad[0]} is {sigmas[bad[0]]}, "
@@ -235,27 +236,25 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
             lo, hi = max(0, first - half), min(g, last + half + 1)
             out[lo:hi] += spread[lo - first + half : hi - first + half]
             continue
-        half, norm, blocks, coarse = _block_operator(float(s), dr, g)
+        half, norm, dense, near, coarse = _block_operator(float(s), dr, g)
         lo, hi = max(0, first - half), min(g, last + half + 1)
         n_out = -(-(hi - lo) // _BLOCK)
-        # output block q sums input blocks q - reach .. q + reach; blocks
-        # further away than n_out - 1 hold no column of this span
-        lags = len(blocks) // 2
-        reach = min(lags, n_out - 1)
+        # output block q sums input blocks q - reach .. q + reach: the kernel reaches
+        # ceil(half / B) blocks, and those beyond n_out - 1 hold no column of this span
+        reach = min(-(-half // _BLOCK), n_out - 1)
         x = np.zeros((n_out + 2 * reach) * _BLOCK)
         x[reach * _BLOCK + cols - lo] = mass[cols] / norm[cols]
         x = x.reshape(-1, _BLOCK)
         y = np.zeros((n_out, _BLOCK))
-        for i in range(-reach, reach + 1):
-            if blocks[lags + i] is not None:
-                y += x[reach + i:reach + i + n_out] @ blocks[lags + i]
-        mid = (len(coarse) - 1) // 2  # lags |i| <= mid are interpolated
-        near = min(mid, reach)
-        if near >= 0:
-            # row q of the stacked windows is z[q + reach - near .. q + reach + near]
-            z = (x[reach - near:reach + near + n_out] @ _LAGRANGE).ravel()
-            stacked = sliding_window_view(z, (2 * near + 1) * _CHEB_NODES)[::_CHEB_NODES]
-            w = np.ascontiguousarray(stacked) @ coarse[mid - near:mid + near + 1].reshape(
+        for i, block in dense:
+            if abs(i) <= reach:
+                y += x[reach + i:reach + i + n_out] @ block
+        k = min(near, reach)  # the interpolated lags that reach this span
+        if k >= 0:
+            # row q of the stacked windows is z[q + reach - k .. q + reach + k]
+            z = (x[reach - k:reach + k + n_out] @ _LAGRANGE).ravel()
+            stacked = sliding_window_view(z, (2 * k + 1) * _CHEB_NODES)[::_CHEB_NODES]
+            w = np.ascontiguousarray(stacked) @ coarse[near - k:near + k + 1].reshape(
                 -1, _CHEB_NODES)
             y += w @ _LAGRANGE.T
         out[lo:hi] += y.ravel()[:hi - lo]

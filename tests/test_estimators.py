@@ -6,9 +6,10 @@ from tacholess import (InputConfig, RunConfig, Signal, analyze,
                        estimators, evidence_chunks, save_signal)
 from tacholess.estimators import (
     cepstrum_curve,
-    comb_curve,
+    comb_plan,
     difference_function,
     magnitude_spectrum,
+    spectrum_size,
     yin_curve,
 )
 from oracles import naive_cmndf, naive_difference
@@ -179,10 +180,15 @@ def test_cepstrum_finite_on_silence():
     assert np.all(np.isfinite(cepstrum_curve(np.zeros(256), 4, 64)))
 
 
+def comb_scores(frames, freqs, fs=8000.0, n_harmonics=5):
+    mag, nfft = magnitude_spectrum(frames)
+    return comb_plan(nfft, fs, freqs, n_harmonics)(mag)
+
+
 def test_comb_peaks_at_fundamental():
     frame = harmonic_frame(n=4096)
     freqs = np.linspace(50.0, 450.0, 801)
-    values = comb_curve(*magnitude_spectrum(frame), 8000.0, freqs, n_harmonics=5)
+    values = comb_scores(frame, freqs)
     best = freqs[np.argmax(values)]
     assert abs(best - 200.0) <= 4.0  # within 2%
 
@@ -190,7 +196,7 @@ def test_comb_peaks_at_fundamental():
 def test_comb_prefers_fundamental_over_half():
     frame = harmonic_frame(n=4096)
     freqs = np.linspace(50.0, 450.0, 801)
-    values = comb_curve(*magnitude_spectrum(frame), 8000.0, freqs, n_harmonics=5)
+    values = comb_scores(frame, freqs)
     at = lambda f: values[np.argmin(np.abs(freqs - f))]
     # 1/m amplitudes: h(200) ~ mean(1,1/2,..,1/5), h(100) ~ (1 + 1/2)/5, ratio 1.52
     assert at(200.0) > 1.3 * at(100.0)
@@ -201,32 +207,32 @@ def test_comb_is_flat_on_noise():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         frame = rng.normal(0.0, 1.0, 4096)
-        values = comb_curve(*magnitude_spectrum(frame), 8000.0, np.linspace(50.0, 450.0, 801),
-                            n_harmonics=5)
+        values = comb_scores(frame, np.linspace(50.0, 450.0, 801))
         assert values.max() <= 3.0 * np.median(values)
 
 
 def test_comb_scales_linearly_and_zero_on_silence():
     frame = harmonic_frame(n=2048)
     freqs = np.linspace(50.0, 450.0, 101)
-    a = comb_curve(*magnitude_spectrum(frame), 8000.0, freqs, n_harmonics=5)
+    a = comb_scores(frame, freqs)
     doubled = 2.0 * frame
-    b = comb_curve(*magnitude_spectrum(doubled), 8000.0, freqs, n_harmonics=5)
+    b = comb_scores(doubled, freqs)
     assert np.allclose(b, 2.0 * a, rtol=1e-9, atol=1e-12)
-    z = comb_curve(*magnitude_spectrum(np.zeros(2048)), 8000.0, freqs, n_harmonics=5)
+    z = comb_scores(np.zeros(2048), freqs)
     assert np.array_equal(z, np.zeros(101))
 
 
 def test_comb_nyquist_guard():
-    frame = np.zeros(1024)
+    # the plan refuses a bad comb before any spectrum is computed
+    nfft = spectrum_size(1024)
     with pytest.raises(ValueError, match="Nyquist"):
         # 4500 Hz > 4000
-        comb_curve(*magnitude_spectrum(frame), 8000.0, np.linspace(50.0, 900.0, 9), n_harmonics=5)
+        comb_plan(nfft, 8000.0, np.linspace(50.0, 900.0, 9), n_harmonics=5)
     for freqs in (np.linspace(0.0, 450.0, 9), np.array([100.0, -50.0])):
         with pytest.raises(ValueError, match="comb candidates must be > 0 Hz"):
-            comb_curve(*magnitude_spectrum(frame), 8000.0, freqs)
+            comb_plan(nfft, 8000.0, freqs)
     with pytest.raises(ValueError, match="n_harmonics must be >= 1"):
-        comb_curve(*magnitude_spectrum(frame), 8000.0, np.linspace(50.0, 450.0, 9), n_harmonics=0)
+        comb_plan(nfft, 8000.0, np.linspace(50.0, 450.0, 9), n_harmonics=0)
 
 
 def test_block_rows_equal_one_frame_curves():
@@ -238,7 +244,7 @@ def test_block_rows_equal_one_frame_curves():
     cases = [
         lambda x: yin_curve(x, 20, 400),
         lambda x: cepstrum_curve(x, 20, 400),
-        lambda x: comb_curve(*magnitude_spectrum(x), fs, np.linspace(50.0, 450.0, 301)),
+        lambda x: comb_scores(x, np.linspace(50.0, 450.0, 301), fs),
     ]
     for curve_of in cases:
         rows = curve_of(block)

@@ -202,6 +202,24 @@ def test_an_estimator_of_weight_zero_is_computed_only_for_its_pick(monkeypatch):
             assert set(parts) == set(baselines)
 
 
+def test_the_spectrum_is_computed_once_per_sub_block_and_only_when_read(monkeypatch):
+    # the comb and viterbi_stft read one magnitude spectrum per sub-block;
+    # a run that needs neither computes none
+    sizes = []
+    spectrum = pipeline.magnitude_spectrum
+    monkeypatch.setattr(pipeline, "magnitude_spectrum",
+                        lambda block: sizes.append(len(block)) or spectrum(block))
+    frames = np.random.default_rng(4).normal(0.0, 1.0, (20, 8192))  # chunks of 16 and 4
+    for weights, baselines, want in (({"comb": 0.0}, ("yin", "cepstrum", "framewise"), []),
+                                     ({}, ("comb", "viterbi_stft"), [8, 8, 4]),
+                                     ({"comb": 0.0}, ("viterbi_stft",), [8, 8, 4])):
+        sizes.clear()
+        cfg = short_cfg(fusion_weights=weights, baselines=baselines)
+        chunks = list(pipeline.evidence_chunks(frames, 12800.0, cfg))
+        assert sizes == want, baselines
+        assert all(set(parts) == set(baselines) for _, parts in chunks)
+
+
 def test_lag_estimators_need_a_frame_that_covers_r_min():
     # 2048 samples at 12.8 kHz reach lag 1024, i.e. 750 RPM, above the 300 RPM
     # grid edge; lag 2560 is needed
@@ -892,13 +910,15 @@ def test_the_posterior_writer_runs_on_the_standard_library_alone(tmp_path):
     # it formats what the spill holds, imports neither numpy nor the package,
     # and reads every row once its stdin is at its end
     rows = np.array([[1200.0, 1200.5, 1201.0], [0.25, 0.5, 0.25], [-0.0, 5e-324, np.inf]])
-    with tempfile.TemporaryFile(dir=tmp_path) as spill:
+    with (tempfile.TemporaryFile(dir=tmp_path) as spill,
+          open(tmp_path / "posteriors.csv", "wb") as table):
         spill.write(rows.tobytes())
         spill.flush()
         writer = Path(pipeline.__file__).with_name("posterior_writer.py")
+        fds = (spill.fileno(), table.fileno())
         done = subprocess.run([sys.executable, "-I", "-S", "-X", "importtime", str(writer), "3",
-                               str(spill.fileno()), str(tmp_path / "posteriors.csv")],
-                              stdin=subprocess.DEVNULL, pass_fds=(spill.fileno(),),
+                               *map(str, fds)],
+                              stdin=subprocess.DEVNULL, pass_fds=fds,
                               capture_output=True, text=True, check=True)
     imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()}
     assert {"array"} <= imported and not {"numpy", "tacholess", "site"} & imported
@@ -915,18 +935,46 @@ def recorded_temporary_files(monkeypatch):
 
 
 def test_a_failing_posterior_writer_child_fails_the_run(tmp_path, monkeypatch):
-    # the writer cannot open posteriors.csv, a directory, and exits at once:
-    # the tracker's later rows find its pipe closed, and the run raises the
-    # child's exit code once the other outputs are written. No child is left
-    # and the spill is closed
-    (tmp_path / "posteriors.csv").mkdir()
+    # the writer is killed as soon as it starts, as a writer that fails while
+    # it formats would exit: the tracker's rows find its pipe closed, and the
+    # run raises the child's exit code once the other outputs are written. No
+    # child is left, the spill is closed and posteriors.csv removed
+    def killed_at_start(*args, **kwargs):
+        child = real_popen(*args, **kwargs)
+        child.send_signal(signal.SIGTERM)
+        return child
+
+    real_popen = subprocess.Popen
+    monkeypatch.setattr(subprocess, "Popen", killed_at_start)
     made = recorded_temporary_files(monkeypatch)
-    with pytest.raises(RuntimeError, match=r"^posteriors.csv: the writer exited with code 1$"):
+    with pytest.raises(RuntimeError,
+                       match=rf"^posteriors.csv: the writer exited with code {-signal.SIGTERM}$"):
         run_pipeline(posterior_cfg(40), tmp_path)
     assert_no_child_process()
     assert len(made) == 1 and made[0].closed
-    assert list((tmp_path / "posteriors.csv").iterdir()) == []
+    assert not (tmp_path / "posteriors.csv").exists()
     assert (tmp_path / "trajectory.csv").exists()
+
+
+def test_a_posteriors_path_that_cannot_be_written_fails_before_analysis(tmp_path, monkeypatch,
+                                                                         capsys):
+    # posteriors.csv is a directory: the run opens it before the analysis and
+    # fails there, with no child started, no spill made and nothing written;
+    # the command line prints one error line and exits 2
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analyze ran before posteriors.csv was opened")
+
+    monkeypatch.setattr(pipeline, "analyze", no_analysis)
+    monkeypatch.setattr(subprocess, "Popen", no_analysis)
+    made = recorded_temporary_files(monkeypatch)
+    (tmp_path / "posteriors.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        run_pipeline(posterior_cfg(40), tmp_path)
+    assert main(["run", "--out", str(tmp_path), "--duration", "0.8", "--dump-posteriors"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "posteriors.csv" in err and err.count("\n") == 1
+    assert made == [] and [p.name for p in tmp_path.iterdir()] == ["posteriors.csv"]
+    assert list((tmp_path / "posteriors.csv").iterdir()) == []
 
 
 def test_an_interrupt_while_writing_posteriors_stops_the_children(tmp_path, monkeypatch):
@@ -1089,9 +1137,15 @@ def test_benchmark_table_layout(tmp_path):
     assert (tmp_path / "benchmark.txt").read_text().count("\n") == 3 + len(methods)
 
 
-def test_benchmark_is_deterministic(tmp_path):
+def test_benchmark_is_deterministic(tmp_path, monkeypatch):
+    # the pool's workers are spawned: this process runs other threads (numpy's
+    # BLAS, pytest's watchdog), which a fork would copy mid-lock
+    def no_fork():
+        raise AssertionError("run_benchmark forked")
+
     cfg = short_cfg(scenario=ScenarioSpec(scenario="S1", duration_s=1.0, seed=1))
     run_benchmark(cfg, ["S1"], [1, 2], tmp_path / "a")
+    monkeypatch.setattr(os, "fork", no_fork)
     run_benchmark(cfg, ["S1"], [1, 2], tmp_path / "b", jobs=2)  # each pool worker runs analyze
     for name in ("benchmark.csv", "benchmark_runs.csv", "benchmark.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

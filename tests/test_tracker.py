@@ -64,6 +64,17 @@ def test_predict_rejects_a_bad_sigma_naming_its_bin(bad):
         predict(uniform(grid), sigmas, grid)
 
 
+@pytest.mark.parametrize("n", [50, 300])
+def test_predict_rejects_mass_of_another_shape(n):
+    # a longer mass used to give a (200,) row that ignored its extra bins,
+    # and a shorter one a bare IndexError
+    grid = RpmGrid(r_min=1000.0, r_max=1199.0, n_points=200)
+    with pytest.raises(ValueError, match=rf"^mass shape \({n},\) does not match grid \(200,\)$"):
+        predict(np.full(n, 1.0 / n), np.full(200, 40.0), grid)
+    with pytest.raises(ValueError, match=r"^mass shape \(1, 200\) does not match grid"):
+        predict(uniform(grid)[None], np.full(200, 40.0), grid)
+
+
 def test_uniform_estimate_reference_values():
     grid = RpmGrid.from_step(300.0, 4000.0, 1.0)
     map_rpm, mmse_rpm, sigma_rpm, entropy_nats = estimate(uniform(grid), grid)
@@ -272,8 +283,8 @@ def test_predict_caches_operators_only_for_sigma_groups_of_a_block():
     assert peak < 2e6
     cached = 0
     for s in (40.0, 150.0):
-        _, norm, blocks, coarse = tracker._block_operator(s, grid.step, g)
-        cached += norm.nbytes + coarse.nbytes + sum(b.nbytes for b in blocks if b is not None)
+        _, norm, dense, _, coarse = tracker._block_operator(s, grid.step, g)
+        cached += norm.nbytes + coarse.nbytes + sum(block.nbytes for _, block in dense)
     assert cached < 0.5e6
 
 
@@ -291,19 +302,21 @@ def test_interpolated_block_lags_hold_their_bound(step):
     mass = np.random.default_rng(38).dirichlet(np.full(g, 0.7))
     mass = mass / mass.sum()
     for s in (8.0, 40.0, 97.0, 150.0, 1e6):
-        half, _, blocks, coarse = tracker._block_operator(s, step, g)
-        lags, near = len(blocks) // 2, (len(coarse) - 1) // 2
+        half, _, dense, near, coarse = tracker._block_operator(s, step, g)
+        lags = -(-half // b)
+        assert len(coarse) == max(2 * near + 1, 0)
+        assert [i for i, _ in dense] == [i for i in range(-lags, lags + 1) if abs(i) > near]
+        blocks = dict(dense)
         for i in range(-lags, lags + 1):
             d = offset - i * b
             u = d * (step / s)
             exact = np.where((np.abs(u) <= 6.0) & (np.abs(d) <= g - 1), np.exp(-0.5 * u * u), 0.0)
-            if blocks[lags + i] is None:
-                assert abs(i) <= near and exact.min() > 0.0
+            if i in blocks:
+                assert np.array_equal(blocks[i], exact)
+            else:
+                assert exact.min() > 0.0
                 approx = lagrange @ coarse[near + i] @ lagrange.T
                 assert np.all(np.abs(approx - exact) <= tracker._CHEB_RTOL * exact)
-            else:
-                assert abs(i) > near
-                assert np.array_equal(blocks[lags + i], exact)
         if 6.0 * s / step < b - 1:  # the cut crosses even lag 0
             assert len(coarse) == 0
         if 6.0 * s > grid.r_max - grid.r_min:
