@@ -152,43 +152,46 @@ def _load_wav(path: Path) -> Signal:
 
 
 def _load_csv(path: Path, sample_rate_hz: float | None) -> Signal:
-    if sample_rate_hz is None:
-        raise ValueError(f"{path.name}: sample_rate_hz is required for CSV input")
-    rows = []
+    """Samples from the first column of each line that is neither blank nor
+    a '#' comment; a ``# sample_rate_hz=<rate>`` line, as ``save_signal``
+    writes it, gives the file's rate."""
+    rows, header_rate = [], None
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             try:
-                rows.append(float(line.split(",")[0]))
+                if line.startswith("# sample_rate_hz="):
+                    header_rate = float(line.partition("=")[2])
+                elif line and not line.startswith("#"):
+                    rows.append(float(line.split(",")[0]))
             except ValueError as exc:
                 raise ValueError(f"{path.name}:{ln}: not a number: {line!r}") from exc
+    if header_rate is None and sample_rate_hz is None:
+        raise ValueError(f"{path.name}: sample_rate_hz is required for CSV input")
     if not rows:
         raise ValueError(f"{path.name}: empty signal")
-    return Signal(np.asarray(rows), sample_rate_hz)
+    return Signal(np.asarray(rows), sample_rate_hz if header_rate is None else header_rate)
 
 
 def load_signal(path: str | Path, fmt: str | None = None,
                 sample_rate_hz: float | None = None) -> Signal:
     """Load a mono signal from WAV or CSV (one sample per line, '#' comments).
 
-    fmt defaults to the file suffix. WAV carries its own rate, which a given
-    sample_rate_hz must equal; CSV requires sample_rate_hz.
+    fmt defaults to the file suffix. WAV carries its own rate, and so does a
+    CSV file with a ``# sample_rate_hz=`` line; a given sample_rate_hz must
+    equal it. A CSV file without that line requires sample_rate_hz.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
     fmt = (fmt or path.suffix.lstrip(".")).lower()
-    if fmt == "wav":
-        signal = _load_wav(path)
-        if sample_rate_hz is not None and sample_rate_hz != signal.sample_rate_hz:
-            raise ValueError(f"{path.name}: sample_rate_hz {sample_rate_hz} differs from "
-                             f"the WAV header's {signal.sample_rate_hz} Hz")
-        return signal
-    if fmt == "csv":
-        return _load_csv(path, sample_rate_hz)
-    raise ValueError(f"unsupported input format '{fmt}' (expected wav or csv)")
+    if fmt not in ("wav", "csv"):
+        raise ValueError(f"unsupported input format '{fmt}' (expected wav or csv)")
+    signal = _load_wav(path) if fmt == "wav" else _load_csv(path, sample_rate_hz)
+    if sample_rate_hz is not None and sample_rate_hz != signal.sample_rate_hz:
+        raise ValueError(f"{path.name}: sample_rate_hz {sample_rate_hz} differs from "
+                         f"the {fmt.upper()} header's {signal.sample_rate_hz} Hz")
+    return signal
 
 
 def save_signal(signal: Signal, path: str | Path, fmt: str | None = None) -> None:

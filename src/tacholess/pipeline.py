@@ -5,15 +5,15 @@ curves -> grid log-likelihoods -> fused likelihood, chunk by chunk of frames
 -> tracked trajectory, plus any requested baselines, then metrics against
 the ground truth when one exists. The fused chunks stream into the tracker,
 so memory is O(chunk x G) plus the per-frame outputs, and the estimators'
-FFTs run a sub-block of a chunk at a time; `run_pipeline` spills
-the posterior rows to disk as the tracker makes them. Two threads share the
+FFTs run a sub-block of a chunk at a time. Two threads share the
 work: the calling thread computes evidence chunks in order, and a worker
 thread tracks them in order and, whenever its next chunk is not ready,
 computes a later chunk itself instead of waiting. Each chunk is a Future
 holding its rows or its error, and a semaphore bounds the chunks computed
 ahead of the tracker; a run raises the error of its earliest failing chunk.
-A child process started before the analysis (`posterior_writer.py`)
-formats `posteriors.csv` from the spill as the rows arrive.
+With posteriors dumped, `run_pipeline` pipes each posterior row to a child
+process started before the analysis (`posterior_writer.py`), which formats
+`posteriors.csv` as the rows arrive.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import inspect
 import json
 import subprocess
 import sys
-import tempfile
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -550,73 +549,77 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path) -> None:
                              reference=result.reference)
 
 
-def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
-    """analyze() plus the output files; returns the in-memory result.
-
-    With ``output.dump_posteriors`` this opens ``posteriors.csv`` before the
-    analysis, so a path that cannot be written fails first. The tracker
-    appends each frame's posterior row, as its raw float64 bytes, to an
-    unnamed spill file in ``out_dir`` whose first row is the grid, so the run
-    holds no (T, G) array; after each row it writes one byte to the stdin of
-    a child process, started with both files' descriptors, which formats the
-    table from the spill as it fills (``posterior_writer.py``). Once
-    ``analyze`` has returned, the spill is flushed, the other outputs are
-    written and the pipe is closed; the child formats the rest and this
-    waits for it. A child that fails makes the run raise a RuntimeError
-    naming its exit code. ``out_dir`` is made first too. On every path the
-    child has been reaped and the spill closed when this returns; a failed
-    run removes the ``posteriors.csv`` it opened, and ``out_dir`` if it made
-    it and wrote nothing there.
-    """
-    out = Path(out_dir)
-    made = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
-    table = None  # posteriors.csv, once this run has opened it
+@contextlib.contextmanager
+def _posterior_table(path: Path, grid: RpmGrid) -> Iterator[Callable[[np.ndarray], None]]:
+    """Open ``path`` and yield a posterior sink that pipes each row's float64
+    bytes, after the grid row, to a child process that formats them into it
+    (``posterior_writer.py``). On leaving, the pipe is closed and the child
+    waited for; a child that failed raises a RuntimeError naming its exit
+    code. An error or interrupt kills and reaps the child. A table that
+    was not written whole is removed."""
+    table = open(path, "wb")
     try:
-        if not cfg.output.dump_posteriors:
-            result = analyze(cfg)
-            write_outputs(result, out)
-            return result
-        # the spill is in out_dir, not the default temporary directory, which
-        # may be held in memory. A chunk's rows per write: the tracker's thread
-        # then gives up the GIL once per chunk, and its writes took 7-9 ms per
-        # 5 s clip against 16-31 ms with a write per row
-        row_bytes = 8 * cfg.grid.n_points
-        with (open(out / "posteriors.csv", "wb") as table,
-              tempfile.TemporaryFile(dir=out, buffering=CHUNK_FRAMES * row_bytes) as spill):
-            spill.write(cfg.grid.values)
+        with table:
             # -S: site imports what site-packages' .pth files name (a start took
             # 32 ms against 7 ms); in a new session, so that a terminal's
             # interrupt reaches this process alone, which then stops the child
-            fds = (spill.fileno(), table.fileno())
             writer = subprocess.Popen(
                 [sys.executable, "-I", "-S", str(Path(__file__).with_name("posterior_writer.py")),
-                 str(cfg.grid.n_points), *map(str, fds)],
-                stdin=subprocess.PIPE, bufsize=0, pass_fds=fds, start_new_session=True)
-
-            def sink(row: np.ndarray) -> None:
-                spill.write(row)
-                # a child that has exited fails the run once it is reaped
-                with contextlib.suppress(BrokenPipeError):
-                    writer.stdin.write(b"\n")
-
+                 str(grid.n_points), str(table.fileno())],
+                stdin=subprocess.PIPE, pass_fds=(table.fileno(),), start_new_session=True)
             try:
-                result = analyze(cfg, posterior_sink=sink)
-                spill.flush()  # the child reads the file, not this buffer
-                write_outputs(result, out)
-                writer.stdin.close()  # the child formats the rest and exits
+                # the child formats a default-grid row in about 1 ms and the
+                # tracker makes one in about 0.5 ms, in bursts of a chunk: a
+                # 64 KiB pipe holds two such rows and stalled the tracker (a 5 s
+                # wav-outputs clip took 0.79-0.86 s against 0.73-0.76 s), 1 MiB
+                # holds 35. Where the size cannot be set, the run is only slower
+                with contextlib.suppress(AttributeError, OSError):
+                    import fcntl
+                    fcntl.fcntl(writer.stdin.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+
+                def sink(row: np.ndarray) -> None:
+                    # a child that has exited fails the run once it is reaped
+                    with contextlib.suppress(BrokenPipeError):
+                        writer.stdin.write(row)
+
+                sink(grid.values)
+                yield sink
+                with contextlib.suppress(BrokenPipeError):
+                    writer.stdin.close()  # the child formats the rest and exits
                 if writer.wait() != 0:
                     raise RuntimeError(f"posteriors.csv: the writer exited with code "
                                        f"{writer.returncode}")
             except BaseException:
                 writer.kill()  # before its stdin ends, so that it stops where it is
                 writer.wait()
-                writer.stdin.close()
+                with contextlib.suppress(BrokenPipeError):
+                    writer.stdin.close()
                 raise
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def run_pipeline(cfg: RunConfig, out_dir: str | Path) -> AnalysisResult:
+    """analyze() plus the output files; returns the in-memory result.
+
+    ``out_dir`` is made first. With ``output.dump_posteriors``,
+    ``posteriors.csv`` is opened before the analysis, so a path that cannot
+    be written fails first, and the tracker pipes each posterior row to a
+    child process that formats the table while the analysis runs (see
+    ``_posterior_table``), so the run holds no (T, G) array. A failed run
+    removes ``out_dir`` if it made it and wrote nothing there.
+    """
+    out = Path(out_dir)
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        with (_posterior_table(out / "posteriors.csv", cfg.grid) if cfg.output.dump_posteriors
+              else contextlib.nullcontext()) as sink:
+            result = analyze(cfg, posterior_sink=sink)
+            write_outputs(result, out)
         return result
     except BaseException:
-        if table is not None:
-            Path(table.name).unlink(missing_ok=True)
         if made and not any(out.iterdir()):
             out.rmdir()
         raise

@@ -299,6 +299,15 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.samples, sig.samples)  # %.17g preserves float64
     assert path.read_text() == ("# sample_rate_hz=1234.5\n"
                                 + "".join(f"{v:.17g}\n" for v in sig.samples))
+    # the header line carries the rate, as a WAV header does
+    alone = load_signal(path)
+    assert alone.sample_rate_hz == 1234.5 and np.array_equal(alone.samples, sig.samples)
+    with pytest.raises(ValueError, match="sample_rate_hz 1000.0 differs from the CSV "
+                                         "header's 1234.5 Hz"):
+        load_signal(path, sample_rate_hz=1000.0)
+    path.write_text("# sample_rate_hz=fast\n1.0\n")
+    with pytest.raises(ValueError, match="sig.csv:1: not a number"):
+        load_signal(path)
 
 
 def test_csv_requires_rate_and_numbers(tmp_path):

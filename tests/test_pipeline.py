@@ -1,13 +1,14 @@
 import ast
+import contextlib
 import csv
 import inspect
+import itertools
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
-import tempfile
 import textwrap
 import threading
 import time
@@ -839,7 +840,7 @@ def test_run_pipeline_streams_the_posteriors_instead_of_holding_them(monkeypatch
 
 def test_a_failed_run_leaves_no_posteriors_behind(monkeypatch, tmp_path):
     # chunk 2 fails on whichever thread computes it: run_pipeline raises what
-    # analyze raises, writes no posteriors.csv and closes its spill file
+    # analyze raises and writes no posteriors.csv
     real_setup = pipeline._chunk_evidence
 
     def setup(*args):
@@ -851,15 +852,7 @@ def test_a_failed_run_leaves_no_posteriors_behind(monkeypatch, tmp_path):
             return evidence(k)
         return chunk
 
-    spills = []
-    real_spill = tempfile.TemporaryFile
-
-    def recorded_spill(*args, **kwargs):
-        spills.append((kwargs.get("dir"), real_spill(*args, **kwargs)))
-        return spills[-1][1]
-
     monkeypatch.setattr(pipeline, "_chunk_evidence", setup)
-    monkeypatch.setattr(tempfile, "TemporaryFile", recorded_spill)
     cfg = short_cfg(scenario=ScenarioSpec(scenario="S0", duration_s=1.5, seed=1),
                     output=OutputConfig(dump_posteriors=True))
     with pytest.raises(ValueError) as in_memory:
@@ -868,7 +861,6 @@ def test_a_failed_run_leaves_no_posteriors_behind(monkeypatch, tmp_path):
         run_pipeline(cfg, tmp_path / "run")
     assert str(written.value) == str(in_memory.value) == "evidence failed in chunk 2"
     assert not (tmp_path / "run").exists()  # made by the run, and left empty
-    assert len(spills) == 1 and spills[0][0] == tmp_path / "run" and spills[0][1].closed
 
 
 def posterior_cfg(n_frames):
@@ -886,9 +878,9 @@ def assert_no_child_process():
 @pytest.mark.parametrize("n_cpus", [1, 2, 3])
 @pytest.mark.parametrize("n_frames", [2, 3, 17, 437])
 def test_split_posteriors_equal_the_oracle(tmp_path, monkeypatch, n_frames, n_cpus):
-    # fewer rows than a chunk, one more than a chunk, and a 5 s clip, which the
-    # writer formats in whatever pieces it finds whole in the spill. However
-    # many CPUs the process may run on, one writer is started
+    # fewer rows than a chunk, one more than a chunk, and a 5 s clip, whose
+    # rows the writer formats as they reach its pipe. However many CPUs the
+    # process may run on, one writer is started
     writers = []
     real_popen = subprocess.Popen
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
@@ -907,38 +899,59 @@ def test_split_posteriors_equal_the_oracle(tmp_path, monkeypatch, n_frames, n_cp
 
 def test_the_posterior_writer_runs_on_the_standard_library_alone(tmp_path):
     # the writer file runs as the pipeline runs it, isolated and without site:
-    # it formats what the spill holds, imports neither numpy nor the package,
-    # and reads every row once its stdin is at its end
+    # it formats the rows its stdin carries, whole rows from pieces that split
+    # them, and imports neither os, numpy nor the package
     rows = np.array([[1200.0, 1200.5, 1201.0], [0.25, 0.5, 0.25], [-0.0, 5e-324, np.inf]])
-    with (tempfile.TemporaryFile(dir=tmp_path) as spill,
-          open(tmp_path / "posteriors.csv", "wb") as table):
-        spill.write(rows.tobytes())
-        spill.flush()
-        writer = Path(pipeline.__file__).with_name("posterior_writer.py")
-        fds = (spill.fileno(), table.fileno())
-        done = subprocess.run([sys.executable, "-I", "-S", "-X", "importtime", str(writer), "3",
-                               *map(str, fds)],
-                              stdin=subprocess.DEVNULL, pass_fds=fds,
-                              capture_output=True, text=True, check=True)
-    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()}
-    assert {"array"} <= imported and not {"numpy", "tacholess", "site"} & imported
+    data = rows.tobytes()
+    with open(tmp_path / "posteriors.csv", "wb") as table:
+        writer = subprocess.Popen(
+            [sys.executable, "-I", "-S", "-X", "importtime",
+             str(Path(pipeline.__file__).with_name("posterior_writer.py")), "3",
+             str(table.fileno())],
+            stdin=subprocess.PIPE, stderr=subprocess.PIPE, pass_fds=(table.fileno(),))
+        for piece in (data[:5], data[5:24]):
+            writer.stdin.write(piece)
+            writer.stdin.flush()
+            time.sleep(0.05)
+        stderr = writer.communicate(data[24:])[1].decode()
+    assert writer.returncode == 0
+    imported = {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()}
+    assert {"array"} <= imported and not {"os", "numpy", "tacholess", "site"} & imported
     assert (tmp_path / "posteriors.csv").read_bytes() == (
         b"1200,1200.5,1201\n0.25,0.5,0.25\n-0,4.94065646e-324,inf\n")
 
 
-def recorded_temporary_files(monkeypatch):
-    made = []
-    real = tempfile.TemporaryFile
-    monkeypatch.setattr(tempfile, "TemporaryFile",
-                        lambda *a, **kw: made.append(real(*a, **kw)) or made[-1])
-    return made
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_dumping_run_opens_nothing_in_its_directory_but_posteriors_csv(tmp_path, monkeypatch):
+    # an unnamed file in the output directory is absent from its listing and
+    # shows among the open descriptors as "<dir>/#<inode> (deleted)"; at row
+    # 10 of 40, the only file of the directory that the run holds open is
+    # posteriors.csv
+    out = Path(os.path.realpath(tmp_path)) / "run"
+    real_analyze = pipeline.analyze
+    opened = []
+
+    def analyze(cfg, posterior_sink=None):
+        def sink(row):
+            posterior_sink(row)
+            if next(rows) == 10:
+                for fd in os.listdir("/proc/self/fd"):
+                    with contextlib.suppress(OSError):  # a descriptor closed since the listing
+                        opened.append(os.readlink(f"/proc/self/fd/{fd}"))
+
+        rows = itertools.count(1)
+        return real_analyze(cfg, posterior_sink=sink)
+
+    monkeypatch.setattr(pipeline, "analyze", analyze)
+    assert len(run_pipeline(posterior_cfg(40), out).tracked) == 40
+    assert [p for p in opened if p.startswith(f"{out}/")] == [str(out / "posteriors.csv")]
 
 
 def test_a_failing_posterior_writer_child_fails_the_run(tmp_path, monkeypatch):
     # the writer is killed as soon as it starts, as a writer that fails while
     # it formats would exit: the tracker's rows find its pipe closed, and the
     # run raises the child's exit code once the other outputs are written. No
-    # child is left, the spill is closed and posteriors.csv removed
+    # child is left and posteriors.csv is removed
     def killed_at_start(*args, **kwargs):
         child = real_popen(*args, **kwargs)
         child.send_signal(signal.SIGTERM)
@@ -946,12 +959,10 @@ def test_a_failing_posterior_writer_child_fails_the_run(tmp_path, monkeypatch):
 
     real_popen = subprocess.Popen
     monkeypatch.setattr(subprocess, "Popen", killed_at_start)
-    made = recorded_temporary_files(monkeypatch)
     with pytest.raises(RuntimeError,
                        match=rf"^posteriors.csv: the writer exited with code {-signal.SIGTERM}$"):
         run_pipeline(posterior_cfg(40), tmp_path)
     assert_no_child_process()
-    assert len(made) == 1 and made[0].closed
     assert not (tmp_path / "posteriors.csv").exists()
     assert (tmp_path / "trajectory.csv").exists()
 
@@ -959,21 +970,20 @@ def test_a_failing_posterior_writer_child_fails_the_run(tmp_path, monkeypatch):
 def test_a_posteriors_path_that_cannot_be_written_fails_before_analysis(tmp_path, monkeypatch,
                                                                          capsys):
     # posteriors.csv is a directory: the run opens it before the analysis and
-    # fails there, with no child started, no spill made and nothing written;
+    # fails there, with no child started and nothing written;
     # the command line prints one error line and exits 2
     def no_analysis(*args, **kwargs):
         raise AssertionError("analyze ran before posteriors.csv was opened")
 
     monkeypatch.setattr(pipeline, "analyze", no_analysis)
     monkeypatch.setattr(subprocess, "Popen", no_analysis)
-    made = recorded_temporary_files(monkeypatch)
     (tmp_path / "posteriors.csv").mkdir()
     with pytest.raises(IsADirectoryError):
         run_pipeline(posterior_cfg(40), tmp_path)
     assert main(["run", "--out", str(tmp_path), "--duration", "0.8", "--dump-posteriors"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "posteriors.csv" in err and err.count("\n") == 1
-    assert made == [] and [p.name for p in tmp_path.iterdir()] == ["posteriors.csv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["posteriors.csv"]
     assert list((tmp_path / "posteriors.csv").iterdir()) == []
 
 
@@ -997,14 +1007,12 @@ def test_an_interrupt_while_writing_posteriors_stops_the_children(tmp_path, monk
     monkeypatch.setattr(pipeline, "_chunk_evidence", setup)
     monkeypatch.setattr(subprocess, "Popen",
                         lambda *a, **kw: writers.append(real_popen(*a, **kw)) or writers[-1])
-    made = recorded_temporary_files(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         run_pipeline(posterior_cfg(437), tmp_path)
     assert time.perf_counter() - start < 30.0
     assert len(writers) == 1 and writers[0].returncode == -signal.SIGKILL
     assert_no_child_process()
-    assert len(made) == 1 and made[0].closed
     assert not (tmp_path / "posteriors.csv").exists()
 
 
@@ -1066,7 +1074,7 @@ def test_output_tables_equal_the_csv_writer_rendering(tmp_path):
     cfg = short_cfg(scenario=ScenarioSpec(scenario="S5", duration_s=1.0, jump_time_s=0.5, seed=2),
                     grid=RpmGrid.from_step(1200.0, 2400.0, 1.0), baselines=pipeline.BASELINE_IDS,
                     output=OutputConfig(dump_posteriors=True, plot=True))
-    # run_pipeline streams the posterior rows through a spill file; the
+    # run_pipeline pipes the posterior rows to its writer process; the
     # oracle renders those that the in-memory analyze hands to a list
     run_pipeline(cfg, tmp_path / "run")
     rows = []
@@ -1286,6 +1294,11 @@ def test_cli_synth_csv_format(tmp_path):
     out = tmp_path / "run"
     assert main(["run", "--out", str(out), "--input", str(csv_path),
                  "--sample-rate", "12800", "--grid", "1200:1800:1"]) == 0
+    # the file's "# sample_rate_hz=12800.0" line gives the rate
+    assert main(["run", "--out", str(tmp_path / "read"), "--input", str(csv_path),
+                 "--grid", "1200:1800:1"]) == 0
+    assert ((tmp_path / "read" / "trajectory.csv").read_bytes()
+            == (out / "trajectory.csv").read_bytes())
 
 
 def test_cli_benchmark(tmp_path, capsys):
