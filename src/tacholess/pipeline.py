@@ -13,7 +13,7 @@ holding its rows or its error, and a semaphore bounds the chunks computed
 ahead of the tracker; a run raises the error of its earliest failing chunk.
 With posteriors dumped, `run_pipeline` pipes each posterior row to a child
 process started before the analysis (`posterior_writer.py`), which formats
-`posteriors.csv` as the rows arrive.
+them into its stdout, `posteriors.csv`, as they arrive.
 """
 
 from __future__ import annotations
@@ -552,11 +552,11 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path) -> None:
 @contextlib.contextmanager
 def _posterior_table(path: Path, grid: RpmGrid) -> Iterator[Callable[[np.ndarray], None]]:
     """Open ``path`` and yield a posterior sink that pipes each row's float64
-    bytes, after the grid row, to a child process that formats them into it
-    (``posterior_writer.py``). On leaving, the pipe is closed and the child
-    waited for; a child that failed raises a RuntimeError naming its exit
-    code. An error or interrupt kills and reaps the child. A table that
-    was not written whole is removed."""
+    bytes, after the grid row, to a child process (``posterior_writer.py``)
+    that formats them into its stdout, the open ``path``. On leaving, the
+    pipe is closed and the child waited for; a child that failed raises a
+    RuntimeError naming its exit code. An error or interrupt kills and reaps
+    the child. A table that was not written whole is removed."""
     table = open(path, "wb")
     try:
         with table:
@@ -565,8 +565,8 @@ def _posterior_table(path: Path, grid: RpmGrid) -> Iterator[Callable[[np.ndarray
             # interrupt reaches this process alone, which then stops the child
             writer = subprocess.Popen(
                 [sys.executable, "-I", "-S", str(Path(__file__).with_name("posterior_writer.py")),
-                 str(grid.n_points), str(table.fileno())],
-                stdin=subprocess.PIPE, pass_fds=(table.fileno(),), start_new_session=True)
+                 str(grid.n_points)],
+                stdin=subprocess.PIPE, stdout=table, start_new_session=True)
             try:
                 # the child formats a default-grid row in about 1 ms and the
                 # tracker makes one in about 0.5 ms, in bursts of a chunk: a

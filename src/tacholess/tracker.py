@@ -11,16 +11,18 @@ an iterator of (n, G) blocks filtered as they arrive, returns one record
 array row per frame, and hands each frame's posterior row to an optional sink
 as soon as it is made.
 
-A sigma shared by a block's worth of columns diffuses in block-Toeplitz
-form, one (B, B) block per block lag. On a block the Gaussian is smooth, so a
-lag whose entries are all positive is interpolated on Chebyshev nodes, the
-interpolative form of the fast Gauss transform (Fong & Darve, J. Comput.
-Phys. 2009), where that matches every entry to a relative 1e-12; on the
-default grid sigma 150 interpolates 27 of its 31 lags and sigma 40 5 of 9.
-The lags that the 6-sigma cut crosses stay dense products: an interpolant
-would leave an error floor in their zeros, as an FFT predict does, far above
-bins hundreds of decades below the peak. The two sigmas' cached operators
-hold 0.42 MB on the default grid.
+Every transition kernel is one function, the cut Gaussian at bin offsets:
+the taps of a direct convolution, each (B, B) block of a block lag and each
+kernel at a block's Chebyshev node offsets. A sigma shared by a block's
+worth of columns diffuses in block-Toeplitz form, one block per block lag.
+On a block the Gaussian is smooth, so a lag whose entries are all positive
+is interpolated on Chebyshev nodes, the interpolative form of the fast Gauss
+transform (Fong & Darve, J. Comput. Phys. 2009), where that matches every
+entry to a relative 1e-12; on the default grid sigma 150 interpolates 27 of
+its 31 lags and sigma 40 5 of 9. The lags that the 6-sigma cut crosses stay
+dense products: an interpolant would leave an error floor in their zeros, as
+an FFT predict does, far above bins hundreds of decades below the peak. The
+two sigmas' cached operators hold 0.42 MB on the default grid.
 """
 
 from __future__ import annotations
@@ -100,12 +102,19 @@ def curvature_sigma(mass: np.ndarray, grid: RpmGrid, cfg: TrackerConfig) -> np.n
     return np.sqrt(var)
 
 
+def _gauss(offsets: np.ndarray, s: float, dr: float, half: int) -> np.ndarray:
+    """The unit-peak Gaussian of scale s at bin offsets on a grid of step dr,
+    zero past KERNEL_TRUNCATION_SIGMAS and past ``half`` bins."""
+    u = offsets * (dr / s)
+    return np.where((np.abs(u) <= KERNEL_TRUNCATION_SIGMAS) & (np.abs(offsets) <= half),
+                    np.exp(-0.5 * u * u), 0.0)
+
+
 def _kernel(s: float, dr: float, g: int):
     """Half-width in bins, taps, and [0, cumsum] of the truncated Gaussian of scale s
     on a grid of ``g`` bins: a tap more than g - 1 bins out lands on no bin."""
     half = min(int(np.ceil(KERNEL_TRUNCATION_SIGMAS * s / dr)), g - 1)
-    u = np.arange(-half, half + 1) * (dr / s)
-    kern = np.where(np.abs(u) <= KERNEL_TRUNCATION_SIGMAS, np.exp(-0.5 * u * u), 0.0)
+    kern = _gauss(np.arange(-half, half + 1), s, dr, half)
     return half, kern, np.concatenate(([0.0], np.cumsum(kern)))
 
 
@@ -132,6 +141,9 @@ def _chebyshev_basis(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 # built once, vectorized (about 0.1 ms), and shared read-only by every sigma
 _NODES, _LAGRANGE = _chebyshev_basis(_BLOCK, _CHEB_NODES)
+# entry [a, c] is the offset from bin or node a to c of one block
+_OFFSETS = np.arange(_BLOCK) - np.arange(_BLOCK)[:, None]
+_NODE_OFFSETS = _NODES - _NODES[:, None]
 
 
 @lru_cache(maxsize=8)
@@ -140,56 +152,42 @@ def _block_operator(s: float, dr: float, g: int):
     sigma on one grid, all read-only, so every thread shares them.
 
     The (B, B) block of lag i carries input block q + i to output block q:
-    its entry [a, c] is the kernel at offset c - a - i * B. The kernel
-    reaches at most g - 1 bins, so the lags |i| <= ceil(half / B) reach less
-    than one block past the grid.
+    its entry [a, c] is the cut Gaussian (:func:`_gauss`) at offset
+    c - a - i * B. The kernel reaches half <= g - 1 bins, so the lags
+    |i| <= ceil(half / B) hold all of it.
 
-    With P the (B, p) Lagrange matrix on p Chebyshev nodes of a block and
-    C_i the (p, p) kernel at the node pairs, a lag is interpolated as
-    ``P @ C_i @ P.T`` if every entry of its block is positive and that
-    matches each entry to a relative _CHEB_RTOL, checked here once per
-    sigma. The lags are checked outward from lag 0 (the error grows with
-    the offset), so the interpolated ones are |i| <= near, and ``coarse``
-    is the (2 near + 1, p, p) stack of their C_i in lag order. A lag that
-    the cut crosses holds zeros, where an interpolant leaves an absolute
-    error floor, as an FFT predict does, that swamps bins hundreds of
-    decades below the peak; such a lag stays dense, as does every lag of a
-    sigma too narrow to pass, and ``dense`` holds their (i, block) pairs in
-    lag order (``near`` is -1 when no lag is interpolated). Only what
-    ``predict`` reads is kept: on the default grid sigma 150 holds 0.25 MB
-    (four dense blocks, 27 node kernels and the norms) and sigma 40 0.18 MB.
+    With P the (B, p) Lagrange matrix on the p Chebyshev nodes t of a block
+    and C_i the same cut Gaussian at the node offsets t[c] - t[a] - i * B, a
+    lag is interpolated as ``P @ C_i @ P.T`` if every entry of its block is
+    positive and that matches each entry to a relative _CHEB_RTOL, checked
+    here once per sigma. The lags are checked one at a time outward from lag
+    0 (the error grows with the offset), so the interpolated ones are
+    |i| <= near, and ``coarse`` is the (2 near + 1, p, p) stack of their C_i
+    in lag order. A lag that the cut crosses holds zeros, where an
+    interpolant leaves an absolute error floor, as an FFT predict does, that
+    swamps bins hundreds of decades below the peak; such a lag stays dense,
+    as does every lag of a sigma too narrow to pass, and ``dense`` holds
+    their (i, block) pairs in lag order (``near`` is -1 when no lag is
+    interpolated). Only what ``predict`` reads is kept: on the default grid
+    sigma 150 holds 0.25 MB (four dense blocks, 27 node kernels and the
+    norms) and sigma 40 0.18 MB.
     """
-    half, kern, csum = _kernel(s, dr, g)
+    half, _, csum = _kernel(s, dr, g)
     norm = _column_norms(np.arange(g), half, csum, g)
     lags = -(-half // _BLOCK)
-    # with the taps zero-padded, row a of lag i's block is the padded
-    # kernel's window of B taps starting pad + half - i * B - a
-    pad = (lags + 1) * _BLOCK - half - 1
-    padded = np.zeros(2 * pad + kern.size)
-    padded[pad:pad + kern.size] = kern
-    windows = sliding_window_view(padded, _BLOCK)
-    rows = pad + half - np.arange(_BLOCK)
-
-    def lag_block(i):
-        block = windows[rows - i * _BLOCK]
-        block.flags.writeable = False
-        return block
-
-    coarse = []
+    near = -1
     for i in range(lags + 1):
-        block = lag_block(i)
-        kernel = np.exp(-0.5 * ((_NODES - _NODES[:, None] - i * _BLOCK) * (dr / s)) ** 2)
-        if block.min() <= 0.0 or (np.abs(_LAGRANGE @ kernel @ _LAGRANGE.T - block)
-                                  > _CHEB_RTOL * block).any():
+        block = _gauss(_OFFSETS - i * _BLOCK, s, dr, half)
+        approx = _LAGRANGE @ _gauss(_NODE_OFFSETS - i * _BLOCK, s, dr, half) @ _LAGRANGE.T
+        if block.min() <= 0.0 or (np.abs(approx - block) > _CHEB_RTOL * block).any():
             break
-        coarse.append(kernel)
-    near = len(coarse) - 1
-    # the kernel is even, so lag -i is lag i transposed
-    coarse = np.array([c.T for c in coarse[:0:-1]] + coarse).reshape(-1, _CHEB_NODES,
-                                                                     _CHEB_NODES)
-    dense = tuple((i, lag_block(i)) for i in range(-lags, lags + 1) if abs(i) > near)
-    norm.flags.writeable = False
-    coarse.flags.writeable = False
+        near = i
+    coarse = np.array([_gauss(_NODE_OFFSETS - i * _BLOCK, s, dr, half)
+                       for i in range(-near, near + 1)]).reshape(-1, _CHEB_NODES, _CHEB_NODES)
+    dense = tuple((i, _gauss(_OFFSETS - i * _BLOCK, s, dr, half))
+                  for i in range(-lags, lags + 1) if abs(i) > near)
+    for array in (norm, coarse, *(block for _, block in dense)):
+        array.flags.writeable = False
     return half, norm, dense, near, coarse
 
 
@@ -200,14 +198,18 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
     KERNEL_TRUNCATION_SIGMAS, renormalized over the bounded grid so no mass
     leaks off the ends. The columns sharing a sigma are one convolution of
     their scaled masses over the span they cover. A sigma shared by at least
-    ``_BLOCK`` columns (in practice the two clip values) convolves in
-    block-Toeplitz form: its span is cut into blocks x of ``_BLOCK`` bins,
-    and the output blocks accumulate one (n, B) x (B, B) matrix product per
-    dense block lag, in lag order, and then ``W @ P.T`` for the interpolated
-    lags: with z = x @ P, ``W = sum_i z[window of lag i] @ C_i`` is one
-    product of the stacked windows. The operator of a sigma is built and
-    cached per sigma and grid by :func:`_block_operator`. Smaller groups run
-    one direct convolution over their span.
+    ``_BLOCK`` columns convolves in block-Toeplitz form: its span is cut into
+    blocks x of ``_BLOCK`` bins, with the kernel's reach of ceil(half / B)
+    zero blocks on each side, and the output blocks accumulate one
+    (n, B) x (B, B) matrix product per dense block lag, in lag order, and
+    then ``W @ P.T`` for the interpolated lags: with z = x @ P,
+    ``W = sum_i z[window of lag i] @ C_i`` is one product of the stacked
+    windows. The operator of a sigma is built and cached per sigma and grid
+    by :func:`_block_operator`. Smaller groups run one direct convolution
+    over their span. On the benchmark clips (seed 1) the block path serves
+    the two clip values on every frame after the first, and the direct path
+    0.34-0.75 one-column groups per frame on fullband S0/S3/S5 and
+    0.08-0.10 on narrowband S2/S4.
     """
     g = grid.n_points
     dr = grid.step
@@ -239,23 +241,18 @@ def predict(mass: np.ndarray, sigmas: np.ndarray, grid: RpmGrid) -> np.ndarray:
         half, norm, dense, near, coarse = _block_operator(float(s), dr, g)
         lo, hi = max(0, first - half), min(g, last + half + 1)
         n_out = -(-(hi - lo) // _BLOCK)
-        # output block q sums input blocks q - reach .. q + reach: the kernel reaches
-        # ceil(half / B) blocks, and those beyond n_out - 1 hold no column of this span
-        reach = min(-(-half // _BLOCK), n_out - 1)
+        reach = -(-half // _BLOCK)  # output block q sums input blocks q - reach .. q + reach
         x = np.zeros((n_out + 2 * reach) * _BLOCK)
         x[reach * _BLOCK + cols - lo] = mass[cols] / norm[cols]
         x = x.reshape(-1, _BLOCK)
         y = np.zeros((n_out, _BLOCK))
         for i, block in dense:
-            if abs(i) <= reach:
-                y += x[reach + i:reach + i + n_out] @ block
-        k = min(near, reach)  # the interpolated lags that reach this span
-        if k >= 0:
-            # row q of the stacked windows is z[q + reach - k .. q + reach + k]
-            z = (x[reach - k:reach + k + n_out] @ _LAGRANGE).ravel()
-            stacked = sliding_window_view(z, (2 * k + 1) * _CHEB_NODES)[::_CHEB_NODES]
-            w = np.ascontiguousarray(stacked) @ coarse[near - k:near + k + 1].reshape(
-                -1, _CHEB_NODES)
+            y += x[reach + i:reach + i + n_out] @ block
+        if near >= 0:
+            # row q of the stacked windows is z[q + reach - near .. q + reach + near]
+            z = (x[reach - near:reach + near + n_out] @ _LAGRANGE).ravel()
+            stacked = sliding_window_view(z, (2 * near + 1) * _CHEB_NODES)[::_CHEB_NODES]
+            w = np.ascontiguousarray(stacked) @ coarse.reshape(-1, _CHEB_NODES)
             y += w @ _LAGRANGE.T
         out[lo:hi] += y.ravel()[:hi - lo]
     return out

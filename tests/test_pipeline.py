@@ -524,13 +524,15 @@ def test_importing_the_package_loads_no_scipy_fft():
     # 40 % of the import time, scipy.sparse (the alignment scatter) 0.20 of
     # 0.43 s, and scipy.io loaded it again for every WAV run. Nor does a run
     # load numpy.ma (8-12 ms and 1.7 MB), which np.unique and np.percentile
-    # import: a scenario run computes its metrics against the ground truth
+    # import: a scenario run computes its metrics against the ground truth.
+    # The same holds for the files of a run with every output and baseline,
+    # and for a benchmark sweep
     code = textwrap.dedent("""
         import sys, tempfile
         from pathlib import Path
         import numpy as np
         import tacholess
-        from tacholess import InputConfig, RpmGrid, RunConfig, ScenarioSpec, Signal
+        from tacholess import InputConfig, OutputConfig, RpmGrid, RunConfig, ScenarioSpec, Signal
 
         grid = RpmGrid.from_step(1200.0, 1800.0, 1.0)
 
@@ -549,15 +551,25 @@ def test_importing_the_package_loads_no_scipy_fft():
                                         grid=grid))
         scipy_loaded("file analyze")
         print("numpy.ma", "numpy.ma" in sys.modules)
-        tacholess.analyze(RunConfig(scenario=ScenarioSpec(scenario="S0", duration_s=0.8, seed=1),
-                                    grid=grid))
+        scenario = ScenarioSpec(scenario="S0", duration_s=0.8, seed=1)
+        tacholess.analyze(RunConfig(scenario=scenario, grid=grid))
         scipy_loaded("analyze")
+        print("numpy.ma", "numpy.ma" in sys.modules)
+        with tempfile.TemporaryDirectory() as tmp:
+            tacholess.run_pipeline(
+                RunConfig(scenario=scenario, grid=grid, baselines=tacholess.pipeline.BASELINE_IDS,
+                          output=OutputConfig(dump_posteriors=True, plot=True)), tmp)
+            scipy_loaded("run_pipeline")
+            print("numpy.ma", "numpy.ma" in sys.modules)
+            tacholess.run_benchmark(RunConfig(scenario=scenario, grid=grid), ["S0"], [1], tmp)
+        scipy_loaded("run_benchmark")
         print("numpy.ma", "numpy.ma" in sys.modules)
     """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout == ("import []\nwav []\nfile analyze []\nnumpy.ma False\n"
-                          "analyze []\nnumpy.ma False\n")
+                          "analyze []\nnumpy.ma False\nrun_pipeline []\nnumpy.ma False\n"
+                          "run_benchmark []\nnumpy.ma False\n")
 
 
 def test_importing_the_package_loads_no_multiprocessing():
@@ -906,9 +918,8 @@ def test_the_posterior_writer_runs_on_the_standard_library_alone(tmp_path):
     with open(tmp_path / "posteriors.csv", "wb") as table:
         writer = subprocess.Popen(
             [sys.executable, "-I", "-S", "-X", "importtime",
-             str(Path(pipeline.__file__).with_name("posterior_writer.py")), "3",
-             str(table.fileno())],
-            stdin=subprocess.PIPE, stderr=subprocess.PIPE, pass_fds=(table.fileno(),))
+             str(Path(pipeline.__file__).with_name("posterior_writer.py")), "3"],
+            stdin=subprocess.PIPE, stdout=table, stderr=subprocess.PIPE)
         for piece in (data[:5], data[5:24]):
             writer.stdin.write(piece)
             writer.stdin.flush()

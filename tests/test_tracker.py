@@ -292,12 +292,13 @@ def test_predict_caches_operators_only_for_sigma_groups_of_a_block():
 def test_interpolated_block_lags_hold_their_bound(step):
     # every block lag of a cached operator is either dense and equal to the
     # kernel's block, or all positive and within _CHEB_RTOL of it per entry
-    # as P @ C_i @ P.T; lags that the 6 sigma cut (or the g - 1 reach)
-    # crosses hold zeros, so they, and every lag of a sigma of a few bins,
-    # stay dense, while a sigma wider than the grid interpolates
+    # as P @ C_i @ P.T, with C_i the kernel at the node offsets of lag i, bit
+    # for bit, negative lags included; lags that the 6 sigma cut (or the
+    # g - 1 reach) crosses hold zeros, so they, and every lag of a sigma of a
+    # few bins, stay dense, while a sigma wider than the grid interpolates
     grid = RpmGrid.from_step(300.0, 4000.0, step)
     g, b = grid.n_points, tracker._BLOCK
-    lagrange = tracker._LAGRANGE
+    lagrange, nodes = tracker._LAGRANGE, tracker._NODES
     offset = np.arange(b)[None, :] - np.arange(b)[:, None]
     mass = np.random.default_rng(38).dirichlet(np.full(g, 0.7))
     mass = mass / mass.sum()
@@ -315,6 +316,8 @@ def test_interpolated_block_lags_hold_their_bound(step):
                 assert np.array_equal(blocks[i], exact)
             else:
                 assert exact.min() > 0.0
+                u = (nodes - nodes[:, None] - i * b) * (step / s)
+                assert np.array_equal(coarse[near + i], np.exp(-0.5 * u * u))
                 approx = lagrange @ coarse[near + i] @ lagrange.T
                 assert np.all(np.abs(approx - exact) <= tracker._CHEB_RTOL * exact)
         if 6.0 * s / step < b - 1:  # the cut crosses even lag 0
